@@ -45,7 +45,7 @@ from repro.core.runner import (  # noqa: E402
     run_multi_gemm,
     run_peer_transfer,
 )
-from repro.sim.eventq import ParallelSimulator, Simulator  # noqa: E402
+from repro.sim.eventq import Simulator  # noqa: E402
 from repro.sweep import build_sweep, run_sweep  # noqa: E402
 
 DEFAULT_JSON = REPO_ROOT / "BENCH_core.json"
@@ -236,77 +236,6 @@ def bench_p2p_transfer(size_bytes: int) -> float:
     return _best_of(run)[0]
 
 
-def bench_pdes_point(size: int, domains: int = 4) -> float:
-    """One warm multi-device point under intra-point PDES.
-
-    Same workload as :func:`bench_multigemm_point` scaled to four
-    endpoints, but simulated on a :class:`ParallelSimulator` with one
-    event domain per endpoint subtree (docs/PARALLEL.md).  The delta
-    against the classic path is the price of domain-partitioned
-    execution on a real system model.
-    """
-    config = SystemConfig.pcie_2gb(num_accelerators=domains).with_domains(
-        domains
-    )
-    run_multi_gemm(config, size, size, size)  # warm the system memo
-
-    def run():
-        t0 = time.perf_counter()
-        run_multi_gemm(config, size, size, size)
-        t1 = time.perf_counter()
-        return t1 - t0, t1 - t0
-
-    return _best_of(run)[0]
-
-
-def bench_pdes_sync_overhead(total_events: int, domains: int = 4) -> float:
-    """Domain-sync overhead: parallel minus classic loop time.
-
-    Runs the same self-rescheduling event trains once on a classic
-    :class:`Simulator` and once on a :class:`ParallelSimulator` whose
-    trains are spread across ``domains`` event domains (quantum 1, so
-    every distinct tick is its own lockstep round).  The difference is
-    the pure cost of the quantum barrier plus the K-way head scan --
-    the overhead budget that intra-point PDES must amortize.
-
-    A difference of two timings amplifies machine noise, so instead of
-    subtracting independent best-ofs this takes the *median of paired
-    differences*: each repeat times classic and parallel back to back,
-    so transient contention hits both sides of one pair and cancels.
-    """
-
-    def populate(sim, to_domain):
-        def make_train(delay):
-            def fire():
-                sim.schedule(delay, fire)
-
-            return fire
-
-        for i in range(EVENT_TRAINS):
-            to_domain(
-                i % domains, 3 + (i * 7) % 97, make_train(3 + (i * 11) % 101)
-            )
-
-    def run_classic():
-        sim = Simulator()
-        populate(sim, lambda dom, delay, fn: sim.schedule(delay, fn))
-        t0 = time.perf_counter()
-        sim.run(max_events=total_events)
-        t1 = time.perf_counter()
-        return t1 - t0
-
-    def run_parallel():
-        sim = ParallelSimulator(domains, quantum=1)
-        populate(sim, sim.schedule_in)
-        t0 = time.perf_counter()
-        sim.run(max_events=total_events)
-        t1 = time.perf_counter()
-        return t1 - t0
-
-    diffs = sorted(run_parallel() - run_classic() for _ in range(5))
-    return max(diffs[len(diffs) // 2], 0.0)
-
-
 def bench_tracer_off_overhead(size: int) -> float:
     """Fractional cost of the *disabled* telemetry layer on a warm point.
 
@@ -316,8 +245,7 @@ def bench_tracer_off_overhead(size: int) -> float:
     acquisition.  This bench times a warm GEMM point on that normal
     path, then again with the per-acquisition consultation
     short-circuited, and reports the median of paired fractional
-    differences (pairing cancels transient machine noise, as in
-    :func:`bench_pdes_sync_overhead`).  The per-event ``is None`` hook
+    differences (pairing cancels transient machine noise).  The per-event ``is None`` hook
     checks are co-located with pre-existing branches and cannot be
     separated out; everything the telemetry layer *added* to the point
     path is what this measures.  CI gates it absolutely (<2%, see
@@ -546,6 +474,12 @@ def bench_serve_coalesce() -> float:
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
+def _sig4(seconds: float) -> float:
+    """Round to 4 significant digits: quick-mode points take ~0.01 s,
+    where a fixed number of decimals keeps only one or two."""
+    return float(f"{seconds:.4g}")
+
+
 def collect_metrics(quick: bool) -> dict:
     events = 100_000 if quick else 300_000
     gemm_size = 64 if quick else 96
@@ -557,24 +491,18 @@ def collect_metrics(quick: bool) -> dict:
     metrics["event_throughput_eps"] = round(bench_event_throughput(events), 1)
     metrics["event_cancel_eps"] = round(bench_event_cancel(events), 1)
     metrics["idle_loop_eps"] = round(bench_idle_loop(events), 1)
-    metrics["gemm_point_s"] = round(bench_gemm_point(gemm_size), 4)
-    metrics["multigemm_point_s"] = round(
-        bench_multigemm_point(gemm_size), 4
-    )
-    metrics["p2p_transfer_s"] = round(
-        bench_p2p_transfer(128 * 1024 if quick else 512 * 1024), 4
-    )
-    metrics["pdes_point_s"] = round(bench_pdes_point(gemm_size), 4)
-    metrics["pdes_sync_overhead_s"] = round(
-        bench_pdes_sync_overhead(events), 4
+    metrics["gemm_point_s"] = _sig4(bench_gemm_point(gemm_size))
+    metrics["multigemm_point_s"] = _sig4(bench_multigemm_point(gemm_size))
+    metrics["p2p_transfer_s"] = _sig4(
+        bench_p2p_transfer(128 * 1024 if quick else 512 * 1024)
     )
     metrics["snapshot_us"] = round(bench_snapshot(gemm_size, snap_iters), 2)
     metrics["tracer_off_overhead"] = round(
         bench_tracer_off_overhead(gemm_size), 4
     )
-    metrics["fig6_grid_s"] = round(bench_fig6_grid(grid_size), 3)
+    metrics["fig6_grid_s"] = _sig4(bench_fig6_grid(grid_size))
     metrics["surrogate_grid_eps"] = round(bench_surrogate_grid(quick), 1)
-    metrics["ladder_fig6_s"] = round(bench_ladder_fig6(grid_size), 3)
+    metrics["ladder_fig6_s"] = _sig4(bench_ladder_fig6(grid_size))
     metrics["serve_query_lat_us"] = round(bench_serve_query_lat(quick), 1)
     metrics["serve_coalesce_x"] = bench_serve_coalesce()
     return metrics
@@ -713,7 +641,11 @@ def main(argv=None) -> int:
     print(f"bench_perf_core [{mode}] on {platform.python_version()} ...")
     metrics = collect_metrics(args.quick)
     for name, value in metrics.items():
-        print(f"  {name:24s} {value:>14,.2f}")
+        # Seconds metrics sit near 0.01 on quick runs, where ,.2f
+        # would keep one significant digit.
+        shown = (f"{value:>14.4g}" if name.endswith("_s")
+                 else f"{value:>14,.2f}")
+        print(f"  {name:24s} {shown}")
     # Pair this run's metrics with its own calibration for the gate.
     metrics["_normalized"] = {
         name: round(value, 4) for name, value in normalized(metrics).items()

@@ -58,7 +58,6 @@ from repro.core.runner import (
 from repro.sweep import (
     SWEEPS,
     ResultCache,
-    apply_domains,
     build_sweep,
     parse_shard,
     run_sweeps,
@@ -387,14 +386,6 @@ def cmd_sweep(args) -> int:
     elif args.fault_seed is not None:
         print("note: --fault-seed applies with --faults only",
               file=sys.stderr)
-    if args.domains is not None and args.domains != 1:
-        # Intra-point PDES: validate the partition against every point's
-        # topology up front; infeasible requests die here with the
-        # offending component named (see docs/PARALLEL.md).
-        try:
-            specs = [apply_domains(spec, args.domains) for spec in specs]
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
     settings = _telemetry_settings(args)
     if settings is not None:
         # Process-global session; pool workers inherit it through the
@@ -661,18 +652,6 @@ def cmd_orchestrate(args) -> int:
             sweeps = []
             for name in names:
                 overrides = _plain_overrides(name, args)
-                if args.domains is not None and args.domains != 1:
-                    # Validated here (fail fast, component-named error)
-                    # and replayed by every worker when the manifest's
-                    # spec is rebuilt (see orchestrate/manifest.py).
-                    try:
-                        apply_domains(
-                            build_sweep(name, **_factory_kwargs(name, args)),
-                            args.domains,
-                        )
-                    except ValueError as exc:
-                        raise SystemExit(str(exc)) from None
-                    overrides["domains"] = args.domains
                 sweeps.append({"name": name, "overrides": overrides})
             cache_dir = (args.cache_dir if args.cache_dir
                          else default_cache_dir())
@@ -890,7 +869,6 @@ def cmd_serve(args) -> int:
         port=args.port,
         workers=args.workers,
         cache_dir=args.cache_dir,
-        domains=args.domains,
         batch_window=args.batch_window,
     )
     try:
@@ -982,12 +960,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--dim-scale", type=float, default=None,
                          help="ViT dim-scale override "
                               "(if the sweep takes one)")
-    p_sweep.add_argument("--domains", type=int, default=None, metavar="N",
-                         help="event domains per point (intra-point PDES; "
-                              "default 1 = classic single-queue engine; "
-                              "clamped to what each point's topology "
-                              "supports, refused if a hop violates the "
-                              "lookahead rule; see docs/PARALLEL.md)")
     p_sweep.add_argument("--shard", default=None, metavar="I/N",
                          help="simulate only shard I of N "
                               "(deterministic slice; share --cache-dir "
@@ -1034,9 +1006,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "injection streams (with --faults)")
     p_sweep.add_argument("--trace", action="store_true",
                          help="record tick-domain spans (DMA lifecycles, "
-                              "TLP trains, fault windows, PDES quantum "
-                              "rounds) per simulated point as Chrome "
-                              "trace JSON (docs/OBSERVABILITY.md); "
+                              "TLP trains, fault windows) per simulated "
+                              "point as Chrome trace JSON "
+                              "(docs/OBSERVABILITY.md); "
                               "results stay bit-identical")
     p_sweep.add_argument("--metrics-every", type=int, default=None,
                          metavar="TICKS",
@@ -1113,11 +1085,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_orch.add_argument("--dim-scale", type=float, default=None,
                         help="ViT dim-scale override "
                              "(if the sweep takes one)")
-    p_orch.add_argument("--domains", type=int, default=None, metavar="N",
-                        help="event domains per point (intra-point PDES; "
-                             "recorded in the run manifest so every "
-                             "shard worker rebuilds the same partitioned "
-                             "spec; see docs/PARALLEL.md)")
     p_orch.add_argument("--backend", choices=["local", "ssh", "slurm"],
                         default="local",
                         help="where shard workers run (default: local)")
@@ -1225,9 +1192,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="result cache location, pinned at startup "
                               "(default: $REPRO_SWEEP_CACHE_DIR or "
                               "~/.cache/repro/sweeps)")
-    p_serve.add_argument("--domains", type=int, default=None, metavar="N",
-                         help="event domains per served point (intra-point "
-                              "PDES) unless a query's args set their own")
     p_serve.add_argument("--batch-window", type=float, default=0.01,
                          metavar="SECONDS",
                          help="how long a first miss waits for concurrent "

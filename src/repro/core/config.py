@@ -104,12 +104,6 @@ class SystemConfig:
     #: flat switch (every endpoint behind one shared upstream link).  An
     #: explicit description must have ``num_accelerators`` endpoints.
     topology: Optional[TopologyDesc] = None
-    #: Requested event-domain count for intra-point PDES (see
-    #: docs/PARALLEL.md).  1 runs the classic single-queue simulator;
-    #: N > 1 partitions a switched topology into a host domain plus
-    #: endpoint domains advanced in lockstep quantum rounds.  Rides
-    #: ``to_canonical()`` like every field, so cache keys stay honest.
-    domains: int = 1
     #: Deterministic fault-injection model (see repro.faults and
     #: docs/FAULTS.md).  ``None`` -- the default everywhere -- keeps the
     #: fault-free fast path bit-identical to a tree without the fault
@@ -281,32 +275,6 @@ class SystemConfig:
         if self.num_accelerators > 1 and self.interconnect == "pcie":
             return flat_topology(self.num_accelerators)
         return None
-
-    def with_domains(self, domains: int) -> "SystemConfig":
-        """Copy requesting ``domains`` synchronized event domains.
-
-        The request is a *ceiling*: :meth:`effective_domains` clamps it
-        to what the topology can support, so one sweep-wide knob works
-        across points of different endpoint counts.
-        """
-        if domains < 1:
-            raise ValueError(f"need at least one domain, got {domains}")
-        return self.with_(domains=domains)
-
-    def effective_domains(self) -> int:
-        """The domain count the system will actually run with.
-
-        A partition needs structure to cut along: no switched topology
-        (or a non-PCIe interconnect) means one domain -- the classic,
-        golden-pinned single-queue engine.  Otherwise the request clamps
-        to one host domain plus at most one domain per endpoint.
-        """
-        if self.domains <= 1:
-            return 1
-        topo = self.effective_topology()
-        if topo is None or self.interconnect != "pcie":
-            return 1
-        return min(self.domains, 1 + topo.num_endpoints)
 
     def with_faults(self, faults: Optional[FaultSpec]) -> "SystemConfig":
         """Copy with a fault-injection model (``None`` removes it)."""

@@ -40,12 +40,12 @@ from repro.memory.addr_range import AddrRange
 from repro.memory.dram.controller import DRAMController
 from repro.memory.physmem import PhysicalMemory
 from repro.memory.simple import SimpleMemory
-from repro.sim.eventq import ParallelSimulator, Simulator
+from repro.sim.eventq import Simulator
 from repro.sim.ports import CompletionFn, TargetPort
 from repro.sim.transaction import Transaction
 from repro.smmu.page_table import PageTable
 from repro.smmu.smmu import SMMU
-from repro.topology.fabric import SwitchedPCIeFabric, plan_for_config
+from repro.topology.fabric import SwitchedPCIeFabric
 
 #: Page-table arena at the top of host DRAM.
 PAGE_TABLE_RESERVE = 64 * 1024 * 1024
@@ -152,19 +152,7 @@ class AcceSysSystem:
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
-        # Intra-point PDES: a config requesting (and supporting) more
-        # than one event domain runs on the partitioned simulator; the
-        # domain plan is applied to the fabric and wrappers below, once
-        # they exist.  Everything else keeps the classic single-queue
-        # engine, whose behaviour is pinned by the golden tests.
-        self.domain_plan = plan_for_config(config)
-        if self.domain_plan is not None:
-            self.sim = ParallelSimulator(
-                self.domain_plan.domains, quantum=self.domain_plan.quantum
-            )
-        else:
-            self.sim = Simulator()
-        sim = self.sim
+        self.sim = sim = Simulator()
 
         # ------------------------------------------------------------
         # Address map
@@ -410,37 +398,6 @@ class AcceSysSystem:
 
             self.fault_model = FaultModel(config.faults)
             self.fault_model.attach(self)
-
-        # ------------------------------------------------------------
-        # Domain partition (intra-point PDES)
-        # ------------------------------------------------------------
-        if self.domain_plan is not None:
-            self._apply_domain_plan()
-
-    def _apply_domain_plan(self) -> None:
-        """Pin each endpoint subtree to its event domain.
-
-        The fabric pins the endpoint link pairs and entry ports; here
-        the accelerator subtree behind each endpoint (wrapper, DMA,
-        systolic array, register file, scratch -- everything named
-        ``system.accel<i>.*``) follows by name prefix.  Switch tiers,
-        root complex, host memory system, drivers and CPU stay in
-        domain 0.
-        """
-        plan = self.domain_plan
-        self.fabric.apply_domain_plan(plan)
-        prefixes = []
-        for index in range(self.config.num_accelerators):
-            suffix = "" if self.config.num_accelerators == 1 else str(index)
-            prefixes.append(
-                (f"system.accel{suffix}", plan.endpoint_domain[index])
-            )
-        for obj in self.sim.objects:
-            name = obj.name
-            for prefix, domain in prefixes:
-                if name == prefix or name.startswith(prefix + "."):
-                    self.sim.assign_domain(obj, domain)
-                    break
 
     # ------------------------------------------------------------------
     # Convenience

@@ -13,9 +13,8 @@ subsystem (pinned by the golden tests).
 Determinism: a link's injection decisions are pure functions of
 ``(spec.seed, link name, per-link train counter)`` plus the train's
 deterministic start tick.  The counters advance once per granted train
-and are rewound by ``reset_state``, so reruns, ``--shard`` slices and
-``--domains 1`` vs ``N`` (globally-ordered lockstep -- identical event
-order by construction) all see identical schedules.
+and are rewound by ``reset_state``, so reruns and ``--shard`` slices
+all see identical schedules.
 """
 
 from __future__ import annotations

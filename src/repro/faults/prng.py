@@ -1,15 +1,13 @@
 """Counter-based deterministic PRNG for fault injection.
 
-Fault schedules must be bit-identical across reruns, ``--shard`` slices
-and ``--domains 1`` vs ``N``, so the generator carries **no mutable
-state**: every draw is a pure function of ``(seed, label, counter)``.
-The label (a link name) is hashed once into a 64-bit *stream*; each
-draw finalizes ``stream ^ mix(counter)`` through the splitmix64 mixer.
-Per-link counters live with the link's fault state and advance once per
-TLP train -- and since the lockstep engine executes events in the same
-global order for any domain count, the per-link train sequence (and
-therefore every draw) is identical no matter how the system is
-partitioned.
+Fault schedules must be bit-identical across reruns and ``--shard``
+slices, so the generator carries **no mutable state**: every draw is a
+pure function of ``(seed, label, counter)``.  The label (a link name)
+is hashed once into a 64-bit *stream*; each draw finalizes
+``stream ^ mix(counter)`` through the splitmix64 mixer.  Per-link
+counters live with the link's fault state and advance once per TLP
+train, and the event order is deterministic, so the per-link train
+sequence (and therefore every draw) is identical on every rerun.
 """
 
 from __future__ import annotations

@@ -262,9 +262,8 @@ register_runner(
 def apply_faults(spec: SweepSpec, faults: Optional[FaultSpec]) -> SweepSpec:
     """Copy of ``spec`` with every point running under ``faults``.
 
-    The mirror of :func:`repro.sweep.spec.apply_domains`: the CLI's
-    ``sweep --faults <preset>`` overlays a fault schedule onto any
-    registered grid.  Because the spec rides the config hash, the
+    The CLI's ``sweep --faults <preset>`` overlays a fault schedule onto
+    any registered grid.  Because the spec rides the config hash, the
     overlaid points can never alias the fault-free cache entries.
     ``None`` returns the spec unchanged.
     """

@@ -36,12 +36,7 @@ from typing import Dict, List, Optional
 
 from repro.core.config import SystemConfig
 from repro.sweep.cache import atomic_write_json, code_version
-from repro.sweep.spec import (
-    SweepSpec,
-    apply_domains,
-    build_sweep,
-    resolve_runner,
-)
+from repro.sweep.spec import SweepSpec, build_sweep, resolve_runner
 
 #: Bump when the manifest layout changes incompatibly.
 MANIFEST_FORMAT = 1
@@ -87,11 +82,7 @@ def apply_overrides(name: str, overrides: dict) -> SweepSpec:
 
     ``base`` maps a system *name* through :meth:`SystemConfig.by_name`;
     lists revert to tuples (JSON has no tuple type, the factories take
-    tuples); everything else passes through.  ``domains`` is not a
-    factory parameter -- it is applied to the built spec
-    (:func:`repro.sweep.spec.apply_domains`), so every shard worker
-    partitions each point identically and the spec fingerprint covers
-    the domain count.
+    tuples); everything else passes through.
 
     Public because the override vocabulary is shared wire format: run
     manifests store it, and the result server's query protocol accepts
@@ -105,11 +96,7 @@ def apply_overrides(name: str, overrides: dict) -> SweepSpec:
         elif isinstance(value, list):
             value = tuple(value)
         kwargs[param] = value
-    domains = kwargs.pop("domains", None)
-    spec = build_sweep(name, **kwargs)
-    if domains is not None:
-        spec = apply_domains(spec, domains)
-    return spec
+    return build_sweep(name, **kwargs)
 
 
 # Backwards-compatible alias (pre-serve internal name).

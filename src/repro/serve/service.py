@@ -58,7 +58,7 @@ from repro.sweep.cache import (
     point_key,
 )
 from repro.sweep.engine import point_params, run_points
-from repro.sweep.spec import SweepPoint, SweepSpec, apply_domains, resolve_runner
+from repro.sweep.spec import SweepPoint, SweepSpec, resolve_runner
 from repro.telemetry.metrics import render_prometheus
 
 from repro.serve.singleflight import SingleFlight
@@ -106,9 +106,6 @@ class ServeSettings:
     #: Cache directory; None resolves ``$REPRO_SWEEP_CACHE_DIR`` or the
     #: default location *once*, at service construction.
     cache_dir: Optional[str] = None
-    #: Event domains per point (intra-point PDES) applied to every
-    #: served sweep, unless a query's ``args`` set their own.
-    domains: Optional[int] = None
     #: Seconds a first miss waits for concurrent distinct misses to
     #: pile onto the same fill batch.
     batch_window: float = 0.01
@@ -228,9 +225,6 @@ class SweepService:
 
         try:
             spec = apply_overrides(sweep, args)
-            if (self.settings.domains and self.settings.domains != 1
-                    and "domains" not in args):
-                spec = apply_domains(spec, self.settings.domains)
         except (TypeError, ValueError, KeyError) as exc:
             raise BadRequestError(
                 f"cannot build sweep {sweep!r} with args {args!r}: {exc}"
@@ -467,7 +461,6 @@ class SweepService:
             "cache_dir": self.cache_dir,
             "code": self.code,
             "workers": self.settings.workers,
-            "domains": self.settings.domains,
             "batch_window_s": self.settings.batch_window,
             "queries_total": self.queries_total,
             "query_hits": self.query_hits,

@@ -24,13 +24,7 @@ stays tractable in pure Python.  This is the SystemC TLM-2.0 "approximately
 timed" style; DESIGN.md discusses the trade-off.
 """
 
-from repro.sim.eventq import (
-    Domain,
-    Event,
-    EventQueue,
-    ParallelSimulator,
-    Simulator,
-)
+from repro.sim.eventq import Event, EventQueue, Simulator
 from repro.sim.simobject import ClockedObject, SimObject
 from repro.sim.ticks import (
     GHZ,
@@ -56,8 +50,6 @@ __all__ = [
     "Event",
     "EventQueue",
     "Simulator",
-    "Domain",
-    "ParallelSimulator",
     "SimObject",
     "ClockedObject",
     "TICKS_PER_SEC",

@@ -24,27 +24,17 @@ little generality for speed:
   by ``pop`` and ``peek_tick``; every reaped cancelled event is counted
   in :attr:`EventQueue.skipped_cancelled` (surfaced as
   :attr:`Simulator.events_skipped`).
-* ``Simulator.run`` / ``run_until_idle`` inline the pop/prune logic with
-  locals-bound heap operations, and ``run_until_idle`` throttles the
-  ``quiesce()`` predicate adaptively instead of calling it per event.
-
-Parallel discrete-event simulation
-----------------------------------
-:class:`ParallelSimulator` partitions the event program into
-:class:`Domain` s -- disjoint groups of SimObjects, each with its own
-:class:`EventQueue` -- advanced in lockstep *quantum rounds* bounded by
-the minimum cross-domain link latency (the conservative-synchronization
-lookahead window of parti-gem5).  Cross-domain communication goes
-through :meth:`ParallelSimulator.post_at`, which lands the message in
-the target domain's inbox; inboxes are delivered at the round barrier.
-See ``docs/PARALLEL.md`` for the model and its determinism guarantees.
+* ``Simulator.run`` is the one dispatch loop: it inlines the pop/prune
+  logic with locals-bound heap operations.  ``run_until_idle`` drives it
+  in chunks, throttling the ``quiesce()`` predicate adaptively instead
+  of calling it per event.
 """
 
 from __future__ import annotations
 
-import threading
 from heapq import heappop, heappush
-from typing import Callable, List, Optional
+from time import perf_counter
+from typing import Callable, Optional
 
 #: Default event priority.  Lower values run first within a tick.
 PRIORITY_DEFAULT = 100
@@ -57,8 +47,8 @@ PRIORITY_EARLY = 10
 _FREELIST_MAX = 8192
 
 #: run_until_idle throttle: after this many consecutive "not quiesced"
-#: answers the check interval doubles, up to the cap.  Short runs (fewer
-#: than BACKOFF_AFTER events) therefore see exactly the historical
+#: answers the chunk between checks doubles, up to the cap.  Short runs
+#: (fewer than BACKOFF_AFTER events) therefore see exactly the historical
 #: check-after-every-event behaviour.
 _QUIESCE_BACKOFF_AFTER = 8
 _QUIESCE_MAX_INTERVAL = 64
@@ -129,7 +119,7 @@ class EventQueue:
         self._heap: list = []
         self._seq = 0
         self._free: list = []
-        #: Cancelled events reaped by lazy deletion (pop/peek/run loops).
+        #: Cancelled events reaped by lazy deletion (pop/peek/run loop).
         self.skipped_cancelled = 0
 
     def __len__(self) -> int:
@@ -180,7 +170,7 @@ class EventQueue:
         """Remove and return the next live event, or None if empty.
 
         The returned event is *not* recycled -- external callers own it.
-        The run loops use their own inlined pop that recycles after
+        The run loop uses its own inlined pop that recycles after
         dispatch.
         """
         self._prune()
@@ -222,10 +212,8 @@ class Simulator:
         self.freelist_high_water: int = 0
         #: Every SimObject constructed against this simulator, in order.
         self.objects: list = []
-        #: Self-profiler hook (repro.telemetry.profiler).  ``None`` keeps
-        #: the monomorphic run loops untouched: the run methods test this
-        #: once at entry and dispatch to the instrumented variants, so
-        #: the disabled path gains no per-event branch.
+        #: Self-profiler hook (repro.telemetry.profiler).  ``None`` (off)
+        #: costs :meth:`run` one local ``is None`` test per event.
         self._profiler = None
 
     def register(self, obj) -> None:
@@ -330,104 +318,29 @@ class Simulator:
         Parameters
         ----------
         until:
-            Stop before executing events scheduled after this tick.
+            Stop before executing events scheduled after this tick; they
+            stay queued for the next call.
         max_events:
-            Safety valve for tests; stop after this many events.
+            Stop after this many events (a non-positive budget runs
+            nothing).
 
         Returns the tick of the last executed event (i.e. ``self.now``).
+        This is the one event-dispatch loop.  It pops before testing
+        ``until``: the one event popped past the limit is pushed back,
+        which leaves the pop order unchanged (``seq`` makes every key
+        unique).  ``now`` mirrors ``self.now`` in a local so the
+        monotonicity check costs a local load (the attribute store
+        remains, because callbacks read ``self.now``), and the
+        self-profiler costs one local ``is None`` test per event when
+        it is off.
         """
-        if self._profiler is not None:
-            return self._run_profiled(until, max_events)
-        self._running = True
-        executed = 0
-        queue = self.queue
-        heap = queue._heap
-        free = queue._free
-        pop = heappop
-        budget = max_events if max_events is not None else (1 << 62)
-        try:
-            if until is None:
-                # Common case (drain the queue): pop unconditionally, no
-                # per-event peek.  This is the monomorphic inner loop
-                # every experiment spends its time in; `now` mirrors
-                # self.now in a local so the monotonicity check costs a
-                # local load (the attribute store remains, because
-                # callbacks read self.now).
-                now = self.now
-                while heap:
-                    when, _prio, _seq, event = pop(heap)
-                    if event.cancelled:
-                        queue.skipped_cancelled += 1
-                        event.callback = None
-                        if len(free) < _FREELIST_MAX:
-                            free.append(event)
-                        continue
-                    if when < now:
-                        raise RuntimeError(
-                            f"event {event.name!r} scheduled at {when} "
-                            f"but time already at {now}"
-                        )
-                    self.now = now = when
-                    event.callback()
-                    event.callback = None
-                    if len(free) < _FREELIST_MAX:
-                        free.append(event)
-                    executed += 1
-                    if executed >= budget:
-                        break
-            else:
-                # Bounded run: peek before popping so events beyond
-                # `until` stay queued for the next call.
-                while heap:
-                    head = heap[0]
-                    event = head[3]
-                    if event.cancelled:
-                        pop(heap)
-                        queue.skipped_cancelled += 1
-                        event.callback = None
-                        if len(free) < _FREELIST_MAX:
-                            free.append(event)
-                        continue
-                    when = head[0]
-                    if when > until:
-                        break
-                    if when < self.now:
-                        raise RuntimeError(
-                            f"event {event.name!r} scheduled at {when} "
-                            f"but time already at {self.now}"
-                        )
-                    pop(heap)
-                    self.now = when
-                    event.callback()
-                    event.callback = None
-                    if len(free) < _FREELIST_MAX:
-                        free.append(event)
-                    executed += 1
-                    if executed >= budget:
-                        break
-        finally:
-            self.events_executed += executed
-            if len(free) > self.freelist_high_water:
-                self.freelist_high_water = len(free)
-            self._running = False
-        return self.now
-
-    def _run_profiled(
-        self, until: Optional[int], max_events: Optional[int]
-    ) -> int:
-        """:meth:`run` with host wall-clock attribution per event bucket.
-
-        Semantically identical to :meth:`run` (same monotonicity checks,
-        lazy deletion, freelist recycling and budget accounting), with a
-        ``perf_counter`` pair around every profiled callback.  Simulated
-        results are bit-identical; only the host time differs.  Kept as
-        a separate method so the unprofiled loop stays branch-free.
-        """
-        from time import perf_counter
-
+        if max_events is not None and max_events <= 0:
+            return self.now
         profiler = self._profiler
-        stride = profiler.sample_every
-        record = profiler.record
+        if profiler is not None:
+            stride = profiler.sample_every
+            record = profiler.record
+        running = self._running
         self._running = True
         executed = 0
         queue = self.queue
@@ -435,39 +348,37 @@ class Simulator:
         free = queue._free
         pop = heappop
         budget = max_events if max_events is not None else (1 << 62)
+        limit = until if until is not None else (1 << 62)
+        now = self.now
         try:
             while heap:
-                if until is not None:
-                    head = heap[0]
-                    if head[3].cancelled:
-                        pop(heap)
-                        queue.skipped_cancelled += 1
-                        head[3].callback = None
-                        if len(free) < _FREELIST_MAX:
-                            free.append(head[3])
-                        continue
-                    if head[0] > until:
-                        break
-                when, _prio, _seq, event = pop(heap)
+                entry = pop(heap)
+                when, _prio, _seq, event = entry
                 if event.cancelled:
                     queue.skipped_cancelled += 1
                     event.callback = None
                     if len(free) < _FREELIST_MAX:
                         free.append(event)
                     continue
-                if when < self.now:
+                if when > limit:
+                    heappush(heap, entry)
+                    break
+                if when < now:
                     raise RuntimeError(
                         f"event {event.name!r} scheduled at {when} "
-                        f"but time already at {self.now}"
+                        f"but time already at {now}"
                     )
-                self.now = when
-                profiler.events_seen += 1
-                if profiler.events_seen % stride == 0:
-                    began = perf_counter()
+                self.now = now = when
+                if profiler is None:
                     event.callback()
-                    record(event.name, perf_counter() - began)
                 else:
-                    event.callback()
+                    profiler.events_seen += 1
+                    if profiler.events_seen % stride == 0:
+                        began = perf_counter()
+                        event.callback()
+                        record(event.name, perf_counter() - began)
+                    else:
+                        event.callback()
                 event.callback = None
                 if len(free) < _FREELIST_MAX:
                     free.append(event)
@@ -478,174 +389,54 @@ class Simulator:
             self.events_executed += executed
             if len(free) > self.freelist_high_water:
                 self.freelist_high_water = len(free)
-            self._running = False
+            self._running = running
         return self.now
 
     def run_until_idle(self, quiesce: Callable[[], bool], max_events: int = 10**9) -> int:
         """Run until ``quiesce()`` returns True.
 
-        The predicate is evaluated between events, but *throttled*: after
-        ``quiesce`` has answered "not yet" a handful of times in a row,
-        the check interval backs off (doubling up to a small cap) so long
-        drains stop paying a Python call per event.  Short runs see the
-        historical check-after-every-event behaviour exactly; a throttled
-        run may execute up to the current interval of extra events after
-        the predicate first turns true.  The predicate is always
-        re-checked before an event-budget return, so this method never
-        reports quiescence that does not hold.
+        Drives :meth:`run` in chunks with the predicate evaluated between
+        chunks.  The chunk starts at one event; after ``quiesce`` has
+        answered "not yet" a handful of times in a row it doubles (up to
+        a small cap), so long drains stop paying a Python call per event.
+        Short runs see check-after-every-event behaviour exactly; a
+        throttled run may execute up to one chunk of extra events after
+        the predicate first turns true.  A chunk that runs short means
+        the queue drained: the method gives up without quiescing, like
+        :meth:`run`.  The predicate is always re-checked before an
+        event-budget failure, so this method never reports quiescence
+        that does not hold.
 
         Raises ``RuntimeError`` if the ``max_events`` budget is exhausted
         before the system quiesces, or if time would move backwards --
-        the same monotonicity contract :meth:`run` enforces.
+        the monotonicity contract :meth:`run` enforces.
         """
-        if self._profiler is not None:
-            return self._run_until_idle_profiled(quiesce, max_events)
-        self._running = True
+        running = self._running
+        self._running = True  # reset() stays refused between chunks
         executed = 0
-        queue = self.queue
-        heap = queue._heap
-        free = queue._free
-        pop = heappop
         interval = 1
         misses = 0  # consecutive "not quiesced" answers at this interval
-        drained = False
         try:
-            while True:
-                if quiesce():
-                    break
-                if heap and not drained:
-                    misses += 1
-                    if (misses >= _QUIESCE_BACKOFF_AFTER
-                            and interval < _QUIESCE_MAX_INTERVAL):
-                        interval <<= 1
-                        misses = 0
-                elif drained:
+            while not quiesce():
+                if executed >= max_events:
+                    raise RuntimeError(
+                        f"run_until_idle exhausted max_events="
+                        f"{max_events} before quiescing"
+                    )
+                misses += 1
+                if (misses >= _QUIESCE_BACKOFF_AFTER
+                        and interval < _QUIESCE_MAX_INTERVAL):
+                    interval <<= 1
+                    misses = 0
+                chunk = min(interval, max_events - executed)
+                before = self.events_executed
+                self.run(max_events=chunk)
+                ran = self.events_executed - before
+                executed += ran
+                if ran < chunk:
                     break  # queue empty and quiesce still false: give up
-                # Execute up to `interval` events before asking again.
-                ran = 0
-                while ran < interval and executed + ran < max_events:
-                    if not heap:
-                        drained = True
-                        break
-                    head = heap[0]
-                    event = head[3]
-                    if event.cancelled:
-                        pop(heap)
-                        queue.skipped_cancelled += 1
-                        event.callback = None
-                        if len(free) < _FREELIST_MAX:
-                            free.append(event)
-                        continue
-                    when = head[0]
-                    if when < self.now:
-                        raise RuntimeError(
-                            f"event {event.name!r} scheduled at {when} "
-                            f"but time already at {self.now}"
-                        )
-                    pop(heap)
-                    self.now = when
-                    event.callback()
-                    event.callback = None
-                    if len(free) < _FREELIST_MAX:
-                        free.append(event)
-                    ran += 1
-                executed += ran
-                if not drained and executed >= max_events:
-                    if not quiesce():
-                        raise RuntimeError(
-                            f"run_until_idle exhausted max_events="
-                            f"{max_events} before quiescing"
-                        )
-                    break
         finally:
-            self.events_executed += executed
-            if len(free) > self.freelist_high_water:
-                self.freelist_high_water = len(free)
-            self._running = False
-        return self.now
-
-    def _run_until_idle_profiled(
-        self, quiesce: Callable[[], bool], max_events: int
-    ) -> int:
-        """:meth:`run_until_idle` with per-bucket wall-clock attribution.
-
-        Replicates the throttled quiesce loop exactly (including the
-        backoff schedule, so the executed-event count matches the
-        unprofiled run bit for bit) and times callbacks the same way
-        :meth:`_run_profiled` does.
-        """
-        from time import perf_counter
-
-        profiler = self._profiler
-        stride = profiler.sample_every
-        record = profiler.record
-        self._running = True
-        executed = 0
-        queue = self.queue
-        heap = queue._heap
-        free = queue._free
-        pop = heappop
-        interval = 1
-        misses = 0
-        drained = False
-        try:
-            while True:
-                if quiesce():
-                    break
-                if heap and not drained:
-                    misses += 1
-                    if (misses >= _QUIESCE_BACKOFF_AFTER
-                            and interval < _QUIESCE_MAX_INTERVAL):
-                        interval <<= 1
-                        misses = 0
-                elif drained:
-                    break
-                ran = 0
-                while ran < interval and executed + ran < max_events:
-                    if not heap:
-                        drained = True
-                        break
-                    head = heap[0]
-                    event = head[3]
-                    if event.cancelled:
-                        pop(heap)
-                        queue.skipped_cancelled += 1
-                        event.callback = None
-                        if len(free) < _FREELIST_MAX:
-                            free.append(event)
-                        continue
-                    when = head[0]
-                    if when < self.now:
-                        raise RuntimeError(
-                            f"event {event.name!r} scheduled at {when} "
-                            f"but time already at {self.now}"
-                        )
-                    pop(heap)
-                    self.now = when
-                    profiler.events_seen += 1
-                    if profiler.events_seen % stride == 0:
-                        began = perf_counter()
-                        event.callback()
-                        record(event.name, perf_counter() - began)
-                    else:
-                        event.callback()
-                    event.callback = None
-                    if len(free) < _FREELIST_MAX:
-                        free.append(event)
-                    ran += 1
-                executed += ran
-                if not drained and executed >= max_events:
-                    if not quiesce():
-                        raise RuntimeError(
-                            f"run_until_idle exhausted max_events="
-                            f"{max_events} before quiescing"
-                        )
-                    break
-        finally:
-            self.events_executed += executed
-            if len(free) > self.freelist_high_water:
-                self.freelist_high_water = len(free)
-            self._running = False
+            self._running = running
         return self.now
 
     @property
@@ -660,525 +451,3 @@ class Simulator:
             "events_skipped": self.events_skipped,
             "freelist_high_water": self.freelist_high_water,
         }
-
-
-class Domain:
-    """One synchronized event domain of a :class:`ParallelSimulator`.
-
-    A domain owns a disjoint subtree of SimObjects and the
-    :class:`EventQueue` their events run on, plus an *inbox* of
-    cross-domain messages awaiting delivery at the next round barrier.
-    """
-
-    __slots__ = ("index", "name", "queue", "now", "executed", "inbox", "posts")
-
-    def __init__(self, index: int, name: str = "") -> None:
-        self.index = index
-        self.name = name or f"domain{index}"
-        self.queue = EventQueue()
-        #: Local time: tick of the last event this domain executed.
-        self.now = 0
-        self.executed = 0
-        #: Buffered cross-domain messages:
-        #: ``(when, priority, src_domain, src_post, gseq, callback, name)``.
-        #: ``gseq`` is pre-allocated in lockstep mode, ``None`` in a
-        #: threaded round (allocated at the barrier, in sorted order).
-        self.inbox: list = []
-        #: Messages this domain has *posted* (monotonic per domain; the
-        #: deterministic tie-breaker for barrier delivery).
-        self.posts = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Domain {self.index} {self.name!r} @{self.now} "
-                f"pending={len(self.queue)} inbox={len(self.inbox)}>")
-
-
-class ParallelSimulator(Simulator):
-    """A :class:`Simulator` partitioned into synchronized event domains.
-
-    Conservative PDES in the parti-gem5 style: each domain advances its
-    own queue, and all domains synchronize at a barrier every ``quantum``
-    ticks, where ``quantum`` is the minimum cross-domain link latency
-    (the lookahead).  A message posted across a domain boundary always
-    targets a tick at least one quantum ahead, so delivering inboxes at
-    the barrier can never deliver into a domain's past.
-
-    Two execution modes share that round structure:
-
-    * **Lockstep** (default): one thread executes each round's events in
-      global ``(tick, priority, sequence)`` order via a k-way merge over
-      the domain heaps.  Sequence numbers come from one global counter,
-      allocated at exactly the moments a single-queue run would allocate
-      them, so the execution order -- and every stat -- is *identical*
-      to the classic :class:`Simulator` by construction, for any domain
-      count.  This is the determinism-debugging mode and the mode
-      systems run in.
-    * **Threaded** (``threads=True``): each round fans out one worker
-      thread per domain, draining that domain's window concurrently,
-      with a barrier join before inbox delivery.  Only sound when each
-      domain's callbacks touch that domain's state exclusively and
-      cross-domain effects go through :meth:`post_at`.  Deterministic
-      (barrier delivery sorts by ``(tick, priority, source domain,
-      source post)``), but the interleaving differs from lockstep only
-      in sequence-number values, never in per-domain order.
-
-    The classic single-queue :class:`Simulator` remains the engine for
-    unpartitioned systems; nothing in its hot path changed.
-    """
-
-    def __init__(self, num_domains: int, quantum: int = 1,
-                 threads: bool = False) -> None:
-        if num_domains < 1:
-            raise ValueError(f"need at least one domain, got {num_domains}")
-        if quantum < 1:
-            raise ValueError(f"quantum must be at least 1 tick, got {quantum}")
-        # The `now` property reads these; bind them before base init
-        # (which assigns self.now = 0 through the property setter).
-        self._tls = threading.local()
-        self._now = 0
-        self._current = 0
-        super().__init__()
-        self.quantum = quantum
-        self.threads = threads
-        self._domains: List[Domain] = [Domain(i) for i in range(num_domains)]
-        #: Alias of domain 0's queue so introspection helpers keep
-        #: working; scheduling goes through the domain router below.
-        self.queue = self._domains[0].queue
-        #: Global event sequence counter shared by every domain queue.
-        self._gseq = 0
-        self._threaded_round = False
-        #: Quantum rounds synchronized so far (the sync-overhead unit).
-        self.sync_rounds = 0
-        #: Messages delivered across domain boundaries.
-        self.cross_posts = 0
-        #: Telemetry hook for quantum-barrier spans
-        #: (repro.telemetry.tracer.QuantumTrace); checked once per round,
-        #: never per event.
-        self._quantum_trace = None
-
-    # ------------------------------------------------------------------
-    # Domain bookkeeping
-    # ------------------------------------------------------------------
-    @property
-    def num_domains(self) -> int:
-        return len(self._domains)
-
-    @property
-    def domains(self) -> List[Domain]:
-        return self._domains
-
-    def _ctx(self) -> int:
-        """Index of the domain whose event is currently executing."""
-        current = getattr(self._tls, "domain", None)
-        return self._current if current is None else current
-
-    def assign_domain(self, obj, index: int) -> None:
-        """Pin a SimObject's events to domain ``index``."""
-        if not 0 <= index < len(self._domains):
-            raise ValueError(
-                f"domain {index} out of range 0..{len(self._domains) - 1}"
-            )
-        obj.domain = index
-
-    # ------------------------------------------------------------------
-    # Time
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> int:
-        """Current tick of the executing domain (global tick outside)."""
-        current = getattr(self._tls, "domain", None)
-        if current is None:
-            return self._now
-        return self._domains[current].now
-
-    @now.setter
-    def now(self, value: int) -> None:
-        self._now = value
-
-    # ------------------------------------------------------------------
-    # Reset / diagnostics
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        if self._running:
-            raise RuntimeError("cannot reset a running simulator")
-        for dom in self._domains:
-            dom.queue = EventQueue()
-            dom.now = 0
-            dom.executed = 0
-            dom.inbox.clear()
-            dom.posts = 0
-        self.queue = self._domains[0].queue
-        self._gseq = 0
-        self._now = 0
-        self._current = 0
-        self.events_executed = 0
-        self.sync_rounds = 0
-        self.cross_posts = 0
-        self.freelist_high_water = 0
-
-    @property
-    def events_skipped(self) -> int:
-        return sum(dom.queue.skipped_cancelled for dom in self._domains)
-
-    @property
-    def pending_events(self) -> int:
-        return sum(len(dom.queue) + len(dom.inbox) for dom in self._domains)
-
-    def diagnostics(self) -> dict:
-        out = super().diagnostics()
-        out["sync_rounds"] = self.sync_rounds
-        out["cross_posts"] = self.cross_posts
-        return out
-
-    # ------------------------------------------------------------------
-    # Scheduling: same contract as Simulator, routed to the executing
-    # domain's queue with globally-allocated sequence numbers.
-    # ------------------------------------------------------------------
-    def _push(self, dom: Domain, when: int, callback: Callable[[], None],
-              priority: int, name: str) -> Event:
-        queue = dom.queue
-        seq = self._gseq
-        self._gseq = seq + 1
-        free = queue._free
-        if free:
-            event = free.pop()
-            event.when = when
-            event.priority = priority
-            event.seq = seq
-            event.callback = callback
-            event.name = name
-            event.cancelled = False
-        else:
-            event = Event(when, priority, seq, callback, name)
-        heappush(queue._heap, (when, priority, seq, event))
-        return event
-
-    def schedule(
-        self,
-        delay: int,
-        callback: Callable[[], None],
-        priority: int = PRIORITY_DEFAULT,
-        name: str = "",
-    ) -> Event:
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
-        dom = self._domains[self._ctx()]
-        return self._push(dom, self.now + delay, callback, priority, name)
-
-    def schedule_at(
-        self,
-        when: int,
-        callback: Callable[[], None],
-        priority: int = PRIORITY_DEFAULT,
-        name: str = "",
-    ) -> Event:
-        if when < self.now:
-            raise ValueError(
-                f"cannot schedule at tick {when}, current tick is {self.now}"
-            )
-        dom = self._domains[self._ctx()]
-        return self._push(dom, when, callback, priority, name)
-
-    def schedule_in(
-        self,
-        domain: int,
-        delay: int,
-        callback: Callable[[], None],
-        priority: int = PRIORITY_DEFAULT,
-        name: str = "",
-    ) -> Event:
-        """Schedule directly into ``domain`` (setup/test convenience)."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
-        return self._push(self._domains[domain], self.now + delay,
-                          callback, priority, name)
-
-    # ------------------------------------------------------------------
-    # Cross-domain channel
-    # ------------------------------------------------------------------
-    def post_at(
-        self,
-        domain: int,
-        when: int,
-        callback: Callable[[], None],
-        priority: int = PRIORITY_DEFAULT,
-        name: str = "",
-    ) -> None:
-        """Deliver ``callback`` at tick ``when`` in another domain.
-
-        The message is buffered in the target domain's inbox and turned
-        into an event at the next round barrier.  Posts must respect the
-        lookahead contract: ``when`` is at least the hop latency past the
-        poster's current tick, hence never earlier than the tick the
-        target domain has reached when the barrier delivers (enforced at
-        delivery).  No handle is returned -- cross-domain messages
-        cannot be cancelled.
-        """
-        if when < self.now:
-            raise ValueError(
-                f"cannot post at tick {when}, current tick is {self.now}"
-            )
-        src = self._domains[self._ctx()]
-        src.posts += 1
-        if self._threaded_round:
-            gseq = None  # allocated at the barrier, in sorted order
-        else:
-            gseq = self._gseq
-            self._gseq = gseq + 1
-        # list.append is atomic under the GIL, so concurrent domain
-        # threads may post without a lock; delivery order is fixed by
-        # the sort at the barrier, not arrival order.
-        self._domains[domain].inbox.append(
-            (when, priority, src.index, src.posts, gseq, callback, name)
-        )
-
-    def _flush_inboxes(self) -> None:
-        """Turn buffered cross-domain messages into events (barrier)."""
-        delivered = 0
-        for dom in self._domains:
-            inbox = dom.inbox
-            if not inbox:
-                continue
-            inbox.sort(key=lambda entry: entry[:4])
-            queue = dom.queue
-            free = queue._free
-            for when, priority, _src, _post, gseq, callback, name in inbox:
-                if when < dom.now:
-                    raise RuntimeError(
-                        f"cross-domain message {name!r} for tick {when} "
-                        f"reached {dom.name} already at tick {dom.now} "
-                        f"(lookahead below the quantum of {self.quantum})"
-                    )
-                if gseq is None:
-                    gseq = self._gseq
-                    self._gseq = gseq + 1
-                if free:
-                    event = free.pop()
-                    event.when = when
-                    event.priority = priority
-                    event.seq = gseq
-                    event.callback = callback
-                    event.name = name
-                    event.cancelled = False
-                else:
-                    event = Event(when, priority, gseq, callback, name)
-                heappush(queue._heap, (when, priority, gseq, event))
-                delivered += 1
-            inbox.clear()
-        if delivered:
-            self.cross_posts += delivered
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def _next_tick(self) -> Optional[int]:
-        start = None
-        for dom in self._domains:
-            tick = dom.queue.peek_tick()
-            if tick is not None and (start is None or tick < start):
-                start = tick
-        return start
-
-    def run(self, until: Optional[int] = None,
-            max_events: Optional[int] = None) -> int:
-        budget = max_events if max_events is not None else (1 << 62)
-        if self.threads and len(self._domains) > 1:
-            return self._run_threaded(until, budget)
-        return self._run_lockstep(until, budget)
-
-    def _round_end(self, start: int, until: Optional[int]) -> int:
-        end = start + self.quantum
-        if until is not None and end > until + 1:
-            end = until + 1
-        return end
-
-    def _run_lockstep(self, until: Optional[int], budget: int) -> int:
-        self._running = True
-        executed = 0
-        domains = self._domains
-        quantum_trace = self._quantum_trace
-        profiler = self._profiler
-        if profiler is not None:
-            from time import perf_counter
-        try:
-            while executed < budget:
-                self._flush_inboxes()
-                start = self._next_tick()
-                if start is None:
-                    break
-                if until is not None and start > until:
-                    break
-                end = self._round_end(start, until)
-                self.sync_rounds += 1
-                if quantum_trace is not None:
-                    quantum_trace.round(start, end, self.sync_rounds)
-                # Drain the round window in global (tick, priority, seq)
-                # order: a k-way merge over the domain heaps.  The O(D)
-                # head scan per event *is* the lockstep sync overhead.
-                while executed < budget:
-                    best_key = None
-                    best = None
-                    for dom in domains:
-                        dom.queue._prune()
-                        heap = dom.queue._heap
-                        if heap:
-                            head = heap[0]
-                            if head[0] < end and (best_key is None
-                                                  or head[:3] < best_key):
-                                best_key = head[:3]
-                                best = dom
-                    if best is None:
-                        break
-                    queue = best.queue
-                    when, _prio, _seq, event = heappop(queue._heap)
-                    if when < best.now:
-                        raise RuntimeError(
-                            f"event {event.name!r} scheduled at {when} "
-                            f"but {best.name} already at {best.now}"
-                        )
-                    self._current = best.index
-                    self._now = when
-                    best.now = when
-                    if profiler is None:
-                        event.callback()
-                    else:
-                        profiler.events_seen += 1
-                        if profiler.events_seen % profiler.sample_every == 0:
-                            began = perf_counter()
-                            event.callback()
-                            profiler.record(
-                                event.name, perf_counter() - began
-                            )
-                        else:
-                            event.callback()
-                    event.callback = None
-                    free = queue._free
-                    if len(free) < _FREELIST_MAX:
-                        free.append(event)
-                    executed += 1
-                    best.executed += 1
-        finally:
-            self.events_executed += executed
-            high = max(len(dom.queue._free) for dom in domains)
-            if high > self.freelist_high_water:
-                self.freelist_high_water = high
-            self._current = 0
-            self._running = False
-        return self._now
-
-    def _drain_domain(self, dom: Domain, end: int, budget: int) -> int:
-        """Execute one domain's events below ``end`` (one round window)."""
-        queue = dom.queue
-        heap = queue._heap
-        free = queue._free
-        pop = heappop
-        executed = 0
-        now = dom.now
-        while heap and executed < budget:
-            head = heap[0]
-            event = head[3]
-            if event.cancelled:
-                pop(heap)
-                queue.skipped_cancelled += 1
-                event.callback = None
-                if len(free) < _FREELIST_MAX:
-                    free.append(event)
-                continue
-            when = head[0]
-            if when >= end:
-                break
-            if when < now:
-                raise RuntimeError(
-                    f"event {event.name!r} scheduled at {when} "
-                    f"but {dom.name} already at {now}"
-                )
-            pop(heap)
-            dom.now = now = when
-            event.callback()
-            event.callback = None
-            if len(free) < _FREELIST_MAX:
-                free.append(event)
-            executed += 1
-        dom.executed += executed
-        return executed
-
-    def _run_threaded(self, until: Optional[int], budget: int) -> int:
-        self._running = True
-        executed = 0
-        domains = self._domains
-        try:
-            while executed < budget:
-                self._flush_inboxes()
-                start = self._next_tick()
-                if start is None:
-                    break
-                if until is not None and start > until:
-                    break
-                end = self._round_end(start, until)
-                self.sync_rounds += 1
-                if self._quantum_trace is not None:
-                    self._quantum_trace.round(start, end, self.sync_rounds)
-                remaining = budget - executed
-                drained = [0] * len(domains)
-                errors: list = []
-                self._threaded_round = True
-
-                def drain(dom: Domain) -> None:
-                    self._tls.domain = dom.index
-                    try:
-                        drained[dom.index] = self._drain_domain(
-                            dom, end, remaining
-                        )
-                    except BaseException as exc:  # surfaced after join
-                        errors.append((dom.index, exc))
-                    finally:
-                        self._tls.domain = None
-
-                workers = [
-                    threading.Thread(target=drain, args=(dom,),
-                                     name=f"pdes-{dom.name}")
-                    for dom in domains
-                ]
-                for worker in workers:
-                    worker.start()
-                for worker in workers:
-                    worker.join()
-                self._threaded_round = False
-                if errors:
-                    errors.sort(key=lambda item: item[0])
-                    raise errors[0][1]
-                executed += sum(drained)
-            self._now = max(
-                (dom.now for dom in domains), default=self._now
-            )
-        finally:
-            self._threaded_round = False
-            self.events_executed += executed
-            high = max(len(dom.queue._free) for dom in domains)
-            if high > self.freelist_high_water:
-                self.freelist_high_water = high
-            self._running = False
-        return self._now
-
-    def run_until_idle(self, quiesce: Callable[[], bool],
-                       max_events: int = 10**9) -> int:
-        """Run one event at a time until ``quiesce()`` holds.
-
-        The parallel engine is for partitioned batch runs; nothing
-        latency-sensitive sits on this path, so it trades the classic
-        throttled loop for the simplest correct thing.
-        """
-        baseline = self.events_executed
-        while not quiesce():
-            before = self.events_executed
-            self.run(max_events=1)
-            if self.events_executed == before:
-                break  # drained without quiescing: give up, like run()
-            if self.events_executed - baseline >= max_events:
-                if not quiesce():
-                    raise RuntimeError(
-                        f"run_until_idle exhausted max_events="
-                        f"{max_events} before quiescing"
-                    )
-                break
-        return self._now

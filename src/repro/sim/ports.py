@@ -14,51 +14,18 @@ Two reusable timing elements cover most components:
 * :class:`PipelinedLink` -- a serialized channel where a transaction
   occupies the wire for its serialization time but propagation overlaps
   with the next transaction (buses, PCIe lanes).
-
-Ports carry *domain affinity* (via :class:`~repro.sim.simobject.SimObject`)
-under a partitioned :class:`~repro.sim.eventq.ParallelSimulator`;
-:func:`deliver_in_domain` and :class:`ChannelPort` are the cross-domain
-message channel -- a completion crossing a domain boundary lands in the
-peer domain's inbox with its link latency as the lookahead.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.sim.eventq import PRIORITY_DEFAULT, Simulator
+from repro.sim.eventq import Simulator
 from repro.sim.simobject import SimObject
 from repro.sim.transaction import Transaction
 
 #: Completion callback signature.
 CompletionFn = Callable[[Transaction], None]
-
-
-def deliver_in_domain(
-    sim: Simulator,
-    domain: Optional[int],
-    when: int,
-    callback: Callable[[], None],
-    priority: int = PRIORITY_DEFAULT,
-    name: str = "",
-) -> None:
-    """Schedule ``callback`` at ``when``, in ``domain`` if one is named.
-
-    The one cross-domain primitive: with a partitioned simulator and an
-    explicit target domain this goes through the peer domain's inbox
-    (:meth:`~repro.sim.eventq.ParallelSimulator.post_at`); otherwise --
-    classic simulator, or a delivery that stays home -- it is a plain
-    ``schedule_at``.  Callers must respect the lookahead contract:
-    ``when`` is at least one cross-domain hop latency in the future.
-    """
-    if domain is None:
-        sim.schedule_at(when, callback, priority, name=name)
-        return
-    post = getattr(sim, "post_at", None)
-    if post is None:
-        sim.schedule_at(when, callback, priority, name=name)
-    else:
-        post(domain, when, callback, priority, name=name)
 
 
 class TargetPort(SimObject):
@@ -67,38 +34,6 @@ class TargetPort(SimObject):
     def send(self, txn: Transaction, on_complete: CompletionFn) -> None:
         """Accept ``txn``; call ``on_complete(txn)`` when it finishes."""
         raise NotImplementedError
-
-
-class ChannelPort(TargetPort):
-    """A target port that hands transactions to a peer event domain.
-
-    Wraps another target: ``send`` crosses into the wrapped target's
-    domain after ``latency`` ticks (the channel's lookahead), then
-    forwards.  The completion callback runs in the *target's* domain --
-    initiators that need the completion back home hop through their own
-    channel.  This is the generic form of the fabric's link crossing,
-    useful for wiring ad-hoc cross-domain pairs in tests and tools.
-    """
-
-    def __init__(self, sim: Simulator, name: str, target: TargetPort,
-                 latency: int) -> None:
-        super().__init__(sim, name)
-        if latency < 1:
-            raise ValueError(
-                f"{name}: a cross-domain channel needs latency >= 1 "
-                f"(the lookahead), got {latency}"
-            )
-        self.target = target
-        self.latency = latency
-        self._count = self.stats.scalar("transactions", "transactions relayed")
-
-    def send(self, txn: Transaction, on_complete: CompletionFn) -> None:
-        self._count.inc()
-        target = self.target
-        deliver_in_domain(
-            self.sim, target.domain, self.sim.now + self.latency,
-            lambda: target.send(txn, on_complete), name=self.name,
-        )
 
 
 class FixedLatencyTarget(TargetPort):

@@ -23,13 +23,6 @@ class SimObject:
         self.sim = sim
         self.name = name
         self.stats = StatGroup(name)
-        #: Event-domain affinity under a
-        #: :class:`~repro.sim.eventq.ParallelSimulator`: the index of the
-        #: domain this object's events run in.  Assigned by the system's
-        #: domain plan (``fabric.apply_domain_plan``); 0 -- the host /
-        #: root-complex domain -- for everything else, and inert on the
-        #: classic single-queue :class:`Simulator`.
-        self.domain = 0
         sim.register(self)
 
     def reset_state(self) -> None:

@@ -4,11 +4,10 @@ A :class:`LadderSpec` wraps any sweep spec.  :func:`run_ladder` scores
 the full grid analytically (microseconds per point), prunes it with
 top-K or Pareto selection, and feeds only the surviving points through
 the normal :func:`repro.sweep.run_sweep` path -- so the content-addressed
-result cache, ``--shard`` slicing, ``--domains`` partitioning, and
-``repro.orchestrate`` all apply to the survivors unchanged.  Cache keys
-depend only on (runner, config, params), never on the spec or the
-ladder, so a survivor's simulated record is bit-identical to running the
-same point without the ladder.
+result cache, ``--shard`` slicing and ``repro.orchestrate`` all apply to
+the survivors unchanged.  Cache keys depend only on (runner, config,
+params), never on the spec or the ladder, so a survivor's simulated
+record is bit-identical to running the same point without the ladder.
 
 When a :class:`~repro.surrogate.xval.Calibration` is attached, the
 ladder refuses to prune if the measured p95 relative error exceeds the

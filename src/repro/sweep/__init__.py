@@ -46,7 +46,6 @@ from repro.sweep.spec import (
     SWEEPS,
     SweepPoint,
     SweepSpec,
-    apply_domains,
     build_sweep,
     derive_seed,
     gemm_points,
@@ -69,7 +68,6 @@ __all__ = [
     "run_points",
     "iter_sweep",
     "point_params",
-    "apply_domains",
     "build_sweep",
     "register_sweep",
     "register_runner",

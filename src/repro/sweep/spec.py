@@ -363,38 +363,3 @@ def gemm_points(
                    params={"m": size, "k": size, "n": size})
         for key, config in configs.items()
     ]
-
-
-def apply_domains(spec: SweepSpec, domains: Optional[int]) -> SweepSpec:
-    """Copy of ``spec`` with every point requesting ``domains`` event
-    domains (intra-point PDES; see docs/PARALLEL.md).
-
-    The request is validated up front: a point whose topology cannot
-    honour the lookahead rule (a zero-latency hop) is refused here with
-    the offending component named, before any simulation starts.  Points
-    whose topology supports fewer domains than requested clamp via
-    ``SystemConfig.effective_domains()`` -- one knob fits a grid of
-    mixed endpoint counts.  ``None`` (or 1) returns the spec unchanged.
-    """
-    if domains is None or domains == 1:
-        return spec
-    from repro.topology.fabric import plan_for_config
-
-    points = []
-    for point in spec.points:
-        config = point.config.with_domains(domains)
-        try:
-            plan_for_config(config)
-        except ValueError as exc:
-            raise ValueError(
-                f"sweep {spec.name!r} point {point.key!r} cannot run "
-                f"with --domains {domains}: {exc}"
-            ) from None
-        points.append(SweepPoint(point.key, config, point.params))
-    return SweepSpec(
-        name=spec.name,
-        points=points,
-        runner=spec.runner,
-        base_seed=spec.base_seed,
-        auto_seed=spec.auto_seed,
-    )

@@ -4,8 +4,8 @@ Three observability primitives for the simulator (docs/OBSERVABILITY.md):
 
 * :mod:`repro.telemetry.tracer` -- tick-domain spans (DMA descriptor
   lifecycles, TLP trains per link hop, fault retrain/down-train
-  windows, PDES quantum rounds) exported as deterministic Chrome
-  trace-event JSON, loadable in Perfetto.
+  windows) exported as deterministic Chrome trace-event JSON, loadable
+  in Perfetto.
 * :mod:`repro.telemetry.metrics` -- periodic StatGroup delta snapshots
   in a bounded ring buffer, with a Prometheus text exposition writer.
 * :mod:`repro.telemetry.profiler` -- host wall-clock attribution of the

@@ -1,6 +1,6 @@
 """Simulator self-profiling: host wall-clock per component bucket.
 
-Attributes the *host* time spent inside ``Simulator.run_*`` to the
+Attributes the *host* time spent inside ``Simulator.run`` to the
 components whose callbacks consumed it, bucketed by event name (every
 component schedules its events under its own name).  Two modes:
 
@@ -14,13 +14,8 @@ time, so results stay bit-identical (the run merely takes longer).  Its
 *output* is wall-clock and therefore non-deterministic -- it is kept
 out of trace artifacts and result records, which must be byte-stable.
 
-Zero overhead when off: ``Simulator._profiler`` defaults to ``None``
-and the run methods test it once at entry, dispatching to a separate
-instrumented loop -- the hot loop itself carries no new branches.
-
-This is the measurement the "PDES beyond the GIL" roadmap item needs:
-which domains' components actually burn Python time, hence which are
-worth pushing onto their own interpreter.
+Near-zero overhead when off: ``Simulator._profiler`` defaults to
+``None`` and the run loop pays one local ``is None`` test per event.
 """
 
 from __future__ import annotations

@@ -11,10 +11,7 @@ bleed into each other.
 
 Attachment happens in :func:`repro.core.runner.system_for` -- the one
 chokepoint every runner acquires systems through -- right after the
-memoized reset, so it is position-independent of the domain plan (the
-plan is applied at construction; ``link.domain`` values are final by
-the time any acquisition happens) and survives ``reset()`` exactly
-like fault state does.
+memoized reset, and survives ``reset()`` exactly like fault state does.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from typing import Dict, List, Optional
 from repro.telemetry.metrics import MetricsSampler
 from repro.telemetry.profiler import SelfProfiler
 from repro.telemetry.state import TelemetrySettings
-from repro.telemetry.tracer import DmaTrace, LinkTrace, QuantumTrace, SpanTracer
+from repro.telemetry.tracer import DmaTrace, LinkTrace, SpanTracer
 
 __all__ = ["TelemetryRuntime"]
 
@@ -86,9 +83,7 @@ class TelemetryRuntime:
         tracer = self.tracer
         hooks: Dict[str, LinkTrace] = {}
         for link in _fabric_links(system):
-            hook = LinkTrace(
-                tracer, getattr(link, "domain", 0), link.name
-            )
+            hook = LinkTrace(tracer, link.name)
             link.trace = hook
             hooks[link.name] = hook
         fault_model = getattr(system, "fault_model", None)
@@ -97,11 +92,7 @@ class TelemetryRuntime:
                 state.trace = hooks.get(name)
         for wrapper in system.wrappers:
             dma = wrapper.dma
-            dma.trace = DmaTrace(
-                tracer, getattr(dma, "domain", 0), dma.name
-            )
-        if hasattr(system.sim, "_quantum_trace"):
-            system.sim._quantum_trace = QuantumTrace(tracer)
+            dma.trace = DmaTrace(tracer, dma.name)
 
     def _detach(self, system) -> None:
         for link in _fabric_links(system):
@@ -112,8 +103,6 @@ class TelemetryRuntime:
                 state.trace = None
         for wrapper in system.wrappers:
             wrapper.dma.trace = None
-        if hasattr(system.sim, "_quantum_trace"):
-            system.sim._quantum_trace = None
         system.sim._profiler = None
 
     def detach_all(self) -> None:

@@ -49,7 +49,7 @@ class TelemetrySettings:
     """
 
     #: Record tick-domain spans (DMA lifecycles, TLP trains, fault
-    #: windows, PDES quantum rounds) and export Chrome trace JSON.
+    #: windows) and export Chrome trace JSON.
     trace: bool = False
     #: Directory for per-point trace artifacts (``<key_hash>.trace.json``).
     trace_dir: Optional[str] = None

@@ -1,8 +1,7 @@
 """Tick-domain span tracing with Chrome trace-event export.
 
 The tracer records *simulated-time* spans -- DMA descriptor lifecycles,
-TLP trains per link hop, fault retrain/down-train windows, PDES quantum
-rounds -- and exports them as Chrome trace-event JSON (the format
+TLP trains per link hop, fault retrain/down-train windows -- and exports them as Chrome trace-event JSON (the format
 ``chrome://tracing`` and Perfetto load natively).
 
 Determinism
@@ -12,7 +11,7 @@ arithmetic (1 tick = 1 ps; Chrome's ``ts`` unit is microseconds, so
 ``ts = ticks / 10**6``); nothing here reads wall clocks, PIDs, or
 iteration order of unordered containers.  Spans are emitted in event
 execution order, which the simulator guarantees is identical across
-reruns, ``--shard`` slices and ``--domains`` counts, so serializing the
+reruns and ``--shard`` slices, so serializing the
 same simulation twice produces *byte-identical* trace files -- the
 telemetry acceptance bar, pinned by ``tests/test_telemetry.py``.
 
@@ -22,9 +21,7 @@ Zero overhead when off
 the instrumented components do not even pay a call to it: their hook
 attributes (``link.trace``, ``dma.trace``) default to ``None`` exactly
 like the fault layer's ``link.faults``, so the disabled path costs one
-``is None`` test co-located with an existing branch -- and the
-:class:`~repro.sim.eventq.Simulator` run loops dispatch to an
-instrumented variant *at entry*, leaving the hot loop untouched.
+``is None`` test co-located with an existing branch.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ __all__ = [
     "DmaTrace",
     "LinkTrace",
     "NullTracer",
-    "QuantumTrace",
     "SpanTracer",
     "TRACER",
     "validate_chrome_trace",
@@ -67,12 +63,16 @@ class NullTracer:
 #: The module-level no-op singleton.
 TRACER = NullTracer()
 
+#: Chrome "process" of every simulator hook below; the export names it
+#: ``domain0``.
+SIM_PID = 0
+
 
 class SpanTracer:
     """Recording tracer: spans accumulate in execution order.
 
-    ``pid`` is the event-domain index (one Chrome "process" per domain)
-    and ``tid_name`` a component name, mapped to a stable integer thread
+    ``pid`` is the Chrome "process" (the simulator hooks all use
+    :data:`SIM_PID`) and ``tid_name`` a component name, mapped to a stable integer thread
     id in first-appearance order (deterministic, because attachment and
     event execution order are).
     """
@@ -210,34 +210,33 @@ def validate_chrome_trace(document: dict) -> List[str]:
 class LinkTrace:
     """Per-link tracing hook: TLP trains plus fault windows.
 
-    Bound to one directional link (``link.trace``) with the link's
-    domain as pid and its name as the thread; the fault layer shares the
+    Bound to one directional link (``link.trace``) with its name as the
+    thread; the fault layer shares the
     hook (``LinkFaultState.trace``) so retrain/down-train windows land
     on the same thread row as the trains they delay.
     """
 
-    __slots__ = ("tracer", "pid", "tid_name")
+    __slots__ = ("tracer", "tid_name")
 
-    def __init__(self, tracer: SpanTracer, pid: int, tid_name: str) -> None:
+    def __init__(self, tracer: SpanTracer, tid_name: str) -> None:
         self.tracer = tracer
-        self.pid = pid
         self.tid_name = tid_name
 
     def tlp_train(self, start: int, occupancy: int, n_tlps: int,
                   payload_bytes: int) -> None:
         self.tracer.complete(
-            self.pid, self.tid_name, "tlp-train", "pcie", start, occupancy,
+            SIM_PID, self.tid_name, "tlp-train", "pcie", start, occupancy,
             args={"tlps": n_tlps, "bytes": payload_bytes},
         )
 
     def retrain(self, start: int, stall: int) -> None:
         self.tracer.complete(
-            self.pid, self.tid_name, "retrain-window", "fault", start, stall
+            SIM_PID, self.tid_name, "retrain-window", "fault", start, stall
         )
 
     def downtrain(self, start: int, penalty: int) -> None:
         self.tracer.complete(
-            self.pid, self.tid_name, "downtrain-penalty", "fault",
+            SIM_PID, self.tid_name, "downtrain-penalty", "fault",
             start, penalty,
         )
 
@@ -245,23 +244,22 @@ class LinkTrace:
 class DmaTrace:
     """Per-engine tracing hook for DMA descriptor lifecycles."""
 
-    __slots__ = ("tracer", "pid", "tid_name")
+    __slots__ = ("tracer", "tid_name")
 
-    def __init__(self, tracer: SpanTracer, pid: int, tid_name: str) -> None:
+    def __init__(self, tracer: SpanTracer, tid_name: str) -> None:
         self.tracer = tracer
-        self.pid = pid
         self.tid_name = tid_name
 
     def submit(self, stream: str, size: int, tick: int) -> None:
         self.tracer.instant(
-            self.pid, self.tid_name, f"dma-submit:{stream}", "dma", tick,
+            SIM_PID, self.tid_name, f"dma-submit:{stream}", "dma", tick,
             args={"bytes": size},
         )
 
     def segment(self, stream: str, issued_tick: int, done_tick: int,
                 size: int) -> None:
         self.tracer.complete(
-            self.pid, self.tid_name, f"dma-segment:{stream}", "dma",
+            SIM_PID, self.tid_name, f"dma-segment:{stream}", "dma",
             issued_tick, done_tick - issued_tick, args={"bytes": size},
         )
 
@@ -271,33 +269,18 @@ class DmaTrace:
         if retries:
             args["retries"] = retries
         self.tracer.complete(
-            self.pid, self.tid_name, f"dma-descriptor:{stream}", "dma",
+            SIM_PID, self.tid_name, f"dma-descriptor:{stream}", "dma",
             submit_tick, retire_tick - submit_tick, args=args,
         )
 
     def retry(self, stream: str, tick: int, attempt: int) -> None:
         self.tracer.instant(
-            self.pid, self.tid_name, f"dma-retry:{stream}", "dma", tick,
+            SIM_PID, self.tid_name, f"dma-retry:{stream}", "dma", tick,
             args={"attempt": attempt},
         )
 
     def abort(self, stream: str, tick: int, reason: str) -> None:
         self.tracer.instant(
-            self.pid, self.tid_name, f"dma-abort:{stream}", "dma", tick,
+            SIM_PID, self.tid_name, f"dma-abort:{stream}", "dma", tick,
             args={"reason": reason},
-        )
-
-
-class QuantumTrace:
-    """PDES quantum-barrier hook: one span per lockstep round."""
-
-    __slots__ = ("tracer",)
-
-    def __init__(self, tracer: SpanTracer) -> None:
-        self.tracer = tracer
-
-    def round(self, start: int, end: int, round_index: int) -> None:
-        self.tracer.complete(
-            0, "pdes-quantum", "quantum-round", "pdes", start, end - start,
-            args={"round": round_index},
         )

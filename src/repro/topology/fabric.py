@@ -36,7 +36,6 @@ switched fabric when the topology actually has structure.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.interconnect.pcie.fabric import require_host_target
@@ -47,7 +46,7 @@ from repro.interconnect.pcie.link import (
 )
 from repro.memory.addr_range import AddrRange
 from repro.sim.eventq import Simulator
-from repro.sim.ports import CompletionFn, TargetPort, deliver_in_domain
+from repro.sim.ports import CompletionFn, TargetPort
 from repro.sim.simobject import SimObject
 from repro.sim.transaction import Transaction
 from repro.topology.description import (
@@ -57,98 +56,12 @@ from repro.topology.description import (
     TopologyDesc,
 )
 
-#: A compiled route: ``(link, arbitration port, skip_hop, deliver_domain)``
-#: segments in traversal order.  ``skip_hop`` marks a wire whose receiving
-#: component's traversal was already charged on the previous segment
-#: (the turn-around switch of a peer route): the wire still serializes,
-#: but the hop latency/occupancy is not paid twice.  ``deliver_domain``
-#: is the event domain the arrival callback must run in when it differs
-#: from the link's own domain (``None`` otherwise -- always ``None``
-#: until a domain plan is applied), so a TLP crossing a partition
-#: boundary is posted into the peer domain's inbox with the hop latency
-#: as lookahead.
-Route = Tuple[Tuple["SwitchLink", int, bool, Optional[int]], ...]
-
-
-@dataclass(frozen=True)
-class DomainPlan:
-    """A partition of a switched fabric into synchronized event domains.
-
-    Domain 0 is the host side: root complex, every switch tier, drivers
-    and the memory system.  Endpoint ``i`` -- its links, entry port, and
-    accelerator subtree -- runs in ``endpoint_domain[i]`` (a contiguous
-    block assignment over domains ``1..domains-1``).  ``quantum`` is the
-    synchronization window: the minimum store-and-forward hop latency in
-    the hierarchy, which lower-bounds every cross-domain delivery and is
-    therefore the safe conservative lookahead.
-    """
-
-    domains: int
-    endpoint_domain: Tuple[int, ...]
-    quantum: int
-
-
-def plan_domains(topology: TopologyDesc, config: PCIeConfig,
-                 domains: int) -> DomainPlan:
-    """Partition ``topology`` into ``domains`` synchronized event domains.
-
-    Pure data in, pure data out (usable for CLI validation without
-    building a system).  Raises ``ValueError`` naming the offending
-    component when the partition would violate the lookahead rule --
-    every cross-domain hop must cost at least one tick, else the quantum
-    would be zero and conservative synchronization impossible.
-    """
-    endpoints = topology.num_endpoints
-    if domains < 1:
-        raise ValueError(f"need at least one domain, got {domains}")
-    hops = [("root complex (pcie.rc_latency)", config.rc_latency)]
-    count = 0
-
-    def walk(node: NodeDesc) -> None:
-        nonlocal count
-        if isinstance(node, SwitchDesc):
-            label = node.name or f"sw{count}"
-            count += 1
-            latency = (node.latency if node.latency is not None
-                       else config.switch_latency)
-            hops.append((f"switch {label!r}", latency))
-            for child in node.children:
-                walk(child)
-
-    walk(topology.root)
-    if domains == 1:
-        return DomainPlan(1, (0,) * endpoints,
-                          max(1, min(latency for _, latency in hops)))
-    workers = domains - 1
-    if workers > endpoints:
-        raise ValueError(
-            f"cannot split {endpoints} endpoint(s) across {workers} "
-            f"endpoint domain(s); request at most {endpoints + 1} domains "
-            f"(SystemConfig.effective_domains() clamps automatically)"
-        )
-    for label, latency in hops:
-        if latency < 1:
-            raise ValueError(
-                f"domain partition needs every hop latency >= 1 tick of "
-                f"lookahead, but {label} has latency {latency}; raise it "
-                f"or run with domains=1"
-            )
-    quantum = min(latency for _, latency in hops)
-    spread = tuple(1 + (i * workers) // endpoints for i in range(endpoints))
-    return DomainPlan(domains, spread, quantum)
-
-
-def plan_for_config(config) -> Optional[DomainPlan]:
-    """Domain plan for a ``SystemConfig``-shaped object, or ``None``.
-
-    ``None`` means the configuration runs on the classic single-queue
-    simulator: one effective domain, or no switched topology to
-    partition.  Duck-typed to avoid a ``core.config`` import cycle.
-    """
-    domains = config.effective_domains()
-    if domains <= 1:
-        return None
-    return plan_domains(config.effective_topology(), config.pcie, domains)
+#: A compiled route: ``(link, arbitration port, skip_hop)`` segments in
+#: traversal order.  ``skip_hop`` marks a wire whose receiving component's
+#: traversal was already charged on the previous segment (the turn-around
+#: switch of a peer route): the wire still serializes, but the hop
+#: latency/occupancy is not paid twice.
+Route = Tuple[Tuple["SwitchLink", int, bool], ...]
 
 
 class SwitchLink(SimObject):
@@ -224,26 +137,19 @@ class SwitchLink(SimObject):
         on_arrive: Callable[[Transaction], None],
         force_tlps: int = 0,
         skip_hop: bool = False,
-        deliver_domain: Optional[int] = None,
     ) -> None:
         """Queue a TLP train on ``port``; ``on_arrive(txn)`` at the far end.
 
         ``skip_hop`` submits the train wire-only: the receiving
         component's latency/occupancy was already charged upstream (a
         peer route's turn-around switch traverses once, not twice).
-
-        ``deliver_domain`` names the event domain the arrival must run
-        in when the wire crosses a partition boundary (see
-        :class:`DomainPlan`); ``None`` -- the only value on an
-        unpartitioned system -- delivers in the submitting context.
         """
         if not 0 <= port < self.num_ports:
             raise ValueError(
                 f"{self.name}: port {port} out of range 0..{self.num_ports - 1}"
             )
         self._queues[port].append(
-            (txn, payload_bytes, on_arrive, force_tlps, skip_hop,
-             deliver_domain, self.now)
+            (txn, payload_bytes, on_arrive, force_tlps, skip_hop, self.now)
         )
         self._pending += 1
         if not self._busy:
@@ -261,7 +167,7 @@ class SwitchLink(SimObject):
             return
         self._rr_next = index + 1 if index + 1 < self.num_ports else 0
         (txn, payload_bytes, on_arrive, force_tlps, skip_hop,
-         deliver_domain, queued_at) = queues[index].popleft()
+         queued_at) = queues[index].popleft()
         self._pending -= 1
 
         tlp = tlp_params_for(self.config, txn)
@@ -301,16 +207,7 @@ class SwitchLink(SimObject):
         self._busy = True
         sim = self.sim
         sim.schedule(occupancy, self._release, name=self.name)
-        if deliver_domain is None:
-            sim.schedule_at(arrival, lambda: on_arrive(txn), name=self.name)
-        else:
-            # The arrival belongs to the peer partition: enqueue it into
-            # that domain's inbox.  `fill` includes the full hop latency
-            # on every boundary wire (boundary segments never skip_hop),
-            # so `arrival` is at least one quantum ahead -- the
-            # conservative-lookahead contract barrier delivery relies on.
-            deliver_in_domain(sim, deliver_domain, arrival,
-                              lambda: on_arrive(txn), name=self.name)
+        sim.schedule_at(arrival, lambda: on_arrive(txn), name=self.name)
 
     def _release(self) -> None:
         self._busy = False
@@ -399,22 +296,13 @@ class SwitchedPCIeFabric(SimObject):
             )
             for i in range(len(self._endpoints))
         ]
-        #: Raw ``(link, port, skip_hop)`` segments; the finalized routes
-        #: below add each segment's delivery domain, recomputed whenever
-        #: a domain plan is applied.
-        self._up_routes_raw = [self._compile_up_route(node)
-                               for node in self._endpoints]
-        self._down_routes_raw = [self._compile_down_route(node)
-                                 for node in self._endpoints]
-        self._up_routes = [self._finalize_route(route)
-                           for route in self._up_routes_raw]
-        self._down_routes = [self._finalize_route(route)
-                             for route in self._down_routes_raw]
+        self._up_routes = [self._compile_up_route(node)
+                           for node in self._endpoints]
+        self._down_routes = [self._compile_down_route(node)
+                             for node in self._endpoints]
         #: Peer routes are static after compile; built on first use per
         #: (src, dst) pair so the DMA hot path never re-walks the tree.
         self._peer_routes: dict = {}
-        #: The active partition, if any (``apply_domain_plan``).
-        self.domain_plan: Optional[DomainPlan] = None
 
         self._dev_reads = self.stats.scalar("device_reads", "device-initiated reads")
         self._dev_writes = self.stats.scalar("device_writes", "device-initiated writes")
@@ -472,7 +360,7 @@ class SwitchedPCIeFabric(SimObject):
                 node.children.append(self._compile(child, node, child_port))
         return node
 
-    def _compile_up_route(self, endpoint: _Node) -> tuple:
+    def _compile_up_route(self, endpoint: _Node) -> Route:
         """Endpoint -> root complex, entering each up link at the port of
         the child the train came from."""
         segments: List[Tuple[SwitchLink, int, bool]] = [
@@ -486,7 +374,7 @@ class SwitchedPCIeFabric(SimObject):
             node = node.parent
         return tuple(segments)
 
-    def _compile_down_route(self, endpoint: _Node) -> tuple:
+    def _compile_down_route(self, endpoint: _Node) -> Route:
         """Root complex -> endpoint (private FIFO wires all the way)."""
         chain: List[_Node] = []
         node: Optional[_Node] = endpoint
@@ -494,30 +382,6 @@ class SwitchedPCIeFabric(SimObject):
             chain.append(node)
             node = node.parent
         return tuple((hop.down_link, 0, False) for hop in reversed(chain))
-
-    def _finalize_route(self, segments: tuple) -> Route:
-        """Annotate raw segments with their arrival's delivery domain.
-
-        A segment's arrival runs the *next* segment's submit, so it must
-        execute in the next link's domain (the route's last arrival runs
-        the destination's completion: the link's own domain).  Only
-        full-hop segments may carry a train across a partition boundary:
-        their fill includes the whole hop latency, which is >= the
-        quantum, satisfying the conservative-lookahead contract.  A
-        ``skip_hop`` segment facing a boundary (the turn-around wire of
-        a deep peer route) delivers locally instead -- execution drifts
-        into the submitting domain for the rest of that chain, which is
-        harmless under the globally-ordered lockstep engine.
-        """
-        count = len(segments)
-        out = []
-        for i, (link, port, skip_hop) in enumerate(segments):
-            owner = (segments[i + 1][0].domain if i + 1 < count
-                     else link.domain)
-            deliver = (owner if owner != link.domain and not skip_hop
-                       else None)
-            out.append((link, port, skip_hop, deliver))
-        return tuple(out)
 
     def _peer_route(self, src: int, dst: int) -> Route:
         """src endpoint -> dst endpoint through their lowest common
@@ -529,8 +393,8 @@ class SwitchedPCIeFabric(SimObject):
         route = self._peer_routes.get((src, dst))
         if route is not None:
             return route
-        up = self._up_routes_raw[src]
-        down = self._down_routes_raw[dst]
+        up = self._up_routes[src]
+        down = self._down_routes[dst]
         # Down routes start at the top; find the deepest shared node by
         # trimming the common prefix of the two root paths.
         src_chain = self._root_chain(self._endpoints[src])
@@ -549,11 +413,8 @@ class SwitchedPCIeFabric(SimObject):
         down_hops = len(dst_chain) - common
         descent = down[len(down) - down_hops:]
         first_link, first_port, _charge = descent[0]
-        route = self._finalize_route(
-            tuple(up[:up_hops])
-            + ((first_link, first_port, True),)
-            + tuple(descent[1:])
-        )
+        route = (up[:up_hops] + ((first_link, first_port, True),)
+                 + descent[1:])
         self._peer_routes[(src, dst)] = route
         return route
 
@@ -566,35 +427,6 @@ class SwitchedPCIeFabric(SimObject):
             node = node.parent
         chain.reverse()
         return chain
-
-    # ------------------------------------------------------------------
-    # Domain partitioning
-    # ------------------------------------------------------------------
-    def apply_domain_plan(self, plan: DomainPlan) -> None:
-        """Pin each endpoint's link pair and entry port to its domain.
-
-        Switch-tier links (and the root-complex pair) stay in domain 0
-        with the host; the compiled routes are re-finalized so every
-        boundary-crossing segment knows its delivery domain.  The system
-        assigns the accelerator subtree behind each endpoint to the same
-        domain by name prefix.
-        """
-        if len(plan.endpoint_domain) != len(self._endpoints):
-            raise ValueError(
-                f"{self.name}: plan covers {len(plan.endpoint_domain)} "
-                f"endpoint(s), fabric has {len(self._endpoints)}"
-            )
-        for index, node in enumerate(self._endpoints):
-            dom = plan.endpoint_domain[index]
-            node.up_link.domain = dom
-            node.down_link.domain = dom
-            self.endpoint_ports[index].domain = dom
-        self.domain_plan = plan
-        self._up_routes = [self._finalize_route(route)
-                           for route in self._up_routes_raw]
-        self._down_routes = [self._finalize_route(route)
-                             for route in self._down_routes_raw]
-        self._peer_routes.clear()
 
     # ------------------------------------------------------------------
     # Wiring
@@ -660,15 +492,15 @@ class SwitchedPCIeFabric(SimObject):
             return
 
         def step(index: int) -> None:
-            link, port, skip_hop, deliver = route[index]
+            link, port, skip_hop = route[index]
             nxt = index + 1
             if nxt == len(route):
                 link.submit(port, txn, payload_bytes, on_done, force_tlps,
-                            skip_hop, deliver)
+                            skip_hop)
             else:
                 link.submit(
                     port, txn, payload_bytes,
-                    lambda _t: step(nxt), force_tlps, skip_hop, deliver,
+                    lambda _t: step(nxt), force_tlps, skip_hop,
                 )
 
         step(0)

@@ -99,12 +99,17 @@ class TestSimulator:
         assert seen == [10, 20, 30]
 
     def test_max_events(self):
-        sim = Simulator()
-        seen = []
-        for t in (1, 2, 3):
-            sim.schedule(t, lambda t=t: seen.append(t))
-        sim.run(max_events=2)
-        assert seen == [1, 2]
+        # A non-positive budget runs nothing (the budget is checked
+        # before dispatch, not after).
+        for budget, expected in ((2, [1, 2]), (0, []), (-1, [])):
+            sim = Simulator()
+            seen = []
+            for t in (1, 2, 3):
+                sim.schedule(t, lambda t=t: seen.append(t))
+            sim.run(max_events=budget)
+            assert seen == expected
+            assert sim.events_executed == len(expected)
+            assert sim.pending_events == 3 - len(expected)
 
     def test_negative_delay_rejected(self):
         sim = Simulator()
@@ -144,6 +149,54 @@ class TestSimulator:
         sim.schedule(20, lambda: None)
         sim.run_until_idle(lambda: state["done"])
         assert sim.now == 10
+
+    def test_reset_refused_during_run_until_idle(self):
+        # run_until_idle drives run() in chunks; the simulator must stay
+        # "running" between chunks, where the predicate executes.
+        sim = Simulator()
+        for t in (1, 2, 3):
+            sim.schedule(t, lambda: None)
+        attempts = []
+
+        def quiesce():
+            try:
+                sim.reset()
+            except RuntimeError:
+                attempts.append("refused")
+            return sim.pending_events == 0
+
+        sim.run_until_idle(quiesce)
+        assert attempts and set(attempts) == {"refused"}
+        assert sim.events_executed == 3
+        sim.reset()  # allowed again once the call returns
+
+
+class TestDiagnosticsReset:
+    def test_freelist_high_water_tracked_and_cleared(self):
+        sim = Simulator()
+        for i in range(32):
+            sim.schedule(i + 1, lambda: None)
+        sim.run()
+        assert sim.freelist_high_water > 0
+        first = sim.diagnostics()
+        sim.reset()
+        assert sim.freelist_high_water == 0
+        assert sim.events_skipped == 0
+        assert sim.diagnostics()["freelist_high_water"] == 0
+        # A rerun reports per-run numbers, not cumulative ones.
+        for i in range(32):
+            sim.schedule(i + 1, lambda: None)
+        sim.run()
+        assert sim.diagnostics() == first
+
+    def test_events_skipped_cleared_by_reset(self):
+        sim = Simulator()
+        sim.schedule(1, lambda: None).cancel()
+        sim.schedule(2, lambda: None)
+        sim.run()
+        assert sim.events_skipped == 1
+        sim.reset()
+        assert sim.events_skipped == 0
 
 
 class TestFreelist:

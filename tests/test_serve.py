@@ -149,6 +149,15 @@ class TestQueryPath:
         assert status == 400
         assert b"args" in data
 
+    def test_stale_domains_arg_is_400(self, server):
+        # An argument the sweep factory does not take is a client error:
+        # the reply names it instead of surfacing a 500.
+        status, data = request(server, "POST", "/query",
+                               {"sweep": SWEEP, "key": keys()[0],
+                                "args": {"domains": 2}})
+        assert status == 400
+        assert "domains" in json.loads(data)["error"]
+
 
 class TestCoalescing:
     def test_concurrent_identical_queries_simulate_once(self, server):

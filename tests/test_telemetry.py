@@ -5,7 +5,7 @@ Covers the acceptance bars of docs/OBSERVABILITY.md:
 * disabled defaults: every component hook is None, the null tracer is
   inert, and an inactive session reports None;
 * Chrome trace export: schema-valid, metadata-first, deterministic
-  (byte-identical across reruns, --shard slices and --domains counts);
+  (byte-identical across reruns and --shard slices);
 * record bit-identity: a traced sweep produces the very records an
   untraced sweep does, with telemetry/diagnostics only as siblings;
 * the metrics ring buffer, the Prometheus exposition, the
@@ -19,7 +19,7 @@ import pytest
 
 from repro import SystemConfig
 from repro.core.runner import run_gemm, system_for
-from repro.sim.eventq import ParallelSimulator, Simulator
+from repro.sim.eventq import Simulator
 from repro.sim.statistics import StatGroup
 from repro.sweep import SweepSpec, gemm_points, run_sweep
 from repro.telemetry import (
@@ -35,7 +35,6 @@ from repro.telemetry import (
     deactivate,
     validate_chrome_trace,
 )
-from repro.telemetry.tracer import QuantumTrace
 
 SIZE = 32
 
@@ -48,10 +47,8 @@ def clean_session():
     deactivate()
 
 
-def small_spec(name="telemetry-sweep", packets=(64, 256), domains=None):
+def small_spec(name="telemetry-sweep", packets=(64, 256)):
     base = SystemConfig.table2_baseline()
-    if domains is not None:
-        base = base.with_domains(domains)
     configs = {packet: base.with_packet_size(packet) for packet in packets}
     return SweepSpec(name=name, points=gemm_points(configs, SIZE))
 
@@ -295,42 +292,6 @@ class TestTracedSweep:
         assert not (tmp_path / "cached-t").exists()
 
 
-class TestPdesQuantumSpans:
-    def test_quantum_rounds_traced(self, tmp_path):
-        # A single-endpoint system stays on the classic Simulator even
-        # under --domains; quantum rounds need a partitionable fabric.
-        from repro.core.runner import run_multi_gemm
-        from repro.telemetry import drain_point
-
-        config = SystemConfig.pcie_2gb(num_accelerators=2).with_domains(2)
-        settings = TelemetrySettings(
-            trace=True, trace_dir=str(tmp_path / "pdes")
-        )
-        activate(settings)
-        try:
-            run_multi_gemm(config, SIZE, SIZE, SIZE)
-            trace = drain_point()["trace"]
-        finally:
-            deactivate()
-        document = json.loads(trace["chrome_json"])
-        rounds = [e for e in document["traceEvents"]
-                  if e.get("name") == "quantum-round"]
-        assert rounds
-        assert validate_chrome_trace(document) == []
-
-    def test_quantum_trace_hook_direct(self):
-        sim = ParallelSimulator(2, quantum=100)
-        tracer = SpanTracer()
-        sim._quantum_trace = QuantumTrace(tracer)
-        for dom in range(2):
-            sim.schedule_in(dom, 50 + dom, lambda: None)
-        sim.run()
-        spans = [e for e in tracer.chrome_events()
-                 if e.get("name") == "quantum-round"]
-        assert spans
-        assert sim.diagnostics()["sync_rounds"] >= len(spans)
-
-
 # ----------------------------------------------------------------------
 # Metrics sampler
 # ----------------------------------------------------------------------
@@ -467,6 +428,24 @@ class TestSelfProfiler:
         assert profiler.events_seen == plain[1]
         assert "train" in profiler.buckets
 
+    def test_profiled_bounded_run(self):
+        def drive(profiler):
+            sim = Simulator()
+            if profiler is not None:
+                sim._profiler = profiler
+            for tick in (10, 20, 30, 40):
+                sim.schedule(tick, lambda: None, name="tick")
+            sim.schedule(15, lambda: None, name="tick").cancel()
+            sim.run(until=25)
+            return sim.now, sim.events_executed, sim.pending_events
+
+        plain = drive(None)
+        profiler = SelfProfiler(mode="exact")
+        profiled = drive(profiler)
+        assert plain == profiled == (20, 2, 2)  # 30 and 40 stay queued
+        assert profiler.events_seen == 2
+        assert "tick" in profiler.buckets
+
     def test_profiled_run_until_idle(self):
         sim = Simulator()
         profiler = SelfProfiler(mode="exact")
@@ -498,15 +477,6 @@ class TestDiagnostics:
         assert diag["events_executed"] == 1
         assert diag["events_skipped"] == 1
         assert diag["freelist_high_water"] >= 0
-
-    def test_parallel_diagnostics(self):
-        sim = ParallelSimulator(2, quantum=10)
-        sim.schedule_in(0, 5, lambda: None)
-        sim.schedule_in(1, 7, lambda: None)
-        sim.run()
-        diag = sim.diagnostics()
-        assert diag["events_executed"] == 2
-        assert "sync_rounds" in diag and "cross_posts" in diag
 
     def test_gemm_results_unchanged_by_telemetry(self, tmp_path):
         config = SystemConfig.table2_baseline()

@@ -3,10 +3,10 @@
 
 Measures the hot paths the sweep engine leans on -- raw event-loop
 throughput, cancellation churn, quiesce-throttled idle loops, one GEMM
-point, a stats snapshot, a small fig6 grid, and the result server's
-warm-query latency and miss-coalescing factor -- and records them in
-``BENCH_core.json`` so every PR can show its perf delta against the
-committed numbers (see docs/PERFORMANCE.md).
+point, one system build, a stats snapshot, a small fig6 grid, and the
+result server's warm-query latency and miss-coalescing factor -- and
+records them in ``BENCH_core.json`` so every PR can show its perf delta
+against the committed numbers (see docs/PERFORMANCE.md).
 
 Usage::
 
@@ -41,9 +41,11 @@ except ImportError:
 from repro import SystemConfig  # noqa: E402
 from repro.core.runner import (  # noqa: E402
     GemmRunner,
+    clear_system_memo,
     run_gemm,
     run_multi_gemm,
     run_peer_transfer,
+    system_for,
 )
 from repro.sim.eventq import Simulator  # noqa: E402
 from repro.sweep import build_sweep, run_sweep  # noqa: E402
@@ -234,6 +236,29 @@ def bench_p2p_transfer(size_bytes: int) -> float:
         return t1 - t0, t1 - t0
 
     return _best_of(run)[0]
+
+
+def bench_system_build() -> float:
+    """Seconds to build one system, as a first-time fig5 run pays it.
+
+    Clears the system memo, then builds each of the 12 ``fig5-memory``
+    configurations (size 128) once; reports the per-system mean of the
+    fastest of 5 passes.
+    """
+    configs = [point.config
+               for point in build_sweep("fig5-memory", size=128).points]
+
+    def run():
+        clear_system_memo()
+        t0 = time.perf_counter()
+        for config in configs:
+            system_for(config)
+        t1 = time.perf_counter()
+        return (t1 - t0) / len(configs), t1 - t0
+
+    best = _best_of(run)[0]
+    clear_system_memo()  # pin no fig5 system for the later benches
+    return best
 
 
 def bench_tracer_off_overhead(size: int) -> float:
@@ -496,6 +521,7 @@ def collect_metrics(quick: bool) -> dict:
     metrics["p2p_transfer_s"] = _sig4(
         bench_p2p_transfer(128 * 1024 if quick else 512 * 1024)
     )
+    metrics["system_build_s"] = _sig4(bench_system_build())
     metrics["snapshot_us"] = round(bench_snapshot(gemm_size, snap_iters), 2)
     metrics["tracer_off_overhead"] = round(
         bench_tracer_off_overhead(gemm_size), 4

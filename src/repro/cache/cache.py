@@ -214,6 +214,8 @@ class Cache(TargetPort):
         number of lines invalidated.  Used by the MemBus snoop path when
         another master writes, and by the driver for explicit flushes.
         """
+        if not self.tags.resident_lines:
+            return 0  # nothing cached: skip probing every snooped line
         line_size = self.params.line_size
         first = addr // line_size
         last = (addr + size - 1) // line_size

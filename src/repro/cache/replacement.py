@@ -26,65 +26,53 @@ class ReplacementPolicy:
         self.touch(set_index, way)
 
     def victim(self, set_index: int, occupied: List[int]) -> int:
-        """Choose a way to evict among ``occupied`` ways."""
+        """Choose a way to evict among ``occupied`` ways (ascending)."""
         raise NotImplementedError
 
     def reset(self) -> None:
         """Forget all recency/ordering state (back to construction)."""
 
 
-class LRUPolicy(ReplacementPolicy):
+class _StampPolicy(ReplacementPolicy):
+    """Evict the way with the oldest stamp; subclasses choose when to stamp.
+
+    Stamps live in one flat list: way ``w`` of set ``s`` is slot
+    ``s * assoc + w``.  Ties go to the lowest way.
+    """
+
+    def __init__(self, num_sets: int, assoc: int) -> None:
+        super().__init__(num_sets, assoc)
+        self._stamp = 0
+        self._stamps: List[int] = [0] * (num_sets * assoc)
+
+    def _stamp_way(self, set_index: int, way: int) -> None:
+        self._stamp += 1
+        self._stamps[set_index * self.assoc + way] = self._stamp
+
+    def victim(self, set_index: int, occupied: List[int]) -> int:
+        base = set_index * self.assoc
+        stamps = self._stamps[base:base + self.assoc]
+        if len(occupied) == self.assoc:  # every way: a C-level scan
+            return stamps.index(min(stamps))
+        return min(occupied, key=stamps.__getitem__)
+
+    def reset(self) -> None:
+        if self._stamp == 0:
+            return  # untouched since construction/reset
+        self._stamp = 0
+        self._stamps = [0] * (self.num_sets * self.assoc)
+
+
+class LRUPolicy(_StampPolicy):
     """Least-recently-used: evict the way touched longest ago."""
 
-    def __init__(self, num_sets: int, assoc: int) -> None:
-        super().__init__(num_sets, assoc)
-        self._stamp = 0
-        self._last_use: List[List[int]] = [
-            [0] * assoc for _ in range(num_sets)
-        ]
-
-    def touch(self, set_index: int, way: int) -> None:
-        self._stamp += 1
-        self._last_use[set_index][way] = self._stamp
-
-    def victim(self, set_index: int, occupied: List[int]) -> int:
-        stamps = self._last_use[set_index]
-        return min(occupied, key=stamps.__getitem__)
-
-    def reset(self) -> None:
-        if self._stamp == 0:
-            return  # untouched since construction/reset
-        self._stamp = 0
-        zero = [0] * self.assoc
-        for row in self._last_use:
-            row[:] = zero
+    touch = _StampPolicy._stamp_way
 
 
-class FIFOPolicy(ReplacementPolicy):
+class FIFOPolicy(_StampPolicy):
     """First-in-first-out: evict the way filled longest ago."""
 
-    def __init__(self, num_sets: int, assoc: int) -> None:
-        super().__init__(num_sets, assoc)
-        self._stamp = 0
-        self._fill_time: List[List[int]] = [
-            [0] * assoc for _ in range(num_sets)
-        ]
-
-    def insert(self, set_index: int, way: int) -> None:
-        self._stamp += 1
-        self._fill_time[set_index][way] = self._stamp
-
-    def victim(self, set_index: int, occupied: List[int]) -> int:
-        stamps = self._fill_time[set_index]
-        return min(occupied, key=stamps.__getitem__)
-
-    def reset(self) -> None:
-        if self._stamp == 0:
-            return  # untouched since construction/reset
-        self._stamp = 0
-        zero = [0] * self.assoc
-        for row in self._fill_time:
-            row[:] = zero
+    insert = _StampPolicy._stamp_way
 
 
 class RandomPolicy(ReplacementPolicy):

@@ -13,18 +13,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.cache.replacement import ReplacementPolicy, make_policy
 
 
-class _Way:
-    """One way of one set."""
-
-    __slots__ = ("line", "dirty")
-
-    def __init__(self) -> None:
-        self.line: Optional[int] = None
-        self.dirty = False
-
-
 class TagStore:
     """Tags for a set-associative cache.
+
+    Way ``w`` of set ``s`` is slot ``s * assoc + w`` of two flat arrays:
+    ``_lines`` (the resident line, or ``None``) and ``_dirty`` (one byte
+    per slot).  Both are allocated in one C-level call, so building even
+    a multi-megabyte cache costs no Python object per line.
 
     Parameters
     ----------
@@ -41,6 +36,10 @@ class TagStore:
     def __init__(
         self, size: int, assoc: int, line_size: int = 64, policy: str = "lru"
     ) -> None:
+        if size <= 0:
+            raise ValueError(f"size must be positive, got {size}")
+        if assoc <= 0:
+            raise ValueError(f"assoc must be positive, got {assoc}")
         if line_size <= 0 or line_size & (line_size - 1):
             raise ValueError(f"line size must be a power of two, got {line_size}")
         if size % (assoc * line_size):
@@ -52,12 +51,10 @@ class TagStore:
         self.assoc = assoc
         self.line_size = line_size
         self.num_sets = size // (assoc * line_size)
-        if self.num_sets == 0:
-            raise ValueError("cache too small for its associativity")
         self.policy: ReplacementPolicy = make_policy(policy, self.num_sets, assoc)
-        self._sets: List[List[_Way]] = [
-            [_Way() for _ in range(assoc)] for _ in range(self.num_sets)
-        ]
+        slots = self.num_sets * assoc
+        self._lines: List[Optional[int]] = [None] * slots
+        self._dirty = bytearray(slots)
         # line -> (set_index, way_index) for O(1) lookup.
         self._where: Dict[int, Tuple[int, int]] = {}
         self._occupancy: List[int] = [0] * self.num_sets
@@ -85,7 +82,7 @@ class TagStore:
         loc = self._where.get(line)
         if loc is None:
             return False
-        return self._sets[loc[0]][loc[1]].dirty
+        return bool(self._dirty[loc[0] * self.assoc + loc[1]])
 
     # ------------------------------------------------------------------
     # Mutation
@@ -94,33 +91,35 @@ class TagStore:
         """Insert ``line``; return evicted ``(line, was_dirty)`` if any.
 
         Filling a line that is already resident just updates its dirty bit
-        (logical OR) and recency.
+        (logical OR) and recency.  A new line takes the lowest free way of
+        its set, or the policy's victim when the set is full.
         """
+        assoc = self.assoc
         loc = self._where.get(line)
         if loc is not None:
-            way = self._sets[loc[0]][loc[1]]
-            way.dirty = way.dirty or dirty
+            if dirty:
+                self._dirty[loc[0] * assoc + loc[1]] = 1
             self.policy.touch(*loc)
             return None
 
         set_index = self.set_index_of(line)
-        ways = self._sets[set_index]
+        base = set_index * assoc
         victim_info: Optional[Tuple[int, bool]] = None
 
-        if self._occupancy[set_index] < self.assoc:
-            free_way = next(i for i, w in enumerate(ways) if w.line is None)
+        if self._occupancy[set_index] < assoc:
+            slot = self._lines.index(None, base, base + assoc)
             self._occupancy[set_index] += 1
         else:
-            free_way = self.policy.victim(set_index, self._all_ways)
-            victim = ways[free_way]
-            victim_info = (victim.line, victim.dirty)
-            del self._where[victim.line]
+            slot = base + self.policy.victim(set_index, self._all_ways)
+            victim_line = self._lines[slot]
+            victim_info = (victim_line, bool(self._dirty[slot]))
+            del self._where[victim_line]
 
-        slot = ways[free_way]
-        slot.line = line
-        slot.dirty = dirty
-        self._where[line] = (set_index, free_way)
-        self.policy.insert(set_index, free_way)
+        way = slot - base
+        self._lines[slot] = line
+        self._dirty[slot] = 1 if dirty else 0
+        self._where[line] = (set_index, way)
+        self.policy.insert(set_index, way)
         return victim_info
 
     def mark_dirty(self, line: int) -> None:
@@ -128,17 +127,17 @@ class TagStore:
         loc = self._where.get(line)
         if loc is None:
             raise KeyError(f"line {line:#x} not resident")
-        self._sets[loc[0]][loc[1]].dirty = True
+        self._dirty[loc[0] * self.assoc + loc[1]] = 1
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if resident; returns True if it was dirty."""
         loc = self._where.pop(line, None)
         if loc is None:
             return False
-        way = self._sets[loc[0]][loc[1]]
-        dirty = way.dirty
-        way.line = None
-        way.dirty = False
+        slot = loc[0] * self.assoc + loc[1]
+        dirty = bool(self._dirty[slot])
+        self._lines[slot] = None
+        self._dirty[slot] = 0
         self._occupancy[loc[0]] -= 1
         return dirty
 
@@ -146,16 +145,16 @@ class TagStore:
         """Empty every set and rewind the replacement policy.
 
         Walks only the *resident* lines (``_where`` knows exactly which
-        ways are occupied) instead of every way of every set, so resetting
-        a barely-touched tag store between memoized-sweep points is
+        slots are occupied) instead of every slot, so resetting a
+        barely-touched tag store between memoized-sweep points is
         O(resident lines) rather than O(capacity).
         """
         if self._where:
-            sets = self._sets
+            lines, dirty, assoc = self._lines, self._dirty, self.assoc
             for set_index, way_index in self._where.values():
-                way = sets[set_index][way_index]
-                way.line = None
-                way.dirty = False
+                slot = set_index * assoc + way_index
+                lines[slot] = None
+                dirty[slot] = 0
             self._where.clear()
             self._occupancy = [0] * self.num_sets
         self.policy.reset()

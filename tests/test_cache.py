@@ -1,11 +1,13 @@
 """Unit and property tests for the cache hierarchy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import Cache, CacheParams, TagStore, make_policy
+from repro.cache import Cache, CacheParams, RandomPolicy, TagStore, make_policy
 from repro.memory.addr_range import AddrRange
 from repro.memory.physmem import PhysicalMemory
 from repro.memory.simple import SimpleMemory
@@ -49,6 +51,17 @@ class TestReplacementPolicies:
             policy.insert(0, way)
         policy.touch(0, 0)
         assert policy.victim(0, [0, 1, 2, 3]) == 0
+
+    @pytest.mark.parametrize("name", ["lru", "fifo"])
+    def test_victim_among_occupied_subset(self, name):
+        policy = make_policy(name, num_sets=2, assoc=4)
+        assert policy.victim(1, [0, 1, 2, 3]) == 0  # all unstamped: lowest
+        assert policy.victim(1, [2, 3]) == 2
+        for way in (3, 1, 2, 0):
+            policy.insert(1, way)
+        assert policy.victim(1, [0, 1, 2, 3]) == 3
+        assert policy.victim(1, [0, 1, 2]) == 1
+        assert policy.victim(0, [0, 1, 2, 3]) == 0  # other set untouched
 
     def test_random_is_seeded(self):
         a = make_policy("random", 1, 8)
@@ -110,6 +123,12 @@ class TestTagStore:
             TagStore(size=1000, assoc=3, line_size=64)
         with pytest.raises(ValueError):
             TagStore(size=1024, assoc=2, line_size=60)
+        with pytest.raises(ValueError, match="assoc"):
+            TagStore(size=4096, assoc=0)
+        with pytest.raises(ValueError, match="size"):
+            TagStore(size=-4096, assoc=4)
+        with pytest.raises(ValueError, match="size"):
+            TagStore(size=0, assoc=4)
 
     def test_lru_order_respected(self):
         tags = TagStore(size=256, assoc=2, line_size=64)  # 2 sets
@@ -118,6 +137,178 @@ class TestTagStore:
         tags.access(0)  # 0 most recent; victim should be 2
         victim = tags.fill(4)
         assert victim[0] == 2
+
+    def test_construction_allocates_no_object_per_line(self):
+        """Flat per-slot arrays: a 2 MiB, 8-way LRU store costs a few
+        bytes per line (one ``_Way`` object per line cost ~81)."""
+        size, line_size = 2 * 1024 * 1024, 64
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tags = TagStore(size, 8, line_size, "lru")
+            used = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert tags.num_sets == 4096
+        assert used / (size // line_size) <= 24
+
+
+# ----------------------------------------------------------------------
+# Differential oracle: the per-way-object tag store and list-of-lists
+# LRU/FIFO policies the flat arrays replaced.
+# ----------------------------------------------------------------------
+class _OracleWay:
+    __slots__ = ("line", "dirty")
+
+    def __init__(self):
+        self.line = None
+        self.dirty = False
+
+
+class _OracleLRU:
+    def __init__(self, num_sets, assoc):
+        self._stamp = 0
+        self._last_use = [[0] * assoc for _ in range(num_sets)]
+
+    def touch(self, set_index, way):
+        self._stamp += 1
+        self._last_use[set_index][way] = self._stamp
+
+    def insert(self, set_index, way):
+        self.touch(set_index, way)
+
+    def victim(self, set_index, occupied):
+        return min(occupied, key=self._last_use[set_index].__getitem__)
+
+    def reset(self):
+        self.__init__(len(self._last_use), len(self._last_use[0]))
+
+
+class _OracleFIFO(_OracleLRU):
+    def touch(self, set_index, way):
+        pass
+
+    def insert(self, set_index, way):
+        _OracleLRU.touch(self, set_index, way)
+
+
+class _OracleTagStore:
+    def __init__(self, size, assoc, line_size, policy):
+        self.assoc = assoc
+        self.num_sets = size // (assoc * line_size)
+        self.policy = {"lru": _OracleLRU, "fifo": _OracleFIFO,
+                       "random": RandomPolicy}[policy](self.num_sets, assoc)
+        self._sets = [[_OracleWay() for _ in range(assoc)]
+                      for _ in range(self.num_sets)]
+        self._where = {}
+        self._occupancy = [0] * self.num_sets
+
+    def access(self, line):
+        loc = self._where.get(line)
+        if loc is None:
+            return False
+        self.policy.touch(*loc)
+        return True
+
+    def is_dirty(self, line):
+        loc = self._where.get(line)
+        return loc is not None and self._sets[loc[0]][loc[1]].dirty
+
+    def fill(self, line, dirty=False):
+        loc = self._where.get(line)
+        if loc is not None:
+            way = self._sets[loc[0]][loc[1]]
+            way.dirty = way.dirty or dirty
+            self.policy.touch(*loc)
+            return None
+        set_index = line % self.num_sets
+        ways = self._sets[set_index]
+        victim_info = None
+        if self._occupancy[set_index] < self.assoc:
+            free_way = next(i for i, w in enumerate(ways) if w.line is None)
+            self._occupancy[set_index] += 1
+        else:
+            free_way = self.policy.victim(set_index, list(range(self.assoc)))
+            victim = ways[free_way]
+            victim_info = (victim.line, victim.dirty)
+            del self._where[victim.line]
+        ways[free_way].line = line
+        ways[free_way].dirty = dirty
+        self._where[line] = (set_index, free_way)
+        self.policy.insert(set_index, free_way)
+        return victim_info
+
+    def mark_dirty(self, line):
+        loc = self._where.get(line)
+        if loc is None:
+            raise KeyError(line)
+        self._sets[loc[0]][loc[1]].dirty = True
+
+    def invalidate(self, line):
+        loc = self._where.pop(line, None)
+        if loc is None:
+            return False
+        way = self._sets[loc[0]][loc[1]]
+        dirty = way.dirty
+        way.line = None
+        way.dirty = False
+        self._occupancy[loc[0]] -= 1
+        return dirty
+
+    def reset(self):
+        for ways in self._sets:
+            for way in ways:
+                way.line = None
+                way.dirty = False
+        self._where.clear()
+        self._occupancy = [0] * self.num_sets
+        self.policy.reset()
+
+    @property
+    def resident_lines(self):
+        return len(self._where)
+
+
+#: Lines 0..23 overflow even the largest (4 x 4) store; fills dominate
+#: so sets fill up and evict, and a rare reset rewinds everything.
+_TAG_LINES = 24
+_TAG_OPS = st.tuples(
+    st.sampled_from(["fill"] * 4 + ["access"] * 2
+                    + ["mark_dirty", "invalidate", "reset"]),
+    st.integers(min_value=0, max_value=_TAG_LINES - 1),
+    st.booleans(),
+)
+
+
+class TestTagStoreDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        policy=st.sampled_from(["lru", "fifo", "random"]),
+        num_sets=st.integers(min_value=1, max_value=4),
+        assoc=st.integers(min_value=1, max_value=4),
+        ops=st.lists(_TAG_OPS, min_size=20, max_size=100),
+    )
+    def test_matches_per_way_oracle(self, policy, num_sets, assoc, ops):
+        size = num_sets * assoc * 64
+        tags = TagStore(size, assoc, 64, policy)
+        oracle = _OracleTagStore(size, assoc, 64, policy)
+
+        def outcome(store, op, line, dirty):
+            try:
+                if op == "fill":
+                    return store.fill(line, dirty)
+                if op == "reset":
+                    return store.reset()
+                return getattr(store, op)(line)
+            except KeyError:
+                return KeyError
+
+        for op, line, dirty in ops:
+            assert outcome(tags, op, line, dirty) == outcome(
+                oracle, op, line, dirty), (op, line, dirty)
+            assert tags.resident_lines == oracle.resident_lines
+            for probe in range(_TAG_LINES):
+                assert tags.is_dirty(probe) == oracle.is_dirty(probe), probe
 
 
 class TestCacheTiming:
@@ -199,6 +390,13 @@ class TestCacheTiming:
         cache.invalidate_range(0, 64)
         sim.run()
         assert cache.stats["writebacks"].value == 1
+
+    def test_invalidate_range_on_empty_cache(self):
+        sim, cache, mem = make_cache()
+        assert cache.invalidate_range(0, 1 << 20) == 0
+        sim.run()
+        assert cache.stats["invalidations"].value == 0
+        assert cache.stats["writebacks"].value == 0
 
 
 class TestCacheFunctional:

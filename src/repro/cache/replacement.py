@@ -52,8 +52,6 @@ class _StampPolicy(ReplacementPolicy):
     def victim(self, set_index: int, occupied: List[int]) -> int:
         base = set_index * self.assoc
         stamps = self._stamps[base:base + self.assoc]
-        if len(occupied) == self.assoc:  # every way: a C-level scan
-            return stamps.index(min(stamps))
         return min(occupied, key=stamps.__getitem__)
 
     def reset(self) -> None:

@@ -5,6 +5,10 @@ Commands:
 * ``gemm``     -- run one GEMM on a named system configuration,
 * ``vit``      -- run ViT inference and print the GEMM/non-GEMM split,
 * ``sweep``    -- run any registered experiment sweep (all paper figures),
+* ``surrogate`` -- score a sweep's grid analytically, or cross-validate
+  the analytical model against simulation (docs/SURROGATE.md),
+* ``orchestrate`` -- run sweeps as shard work units across a local pool,
+  ssh hosts or slurm (docs/ORCHESTRATION.md),
 * ``cache``    -- inspect or maintain the on-disk sweep result cache,
 * ``systems``  -- list the named system configurations,
 * ``faults``   -- list or describe fault-injection presets
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import json
 import os
 import sys
 
@@ -65,11 +70,6 @@ from repro.sweep import (
 from repro.workloads import GemmWorkload
 
 
-def _named_systems() -> dict:
-    """Every configuration reachable from the CLI, keyed by name."""
-    return SystemConfig.named_systems()
-
-
 def _system_by_name(name: str) -> SystemConfig:
     try:
         return SystemConfig.by_name(name)
@@ -79,7 +79,7 @@ def _system_by_name(name: str) -> SystemConfig:
 
 def cmd_systems(_args) -> int:
     rows = []
-    for name, config in _named_systems().items():
+    for name, config in SystemConfig.named_systems().items():
         mem = config.devmem if config.uses_device_memory else config.host_mem
         rows.append(
             (
@@ -146,20 +146,8 @@ def _list_sweeps(as_json: bool = False) -> int:
         rows.append((name, spec.runner if isinstance(spec.runner, str)
                      else "custom", len(spec), summary))
     if as_json:
-        import json
-
-        print(json.dumps(
-            [
-                {
-                    "name": name,
-                    "runner": runner,
-                    "points": points,
-                    "description": summary,
-                }
-                for name, runner, points, summary in rows
-            ],
-            indent=1,
-        ))
+        fields = ("name", "runner", "points", "description")
+        print(json.dumps([dict(zip(fields, row)) for row in rows], indent=1))
         return 0
     print(format_table(
         ["experiment", "runner", "points", "description"], rows,
@@ -168,25 +156,41 @@ def _list_sweeps(as_json: bool = False) -> int:
     return 0
 
 
+def _require_sweeps(names) -> None:
+    """Exit with a pointer to ``sweep --list`` on any unregistered name."""
+    for name in names:
+        if name not in SWEEPS:
+            raise SystemExit(
+                f"unknown sweep {name!r}; see python -m repro sweep --list"
+            )
+
+
+#: The sweep-factory overrides ``sweep``, ``surrogate`` and
+#: ``orchestrate`` share: (factory parameter, CLI flag, type, subject).
+_OVERRIDES = (
+    ("base", "--system", None, "base system"),
+    ("size", "--size", int, "GEMM size"),
+    ("model", "--model", None, "ViT model"),
+    ("dim_scale", "--dim-scale", float, "ViT dim-scale"),
+)
+
+
 def _plain_overrides(name: str, args) -> dict:
     """CLI overrides the named factory accepts, as *plain JSON values*.
 
-    Each offered entry is (factory parameter, CLI flag, value); flags the
-    factory does not take are reported on stderr rather than silently
-    dropped.  The system override stays a *name* string (``base``) so the
-    result can ride a machine-portable orchestration manifest; use
-    :func:`_factory_kwargs` when building a spec in this process.
+    Flags the factory does not take are reported on stderr rather than
+    silently dropped.  The system override stays a *name* string
+    (``base``) so the result can ride a machine-portable orchestration
+    manifest; use :func:`_factory_kwargs` when building a spec in this
+    process.
     """
     offered = []
+    for param, flag, _type, _subject in _OVERRIDES:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            offered.append((param, flag, value))
     if args.system is not None:
         _system_by_name(args.system)  # validate early, keep the name
-        offered.append(("base", "--system", args.system))
-    if args.size is not None:
-        offered.append(("size", "--size", args.size))
-    if args.model is not None:
-        offered.append(("model", "--model", args.model))
-    if args.dim_scale is not None:
-        offered.append(("dim_scale", "--dim-scale", args.dim_scale))
     accepted = inspect.signature(SWEEPS[name]).parameters
     kwargs = {param: value for param, _flag, value in offered
               if param in accepted}
@@ -294,8 +298,6 @@ def _progress_printer():
     forces it (useful under redirection); ``REPRO_PROGRESS=0`` disables
     it entirely.  Returns ``(progress_fn or None, finish_fn)``.
     """
-    import os
-
     env = os.environ.get("REPRO_PROGRESS")
     enabled = (env == "1") or (env != "0" and sys.stderr.isatty())
     if not enabled:
@@ -347,29 +349,15 @@ def cmd_sweep(args) -> int:
         shard = parse_shard(args.shard) if args.shard else None
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    names = args.name or []
-    kind = None  # resolved shorthand kind (set when --name is absent)
-    if names:
-        for name in names:
-            if name not in SWEEPS:
-                raise SystemExit(
-                    f"unknown sweep {name!r}; "
-                    f"see python -m repro sweep --list"
-                )
-        if args.kind is not None:
-            print(f"note: sweep {names[0]!r} ignores --kind",
-                  file=sys.stderr)
-        specs = [build_sweep(name, **_factory_kwargs(name, args))
-                 for name in names]
-    else:
-        # Back-compat shorthand for the two classic GEMM sweeps.
-        base = _system_by_name(args.system or "Table2")
-        size = args.size if args.size is not None else 128
-        kind = args.kind or "bandwidth"
-        if kind == "bandwidth":
-            specs = [build_sweep("pcie-bandwidth", base=base, size=size)]
-        else:
-            specs = [build_sweep("packet-size", base=base, size=size)]
+    names = args.name
+    if not names:
+        raise SystemExit(
+            "sweep requires --name <sweep> (repeatable; see "
+            "python -m repro sweep --list)"
+        )
+    _require_sweeps(names)
+    specs = [build_sweep(name, **_factory_kwargs(name, args))
+             for name in names]
     if args.faults:
         # Fault overlay: every point of every requested sweep runs under
         # the named preset (docs/FAULTS.md).  The FaultSpec rides the
@@ -395,11 +383,11 @@ def cmd_sweep(args) -> int:
 
         activate(settings)
     if args.ladder:
-        if not names:
-            raise SystemExit("--ladder requires --name <sweep>")
         return _run_ladders(args, specs, shard)
     for flag in ("top_k", "pareto", "margin", "objective", "calibration"):
-        if getattr(args, flag) not in (None, False, 0.1):
+        # By identity: a numeric 0 (``--margin 0``) equals False.
+        value = getattr(args, flag)
+        if value is not None and value is not False:
             print(f"note: --{flag.replace('_', '-')} applies with --ladder "
                   f"only", file=sys.stderr)
     # All requested sweeps run against one worker-pool invocation.
@@ -416,22 +404,8 @@ def cmd_sweep(args) -> int:
     finally:
         progress_done()
     for spec, report in zip(specs, reports):
-        results = report.results()
-        if not names and kind == "bandwidth":
-            rows = [
-                (f"x{lanes}", f"{gbps:g}", f"{result.seconds * 1e6:.1f}")
-                for (lanes, gbps), result in results.items()
-            ]
-            print(format_table(["lanes", "Gb/s/lane", "exec us"], rows))
-        elif not names:
-            rows = [
-                (packet, f"{result.seconds * 1e6:.1f}")
-                for packet, result in results.items()
-            ]
-            print(format_table(["packet B", "exec us"], rows))
-        else:
-            header, rows = _result_rows(report)
-            print(format_table(header, rows, title=spec.name))
+        header, rows = _result_rows(report)
+        print(format_table(header, rows, title=spec.name))
         print(report.describe())
     if settings is not None:
         captured = sum(1 for report in reports
@@ -450,21 +424,11 @@ def cmd_sweep(args) -> int:
 
 def _run_ladders(args, specs, shard) -> int:
     """``sweep --ladder``: surrogate-score, prune, simulate survivors."""
-    from repro.surrogate import (
-        Calibration,
-        CalibrationError,
-        LadderSpec,
-        run_ladder,
-    )
+    from repro.surrogate import CalibrationError, LadderSpec, run_ladder
 
-    calibration = None
-    if args.calibration:
-        try:
-            calibration = Calibration.load(args.calibration)
-        except (OSError, ValueError, TypeError, KeyError) as exc:
-            raise SystemExit(
-                f"cannot load calibration {args.calibration!r}: {exc}"
-            ) from None
+    calibration = _load_calibration(args.calibration)
+    # An unset --margin leaves LadderSpec's own default in force.
+    margin = {} if args.margin is None else {"margin": args.margin}
     objectives = tuple(args.objective) if args.objective else ("ticks",)
     top_k = args.top_k
     if top_k is None and not args.pareto:
@@ -478,8 +442,8 @@ def _run_ladders(args, specs, shard) -> int:
                     top_k=top_k,
                     pareto=args.pareto,
                     objectives=objectives,
-                    margin=args.margin,
                     calibration=calibration,
+                    **margin,
                 )
                 lreport = run_ladder(
                     ladder,
@@ -505,15 +469,24 @@ def _run_ladders(args, specs, shard) -> int:
     return 0
 
 
+def _load_calibration(path):
+    """The calibration JSON at ``path``, or None when no path is given."""
+    if not path:
+        return None
+    from repro.surrogate import Calibration
+
+    try:
+        return Calibration.load(path)
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise SystemExit(f"cannot load calibration {path!r}: {exc}") from None
+
+
 def cmd_surrogate(args) -> int:
     """``surrogate xval`` / ``surrogate estimate``."""
-    from repro.surrogate import Calibration, cross_validate, estimate_spec
+    from repro.surrogate import cross_validate, estimate_spec
 
     name = args.name
-    if name not in SWEEPS:
-        raise SystemExit(
-            f"unknown sweep {name!r}; see python -m repro sweep --list"
-        )
+    _require_sweeps([name])
     spec = build_sweep(name, **_factory_kwargs(name, args))
     if args.action == "xval":
         progress, progress_done = _progress_printer()
@@ -538,16 +511,8 @@ def cmd_surrogate(args) -> int:
             print(f"calibration written to {args.out}")
         return 0
     # estimate: score the whole grid analytically, no simulation at all.
-    calibration = None
-    if args.calibration:
-        try:
-            calibration = Calibration.load(args.calibration)
-        except (OSError, ValueError, TypeError, KeyError) as exc:
-            raise SystemExit(
-                f"cannot load calibration {args.calibration!r}: {exc}"
-            ) from None
     estimates = sorted(
-        estimate_spec(spec, calibration=calibration),
+        estimate_spec(spec, calibration=_load_calibration(args.calibration)),
         key=lambda est: est.ticks,
     )
     if args.top:
@@ -643,12 +608,7 @@ def cmd_orchestrate(args) -> int:
                     "(repeatable; see python -m repro sweep --list), "
                     "or --resume <run-dir>"
                 )
-            for name in names:
-                if name not in SWEEPS:
-                    raise SystemExit(
-                        f"unknown sweep {name!r}; "
-                        f"see python -m repro sweep --list"
-                    )
+            _require_sweeps(names)
             sweeps = []
             for name in names:
                 overrides = _plain_overrides(name, args)
@@ -713,14 +673,12 @@ def cmd_orchestrate(args) -> int:
 # ----------------------------------------------------------------------
 def cmd_faults(args) -> int:
     """``faults list`` / ``faults describe --preset <name>``."""
-    import inspect as _inspect
-
     from repro.faults.spec import FAULT_PRESETS, fault_preset
 
     if args.action == "list":
         rows = []
         for name in sorted(FAULT_PRESETS):
-            doc = (_inspect.getdoc(FAULT_PRESETS[name]) or "").splitlines()
+            doc = (inspect.getdoc(FAULT_PRESETS[name]) or "").splitlines()
             rows.append((name, doc[0] if doc else ""))
         print(format_table(
             ["preset", "description"], rows,
@@ -755,8 +713,6 @@ def _telemetry_keys(directory: str) -> list:
 
 def cmd_telemetry(args) -> int:
     """``telemetry summarize`` / ``telemetry export``."""
-    import json
-
     from repro.telemetry import validate_chrome_trace
 
     directory = args.dir
@@ -912,6 +868,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Parent parsers: one declaration per shared option.  Their actions
+    # are shared objects, so no subparser may ``set_defaults`` one of
+    # these dests -- that would change the default for every subparser.
+    overrides = argparse.ArgumentParser(add_help=False)
+    for _param, flag, type_, subject in _OVERRIDES:
+        overrides.add_argument(flag, type=type_, default=None,
+                               help=f"{subject} override "
+                                    f"(if the sweep takes one)")
+    cache_dir = argparse.ArgumentParser(add_help=False)
+    cache_dir.add_argument("--cache-dir", default=None,
+                           help="result cache location "
+                                "(default: $REPRO_SWEEP_CACHE_DIR or "
+                                "~/.cache/repro/sweeps)")
+    local_run = argparse.ArgumentParser(add_help=False)
+    local_run.add_argument("--workers", type=int, default=None,
+                           help="process count for uncached points "
+                                "(default: $REPRO_SWEEP_WORKERS or serial)")
+    local_run.add_argument("--no-cache", action="store_true",
+                           help="always re-simulate; do not read or "
+                                "write the result cache")
+
     p_systems = sub.add_parser("systems", help="list named configurations")
     p_systems.set_defaults(func=cmd_systems)
 
@@ -934,7 +911,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_vit.set_defaults(func=cmd_vit)
 
     p_sweep = sub.add_parser(
-        "sweep", help="run a registered experiment sweep"
+        "sweep", help="run a registered experiment sweep",
+        parents=[overrides, local_run, cache_dir],
     )
     p_sweep.add_argument("--list", action="store_true",
                          help="list registered experiments and exit")
@@ -946,34 +924,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "(see --list; covers every paper figure); "
                               "repeat to batch several sweeps through "
                               "one worker-pool invocation")
-    p_sweep.add_argument("--kind", choices=["bandwidth", "packet"],
-                         default=None,
-                         help="classic GEMM sweeps (when --name is unset; "
-                              "default: bandwidth)")
-    p_sweep.add_argument("--system", default=None,
-                         help="base system (if the sweep takes one; "
-                              "--kind sweeps default to Table2)")
-    p_sweep.add_argument("--size", type=int, default=None,
-                         help="GEMM size override (if the sweep takes one)")
-    p_sweep.add_argument("--model", default=None,
-                         help="ViT model override (if the sweep takes one)")
-    p_sweep.add_argument("--dim-scale", type=float, default=None,
-                         help="ViT dim-scale override "
-                              "(if the sweep takes one)")
     p_sweep.add_argument("--shard", default=None, metavar="I/N",
                          help="simulate only shard I of N "
                               "(deterministic slice; share --cache-dir "
                               "across shards to compose the full grid)")
-    p_sweep.add_argument("--workers", type=int, default=None,
-                         help="process count for uncached points "
-                              "(default: $REPRO_SWEEP_WORKERS or serial)")
-    p_sweep.add_argument("--cache-dir", default=None,
-                         help="result cache location "
-                              "(default: $REPRO_SWEEP_CACHE_DIR or "
-                              "~/.cache/repro/sweeps)")
-    p_sweep.add_argument("--no-cache", action="store_true",
-                         help="always re-simulate; do not read or "
-                              "write the result cache")
     p_sweep.add_argument("--ladder", action="store_true",
                          help="fidelity ladder: surrogate-score the full "
                               "grid, prune, simulate only the survivors "
@@ -985,7 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--pareto", action="store_true",
                          help="ladder: keep the Pareto front of the "
                               "estimated objectives instead of top-K")
-    p_sweep.add_argument("--margin", type=float, default=0.1,
+    p_sweep.add_argument("--margin", type=float, default=None,
                          help="ladder: safety margin; survivors within "
                               "(1+margin) of the cutoff are kept "
                               "(default 0.1)")
@@ -1034,6 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
         "surrogate",
         help="analytical surrogate tier: score grids without simulating, "
              "cross-validate the model (docs/SURROGATE.md)",
+        parents=[overrides, local_run, cache_dir],
     )
     p_sur.add_argument("action", choices=["xval", "estimate"],
                        help="xval: simulate a stratified sample and fit "
@@ -1042,15 +997,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sur.add_argument("--name", default="fig6a-mem-bandwidth",
                        help="registered sweep whose grid to score "
                             "(see sweep --list)")
-    p_sur.add_argument("--system", default=None,
-                       help="base system (if the sweep takes one)")
-    p_sur.add_argument("--size", type=int, default=None,
-                       help="GEMM size override (if the sweep takes one)")
-    p_sur.add_argument("--model", default=None,
-                       help="ViT model override (if the sweep takes one)")
-    p_sur.add_argument("--dim-scale", type=float, default=None,
-                       help="ViT dim-scale override "
-                            "(if the sweep takes one)")
     p_sur.add_argument("--fraction", type=float, default=0.5,
                        help="xval: fraction of the grid to simulate "
                             "(stratified every-Nth sample; default 0.5)")
@@ -1060,31 +1006,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="estimate: apply a saved calibration")
     p_sur.add_argument("--top", type=int, default=None,
                        help="estimate: show only the N best points")
-    p_sur.add_argument("--workers", type=int, default=None,
-                       help="xval: process count for uncached points")
-    p_sur.add_argument("--cache-dir", default=None,
-                       help="xval: result cache location")
-    p_sur.add_argument("--no-cache", action="store_true",
-                       help="xval: always re-simulate the sample")
     p_sur.set_defaults(func=cmd_surrogate)
 
     p_orch = sub.add_parser(
         "orchestrate",
         help="run a sweep as shard work units across many workers "
              "(local pool, ssh hosts, or slurm); see docs/ORCHESTRATION.md",
+        parents=[overrides, cache_dir],
     )
     p_orch.add_argument("--name", action="append", default=None,
                         help="registered experiment to orchestrate "
                              "(repeatable; see sweep --list)")
-    p_orch.add_argument("--system", default=None,
-                        help="base system override (if the sweep takes one)")
-    p_orch.add_argument("--size", type=int, default=None,
-                        help="GEMM size override (if the sweep takes one)")
-    p_orch.add_argument("--model", default=None,
-                        help="ViT model override (if the sweep takes one)")
-    p_orch.add_argument("--dim-scale", type=float, default=None,
-                        help="ViT dim-scale override "
-                             "(if the sweep takes one)")
     p_orch.add_argument("--backend", choices=["local", "ssh", "slurm"],
                         default="local",
                         help="where shard workers run (default: local)")
@@ -1115,10 +1047,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_orch.add_argument("--run-dir", default=None,
                         help="run directory (manifest, leases, report; "
                              "default: <cache-dir>/runs/orch-<stamp>)")
-    p_orch.add_argument("--cache-dir", default=None,
-                        help="shared result cache location (default: "
-                             "$REPRO_SWEEP_CACHE_DIR or "
-                             "~/.cache/repro/sweeps)")
     p_orch.add_argument("--lease-ttl", type=float, default=60.0,
                         help="seconds of heartbeat silence before a "
                              "shard is reassigned (default 60)")
@@ -1180,6 +1108,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve cached sweep results over HTTP; coalesce and batch "
              "cold misses into single fill runs (docs/SERVING.md)",
+        parents=[cache_dir],
     )
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="bind address (default 127.0.0.1)")
@@ -1188,10 +1117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--workers", type=int, default=1,
                          help="process-pool width of each fill batch "
                               "(default 1)")
-    p_serve.add_argument("--cache-dir", default=None,
-                         help="result cache location, pinned at startup "
-                              "(default: $REPRO_SWEEP_CACHE_DIR or "
-                              "~/.cache/repro/sweeps)")
     p_serve.add_argument("--batch-window", type=float, default=0.01,
                          metavar="SECONDS",
                          help="how long a first miss waits for concurrent "
@@ -1200,15 +1125,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.set_defaults(func=cmd_serve)
 
     p_cache = sub.add_parser(
-        "cache", help="inspect or maintain the sweep result cache"
+        "cache", help="inspect or maintain the sweep result cache",
+        parents=[cache_dir],
     )
     p_cache.add_argument("action", choices=["stats", "clear", "prune"])
     p_cache.add_argument("--sweep", default=None,
                          help="sweep name for prune")
-    p_cache.add_argument("--cache-dir", default=None,
-                         help="cache location (default: "
-                              "$REPRO_SWEEP_CACHE_DIR or "
-                              "~/.cache/repro/sweeps)")
     p_cache.set_defaults(func=cmd_cache)
     return parser
 

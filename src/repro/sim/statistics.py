@@ -19,12 +19,7 @@ of O(all stats) -- the values are bit-identical either way.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterator, List, Optional, Tuple
-
-#: Bucket key for non-positive samples (float exponents bottom out near
-#: -1074, so this sorts below every real power-of-two bucket).
-_NONPOS_BUCKET = -(10**9)
 
 
 class _DetachedGroup:
@@ -72,19 +67,12 @@ class Histogram:
 
     Keeps moments rather than raw samples so memory stays bounded for the
     tens of millions of samples the address-translation experiments record.
-
-    Pass ``track_quantiles=True`` to additionally maintain power-of-two
-    buckets (one counter per binary order of magnitude -- still O(64)
-    memory regardless of sample volume) and enable :meth:`quantile`.
-    The default stays bucket-free so existing goldens and the sample()
-    hot path are untouched.
     """
 
     __slots__ = ("name", "desc", "count", "total", "sum_sq", "min", "max",
-                 "_group", "_buckets")
+                 "_group")
 
-    def __init__(self, name: str, desc: str = "", group=None,
-                 track_quantiles: bool = False) -> None:
+    def __init__(self, name: str, desc: str = "", group=None) -> None:
         self.name = name
         self.desc = desc
         self._group = group if group is not None else _DETACHED
@@ -95,13 +83,6 @@ class Histogram:
         self.sum_sq = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self._buckets: Optional[Dict[int, int]] = (
-            {} if track_quantiles else None
-        )
-
-    @property
-    def tracks_quantiles(self) -> bool:
-        return self._buckets is not None
 
     def reset(self) -> None:
         self.count = 0
@@ -109,8 +90,6 @@ class Histogram:
         self.sum_sq = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        if self._buckets is not None:
-            self._buckets.clear()
         self._group.dirty = True
 
     def sample(self, value: float, repeat: int = 1) -> None:
@@ -122,49 +101,7 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        if self._buckets is not None:
-            # math.frexp(v) = (m, e) with v = m * 2**e and 0.5 <= m < 1,
-            # so bucket e covers [2**(e-1), 2**e).
-            key = math.frexp(value)[1] if value > 0 else _NONPOS_BUCKET
-            self._buckets[key] = self._buckets.get(key, 0) + repeat
         self._group.dirty = True
-
-    def _bucket_bounds(self, key: int) -> Tuple[float, float]:
-        if key == _NONPOS_BUCKET:
-            return min(self.min, 0.0), 0.0
-        return float(2.0 ** (key - 1)), float(2.0 ** key)
-
-    def quantile(self, q: float) -> float:
-        """Estimate the ``q``-quantile (0 <= q <= 1) from the buckets.
-
-        Linear interpolation within the covering power-of-two bucket,
-        clamped to the exact observed [min, max]; worst-case relative
-        error is therefore one binary order of magnitude.  Requires
-        ``track_quantiles=True``.
-        """
-        if self._buckets is None:
-            raise ValueError(
-                f"histogram {self.name!r} was built without "
-                f"track_quantiles=True; quantiles unavailable"
-            )
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self.count:
-            return 0.0
-        if q == 0.0:
-            return self.min
-        if q == 1.0:
-            return self.max
-        target = q * self.count
-        cumulative = 0
-        for key in sorted(self._buckets):
-            n = self._buckets[key]
-            if cumulative + n >= target:
-                lo, hi = self._bucket_bounds(key)
-                estimate = lo + (hi - lo) * (target - cumulative) / n
-                return min(max(estimate, self.min), self.max)
-            cumulative += n
-        return self.max
 
     @property
     def mean(self) -> float:
@@ -227,20 +164,11 @@ class StatGroup:
             raise TypeError(f"stat {name!r} already exists with another type")
         return stat
 
-    def histogram(self, name: str, desc: str = "",
-                  track_quantiles: bool = False) -> Histogram:
-        """Create (or fetch) a histogram.
-
-        ``track_quantiles=True`` opts this histogram into power-of-two
-        bucket tracking: :meth:`Histogram.quantile` works and
-        :meth:`flatten` gains ``.p50``/``.p95``/``.p99`` rows for it.
-        Opt-in only -- default histograms keep the golden two-row
-        (``.count``/``.mean``) snapshot shape.
-        """
+    def histogram(self, name: str, desc: str = "") -> Histogram:
+        """Create (or fetch) a histogram."""
         stat = self._stats.get(name)
         if stat is None:
-            stat = Histogram(name, desc, group=self,
-                             track_quantiles=track_quantiles)
+            stat = Histogram(name, desc, group=self)
             self._register(name, stat)
         if not isinstance(stat, Histogram):
             raise TypeError(f"stat {name!r} already exists with another type")
@@ -278,10 +206,6 @@ class StatGroup:
             elif isinstance(stat, Histogram):
                 rows.append((f"{dotted}.count", stat.count))
                 rows.append((f"{dotted}.mean", stat.mean))
-                if stat.tracks_quantiles:
-                    rows.append((f"{dotted}.p50", stat.quantile(0.50)))
-                    rows.append((f"{dotted}.p95", stat.quantile(0.95)))
-                    rows.append((f"{dotted}.p99", stat.quantile(0.99)))
         return rows
 
     def flatten(self) -> List[Tuple[str, float]]:

@@ -313,10 +313,6 @@ def point_params(spec: SweepSpec, point: SweepPoint) -> dict:
     return params
 
 
-# Backwards-compatible alias (pre-serve internal name).
-_point_params = point_params
-
-
 def _drain_telemetry(key_hash: str) -> Optional[dict]:
     """Collect one simulated point's telemetry; write its artifacts.
 

@@ -45,6 +45,7 @@ from typing import Optional, Tuple
 from repro.accel.systolic import SystolicParams
 from repro.core.access_modes import AccessMode
 from repro.core.config import SystemConfig
+from repro.core.runner import _resolve_model
 from repro.memory.dram.devices import DDR4_2400, GDDR5, HBM2, LPDDR5
 from repro.smmu.smmu import SMMUConfig
 from repro.sweep.spec import (
@@ -208,6 +209,10 @@ def fig6b_latency_sweep(size: int = 256, latencies=FIG6_LATENCIES) -> SweepSpec:
 # Fig. 7 / 8 / 9 -- transformer inference (the "vit" runner)
 # ----------------------------------------------------------------------
 def _vit_points(models, dim_scale: float, segment: int):
+    # Resolve every model up front so a bad name or scale fails when the
+    # spec is built, not midway through a fill.
+    for model in models:
+        _resolve_model(model, dim_scale)
     systems = SystemConfig.paper_systems()
     return [
         SweepPoint(

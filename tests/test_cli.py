@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -20,9 +22,68 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["vit", "--model", "colossal"])
 
-    def test_sweep_kind_choices(self):
-        args = build_parser().parse_args(["sweep", "--kind", "packet"])
-        assert args.kind == "packet"
+    def test_sweep_kind_rejected(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "--kind", "packet"])
+
+
+def _actions(command: str) -> dict:
+    """The ``command`` subparser's actions, keyed by option string."""
+    parser = build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {flag: action
+            for action in subparsers.choices[command]._actions
+            for flag in action.option_strings}
+
+
+class TestParserContract:
+    """The options several subcommands share keep one meaning."""
+
+    COMMANDS = ("systems", "gemm", "vit", "sweep", "surrogate",
+                "orchestrate", "faults", "telemetry", "serve", "cache")
+
+    def test_sweep_overrides_identical_across_commands(self):
+        expected = {"--system": ("system", None), "--size": ("size", int),
+                    "--model": ("model", None),
+                    "--dim-scale": ("dim_scale", float)}
+        for command in ("sweep", "surrogate", "orchestrate"):
+            actions = _actions(command)
+            for flag, (dest, type_) in expected.items():
+                action = actions[flag]
+                assert (action.dest, action.type, action.default) == (
+                    dest, type_, None), (command, flag)
+
+    def test_cache_dir_defaults_to_none_everywhere(self):
+        takers = [command for command in self.COMMANDS
+                  if "--cache-dir" in _actions(command)]
+        assert takers == ["sweep", "surrogate", "orchestrate", "serve",
+                          "cache"]
+        for command in takers:
+            assert _actions(command)["--cache-dir"].default is None
+
+    def test_workers_defaults_per_command(self):
+        # sweep and surrogate share one --workers action; a default set
+        # on it through any one subparser would show up in both.
+        defaults = {command: _actions(command)["--workers"].default
+                    for command in ("sweep", "surrogate", "orchestrate",
+                                    "serve")}
+        assert defaults == {"sweep": None, "surrogate": None,
+                            "orchestrate": 2, "serve": 1}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_renders(self, command, capsys):
+        # Rendering help expands every %-format in every help string.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert f"usage: repro {command}" in capsys.readouterr().out
+
+    def test_bare_sweep_names_the_way_to_pick_one(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep"])
+        assert "--name" in str(exit_info.value.code)
+        assert "sweep --list" in str(exit_info.value.code)
 
 
 class TestCommands:
@@ -60,7 +121,7 @@ class TestCommands:
 
     def test_sweep_packet(self, capsys, tmp_path):
         assert main(
-            ["sweep", "--kind", "packet", "--size", "32",
+            ["sweep", "--name", "packet-size", "--size", "32",
              "--cache-dir", str(tmp_path)]
         ) == 0
         out = capsys.readouterr().out
@@ -68,7 +129,7 @@ class TestCommands:
         assert "0 cached / 7 simulated" in out
 
     def test_sweep_second_run_served_from_cache(self, capsys, tmp_path):
-        argv = ["sweep", "--kind", "packet", "--size", "32",
+        argv = ["sweep", "--name", "packet-size", "--size", "32",
                 "--cache-dir", str(tmp_path)]
         assert main(argv) == 0
         first = capsys.readouterr().out
@@ -79,7 +140,7 @@ class TestCommands:
         assert first.splitlines()[:-1] == second.splitlines()[:-1]
 
     def test_sweep_no_cache(self, capsys, tmp_path):
-        argv = ["sweep", "--kind", "packet", "--size", "32",
+        argv = ["sweep", "--name", "packet-size", "--size", "32",
                 "--cache-dir", str(tmp_path), "--no-cache"]
         assert main(argv) == 0
         capsys.readouterr()
@@ -120,6 +181,16 @@ class TestCommands:
              "--cache-dir", str(tmp_path)]
         ) == 0
         assert "--json applies to --list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("margin", ["0", "0.2"])
+    def test_sweep_margin_without_ladder_warns(self, capsys, tmp_path,
+                                               margin):
+        # 0.0 == False, so only an identity test tells "0" from unset.
+        assert main(
+            ["sweep", "--name", "access-modes", "--size", "16",
+             "--margin", margin, "--cache-dir", str(tmp_path)]
+        ) == 0
+        assert "--margin applies with --ladder" in capsys.readouterr().err
 
     def test_sweep_multigemm_runner_table(self, capsys, tmp_path):
         assert main(

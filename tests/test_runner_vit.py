@@ -3,6 +3,8 @@
 import pytest
 
 from repro import SystemConfig, run_vit
+from repro.core.runner import _resolve_model
+from repro.orchestrate.manifest import apply_overrides
 from repro.workloads import ViTConfig
 
 #: A miniature model that keeps test runtimes small but exercises every
@@ -54,6 +56,18 @@ class TestViTRunner:
         scaled = run_vit(SystemConfig.pcie_2gb(), "base", dim_scale=0.125)
         assert "x0.125" in scaled.model_name
         assert scaled.total_ticks > 0
+
+    @pytest.mark.parametrize("dim_scale", [0, -1, float("nan"),
+                                           float("inf")])
+    def test_nonpositive_or_nonfinite_dim_scale_rejected(self, dim_scale):
+        # Without the check these scales clamp to a heads-wide model that
+        # still carries the requested name.
+        with pytest.raises(ValueError, match="dim_scale"):
+            _resolve_model("base", dim_scale)
+
+    def test_bad_dim_scale_fails_at_spec_build(self):
+        with pytest.raises(ValueError, match="dim_scale"):
+            apply_overrides("fig7-transformer", {"dim_scale": 0})
 
     def test_op_ticks_recorded(self):
         result = run_vit(SystemConfig.pcie_2gb(), TINY)

@@ -158,6 +158,20 @@ class TestQueryPath:
         assert status == 400
         assert "domains" in json.loads(data)["error"]
 
+    @pytest.mark.parametrize("dim_scale", [0, float("inf")])
+    def test_bad_dim_scale_is_400_and_starts_no_fill(self, server,
+                                                     dim_scale):
+        # A scale the ViT runner cannot honour is refused while the spec
+        # is built, before any point is claimed for a fill.
+        status, data = request(server, "POST", "/query",
+                               {"sweep": "fig7-transformer",
+                                "key": "('base', 'PCIe-8GB')",
+                                "args": {"dim_scale": dim_scale}})
+        assert status == 400
+        assert "dim_scale" in json.loads(data)["error"]
+        status, data = request(server, "GET", "/metrics")
+        assert "repro_serve_fill_points_total 0\n" in data.decode()
+
 
 class TestCoalescing:
     def test_concurrent_identical_queries_simulate_once(self, server):

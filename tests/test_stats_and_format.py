@@ -62,73 +62,6 @@ class TestHistogram:
         assert h.mean == pytest.approx(sum(values) / len(values))
 
 
-class TestHistogramQuantiles:
-    def test_requires_opt_in(self):
-        h = Histogram("lat")
-        assert not h.tracks_quantiles
-        with pytest.raises(ValueError):
-            h.quantile(0.5)
-
-    def test_bounds_and_validation(self):
-        h = Histogram("lat", track_quantiles=True)
-        with pytest.raises(ValueError):
-            h.quantile(1.5)
-        assert h.quantile(0.5) == 0.0  # empty histogram
-        for v in (1.0, 2.0, 1000.0):
-            h.sample(v)
-        assert h.quantile(0.0) == 1.0
-        assert h.quantile(1.0) == 1000.0
-
-    def test_uniform_quantiles(self):
-        h = Histogram("lat", track_quantiles=True)
-        for v in range(1, 101):
-            h.sample(float(v))
-        # Power-of-two buckets give a coarse but order-true estimate,
-        # clamped to the observed range.
-        assert 30 <= h.quantile(0.50) <= 70
-        assert h.quantile(0.95) >= h.quantile(0.50)
-        assert h.quantile(0.99) <= 100.0
-
-    def test_non_positive_samples(self):
-        h = Histogram("lat", track_quantiles=True)
-        h.sample(-4.0)
-        h.sample(0.0)
-        h.sample(16.0)
-        assert h.quantile(0.0) == -4.0
-        assert h.quantile(1.0) == 16.0
-        assert -4.0 <= h.quantile(0.5) <= 16.0
-
-    def test_reset_clears_buckets(self):
-        h = Histogram("lat", track_quantiles=True)
-        h.sample(64.0, repeat=10)
-        h.reset()
-        assert h.quantile(0.5) == 0.0
-        h.sample(2.0)
-        assert h.quantile(1.0) == 2.0
-
-    def test_flatten_rows_opt_in_only(self):
-        group = StatGroup("dev")
-        group.histogram("plain").sample(5.0)
-        group.histogram("rich", track_quantiles=True).sample(5.0)
-        flat = dict(group.flatten())
-        assert "dev.plain.p50" not in flat  # golden shape untouched
-        assert flat["dev.rich.p50"] == 5.0
-        assert flat["dev.rich.p95"] == 5.0
-        assert flat["dev.rich.p99"] == 5.0
-
-    @settings(max_examples=30)
-    @given(values=st.lists(st.floats(min_value=0.001, max_value=1e6,
-                                     allow_nan=False),
-                           min_size=1, max_size=60),
-           q=st.floats(min_value=0.0, max_value=1.0))
-    def test_quantile_within_observed_range(self, values, q):
-        h = Histogram("x", track_quantiles=True)
-        for v in values:
-            h.sample(v)
-        estimate = h.quantile(q)
-        assert min(values) <= estimate <= max(values)
-
-
 class TestStatGroup:
     def test_scalar_reuse(self):
         group = StatGroup("comp")

@@ -14,12 +14,10 @@ import pytest
 
 from repro import SystemConfig
 from repro.core.runner import (
-    SYSTEM_MEMO_ENV,
     clear_system_memo,
     run_gemm,
     run_vit,
     system_for,
-    system_memo_enabled,
 )
 from repro.core.system import AcceSysSystem
 from repro.workloads.vit import ViTConfig
@@ -100,13 +98,6 @@ class TestMemoFactory:
         a = system_for(SystemConfig.pcie_8gb())
         b = system_for(SystemConfig.pcie_8gb(dma_tags=8))
         assert a is not b
-
-    def test_env_kill_switch(self, monkeypatch):
-        clear_system_memo()
-        monkeypatch.setenv(SYSTEM_MEMO_ENV, "0")
-        assert not system_memo_enabled()
-        config = SystemConfig.pcie_8gb()
-        assert system_for(config) is not system_for(config)
 
     def test_capacity_is_bounded(self):
         from repro.core.runner import SYSTEM_MEMO_CAPACITY, _system_memo

@@ -3,9 +3,9 @@
 Every workload follows the same three-step shape, captured by
 :class:`WorkloadRunner`: *acquire* a system for a configuration, *drive*
 the workload through it (real MMIO launches, DMA traffic, CPU kernels),
-and *snapshot* the statistics the harnesses report.  ``run_gemm`` and
-``run_vit`` are thin wrappers over the two concrete runners, kept as
-module-level functions for the public API.
+and *snapshot* the statistics the harnesses report.  The sweep registry
+runs the module-level wrappers (``run_gemm``, ``run_vit``,
+``run_multi_gemm``, ``run_peer_transfer``) and caches their results.
 
 System acquisition goes through :func:`system_for`, a per-process
 memoized factory keyed on ``SystemConfig.stable_hash()``: re-running a
@@ -55,7 +55,10 @@ class GemmResult:
     ticks: int
     job_ticks: int
     traffic_bytes: int
-    c_matrix: Optional[np.ndarray] = None
+    #: Functional output of ``--verify`` runs; never cached.
+    c_matrix: Optional[np.ndarray] = field(
+        default=None, metadata={"record": False}
+    )
     table4: Optional[Dict[str, float]] = None
     component_stats: Dict[str, float] = field(default_factory=dict)
 

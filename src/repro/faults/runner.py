@@ -205,58 +205,7 @@ def run_resilience(
 # ----------------------------------------------------------------------
 # Sweep integration
 # ----------------------------------------------------------------------
-def _run_resilience_point(config: SystemConfig, **params) -> ResilienceResult:
-    return run_resilience(config, **params)
-
-
-def _encode_resilience(result: ResilienceResult) -> dict:
-    return {
-        "config_name": result.config_name,
-        "transfers": result.transfers,
-        "size_bytes": result.size_bytes,
-        "active_devices": result.active_devices,
-        "completed": result.completed,
-        "aborted": result.aborted,
-        "ticks": result.ticks,
-        "payload_bytes": result.payload_bytes,
-        "timeouts": result.timeouts,
-        "retries": result.retries,
-        "replays": result.replays,
-        "replay_ticks": result.replay_ticks,
-        "retrain_stall_ticks": result.retrain_stall_ticks,
-        "downtrain_penalty_ticks": result.downtrain_penalty_ticks,
-        "device_lost": list(result.device_lost),
-        "latency_p50": result.latency_p50,
-        "latency_max": result.latency_max,
-    }
-
-
-def _decode_resilience(record: dict) -> ResilienceResult:
-    return ResilienceResult(
-        config_name=record["config_name"],
-        transfers=record["transfers"],
-        size_bytes=record["size_bytes"],
-        active_devices=record["active_devices"],
-        completed=record["completed"],
-        aborted=record["aborted"],
-        ticks=record["ticks"],
-        payload_bytes=record["payload_bytes"],
-        timeouts=record.get("timeouts", 0),
-        retries=record.get("retries", 0),
-        replays=record.get("replays", 0),
-        replay_ticks=record.get("replay_ticks", 0),
-        retrain_stall_ticks=record.get("retrain_stall_ticks", 0),
-        downtrain_penalty_ticks=record.get("downtrain_penalty_ticks", 0),
-        device_lost=list(record.get("device_lost", [])),
-        latency_p50=record.get("latency_p50", 0),
-        latency_max=record.get("latency_max", 0),
-    )
-
-
-register_runner(
-    "resilience", _run_resilience_point, _encode_resilience,
-    _decode_resilience,
-)
+register_runner("resilience", run_resilience, ResilienceResult)
 
 
 def apply_faults(spec: SweepSpec, faults: Optional[FaultSpec]) -> SweepSpec:

@@ -4,7 +4,8 @@
 end:
 
 1. every point is hashed (config + params + runner + code version) and
-   looked up in the on-disk :class:`~repro.sweep.cache.ResultCache`;
+   looked up in the on-disk :class:`~repro.sweep.cache.ResultCache`
+   (an entry the runner cannot decode counts as a miss);
 2. the remaining points are sharded across a ``multiprocessing`` pool
    (``fork`` where available, ``spawn`` otherwise) -- each point is an
    independent :class:`~repro.core.system.AcceSysSystem`, so points
@@ -493,14 +494,22 @@ def _execute(
             key_hash = point_key(point, runner, params)
             record = store.get(key_hash)
             if record is not None:
-                yield si, pi, SweepOutcome(
-                    point=point,
-                    result=runner.decode(record),
-                    record=record,
-                    cached=True,
-                    key_hash=key_hash,
-                )
-                continue
+                try:
+                    result = runner.decode(record)
+                except (TypeError, KeyError, ValueError):
+                    # An entry the runner cannot rebuild (wrong shape,
+                    # stale field set) is a miss: simulate the point
+                    # again and overwrite it.
+                    pass
+                else:
+                    yield si, pi, SweepOutcome(
+                        point=point,
+                        result=result,
+                        record=record,
+                        cached=True,
+                        key_hash=key_hash,
+                    )
+                    continue
             prior_gi = first_of_key.get(key_hash)
             if prior_gi is not None:
                 # Identical cache key already pending (point-identical
@@ -537,7 +546,7 @@ def _execute(
             )
         except (OSError, TypeError) as exc:
             # A broken cache location (OSError) or a JSON-unsafe record
-            # from a codec-less runner (TypeError) must not discard
+            # from a dict-returning runner (TypeError) must not discard
             # finished work; report once and keep returning live results.
             if not cache_write_failed:
                 print(

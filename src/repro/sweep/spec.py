@@ -9,10 +9,11 @@ with the *runner* that simulates one point.
 Runners are registered by name (:func:`register_runner`) so a point can
 be shipped to a worker process as plain data and resolved there; a
 module-level callable works too (pickled by reference), provided it
-returns a JSON-safe dict -- register a codec (``encode``/``decode``)
-for richer result types.  The built-in ``"gemm"`` and ``"vit"`` runners
-drive :func:`repro.core.runner.run_gemm` / ``run_vit`` and round-trip
-their results through the on-disk cache.
+returns a JSON-safe dict.  A runner registered with its result
+dataclass gets its cache codec from that type's fields.  The built-in
+``"gemm"``, ``"vit"``, ``"multigemm"`` and ``"peer"`` runners are the
+public :mod:`repro.core.runner` functions themselves (``"resilience"``
+registers lazily from :mod:`repro.faults.runner`).
 
 Named experiments live in :data:`SWEEPS` via :func:`register_sweep`; the
 figure/table sweeps themselves are defined in
@@ -23,8 +24,9 @@ there instead of hand-rolling loops.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Union
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.config import SystemConfig, canonical_value
 from repro.core.runner import (
@@ -82,9 +84,7 @@ class SweepSpec:
             raise ValueError(f"sweep {self.name!r} has duplicate point keys")
         if isinstance(self.runner, str) and self.runner not in RUNNERS \
                 and self.runner not in LAZY_RUNNER_MODULES:
-            raise ValueError(
-                f"unknown runner {self.runner!r}; registered: {sorted(RUNNERS)}"
-            )
+            raise _unknown_runner(self.runner)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -106,19 +106,59 @@ def derive_seed(base_seed: int, point: SweepPoint) -> int:
 # ----------------------------------------------------------------------
 # Runner registry
 # ----------------------------------------------------------------------
+@lru_cache(maxsize=None)
+def record_fields(result_type: type) -> Tuple[str, ...]:
+    """The fields of ``result_type`` that its cache records store.
+
+    Every dataclass field except those declared
+    ``field(metadata={"record": False})`` (functional output such as
+    ``GemmResult.c_matrix``, which is never cached).
+    """
+    return tuple(
+        each.name for each in fields(result_type)
+        if each.metadata.get("record", True)
+    )
+
+
+def _detached(values: dict) -> dict:
+    """``values`` with its dict and list values shallow-copied in place,
+    so a record and its result never share a container."""
+    for name, value in values.items():
+        if isinstance(value, (dict, list)):
+            values[name] = value.copy()
+    return values
+
+
 @dataclass(frozen=True)
 class Runner:
-    """A point simulator plus its cache codec.
+    """A point simulator plus the dataclass its results and records share.
 
     ``encode`` turns the live result into a JSON-safe record (what the
-    cache stores); ``decode`` rebuilds a result object from a record so
-    cache hits and live runs hand callers the same type.
+    cache stores) and ``decode`` rebuilds the result from a record, both
+    via :func:`record_fields`.  Without a ``result`` type the runner
+    must return a JSON-safe dict, which is its own record.
     """
 
     name: str
     run: Callable[..., Any]
-    encode: Callable[[Any], dict]
-    decode: Callable[[dict], Any]
+    result: Optional[type] = None
+
+    def encode(self, result: Any) -> dict:
+        if self.result is not None:
+            return _detached({name: getattr(result, name)
+                              for name in record_fields(self.result)})
+        if isinstance(result, dict):
+            return result
+        raise TypeError(
+            f"runner {self.name!r} returned {type(result).__name__}; runners "
+            f"without a result type must return a JSON-safe dict -- use "
+            f"register_runner(name, run, ResultType) for dataclass results"
+        )
+
+    def decode(self, record: dict) -> Any:
+        if self.result is None:
+            return record
+        return self.result(**_detached(dict(record)))
 
 
 RUNNERS: Dict[str, Runner] = {}
@@ -132,36 +172,25 @@ LAZY_RUNNER_MODULES: Dict[str, str] = {
 }
 
 
-def _default_encode(result: Any) -> dict:
-    """Codec for runners registered without one: dict records pass through."""
-    if isinstance(result, dict):
-        return result
-    raise TypeError(
-        f"runner returned {type(result).__name__}; runners without an "
-        f"encode/decode codec must return a JSON-safe dict -- use "
-        f"register_runner(name, run, encode, decode) for richer result types"
-    )
+def _unknown_runner(name: str) -> ValueError:
+    known = sorted(set(RUNNERS) | set(LAZY_RUNNER_MODULES))
+    return ValueError(f"unknown runner {name!r}; registered: {known}")
 
 
-def register_runner(
-    name: str,
-    run: Callable[..., Any],
-    encode: Optional[Callable[[Any], dict]] = None,
-    decode: Optional[Callable[[dict], Any]] = None,
-) -> Runner:
-    """Register a named point runner (last registration wins)."""
-    runner = Runner(
-        name=name,
-        run=run,
-        encode=encode or _default_encode,
-        decode=decode or (lambda record: record),
-    )
+def register_runner(name: str, run: Callable[..., Any],
+                    result: Optional[type] = None) -> Runner:
+    """Register a named point runner (last registration wins).
+
+    ``result`` is the dataclass ``run`` returns; its fields define the
+    cache record.  Omit it for runners that return a JSON-safe dict.
+    """
+    runner = Runner(name=name, run=run, result=result)
     RUNNERS[name] = runner
     return runner
 
 
 def resolve_runner(runner: Union[str, Callable, Runner]) -> Runner:
-    """Look up a registry name, or wrap a bare callable as identity-codec."""
+    """Look up a registry name, or wrap a bare callable as a dict runner."""
     if isinstance(runner, Runner):
         return runner
     if isinstance(runner, str):
@@ -169,161 +198,19 @@ def resolve_runner(runner: Union[str, Callable, Runner]) -> Runner:
             import importlib
 
             importlib.import_module(LAZY_RUNNER_MODULES[runner])
-        return RUNNERS[runner]
+        try:
+            return RUNNERS[runner]
+        except KeyError:
+            raise _unknown_runner(runner) from None
     if callable(runner):
-        return Runner(
-            name=getattr(runner, "__name__", "callable"),
-            run=runner,
-            encode=_default_encode,
-            decode=lambda record: record,
-        )
+        return Runner(name=getattr(runner, "__name__", "callable"), run=runner)
     raise TypeError(f"runner must be a name or callable, got {runner!r}")
 
 
-# ----------------------------------------------------------------------
-# Built-in GEMM runner
-# ----------------------------------------------------------------------
-def _run_gemm_point(config: SystemConfig, **params) -> GemmResult:
-    return run_gemm(config, **params)
-
-
-def _encode_gemm(result: GemmResult) -> dict:
-    # c_matrix is deliberately not cached: functional output belongs to
-    # --verify runs.  table4 (plain ints/floats) rides along so the
-    # Table IV and SMMU-ablation sweeps replay from cache.
-    return {
-        "config_name": result.config_name,
-        "m": result.m,
-        "k": result.k,
-        "n": result.n,
-        "ticks": result.ticks,
-        "job_ticks": result.job_ticks,
-        "traffic_bytes": result.traffic_bytes,
-        "table4": result.table4,
-        "component_stats": dict(result.component_stats),
-    }
-
-
-def _decode_gemm(record: dict) -> GemmResult:
-    return GemmResult(
-        config_name=record["config_name"],
-        m=record["m"],
-        k=record["k"],
-        n=record["n"],
-        ticks=record["ticks"],
-        job_ticks=record["job_ticks"],
-        traffic_bytes=record["traffic_bytes"],
-        table4=record.get("table4"),
-        component_stats=dict(record.get("component_stats", {})),
-    )
-
-
-register_runner("gemm", _run_gemm_point, _encode_gemm, _decode_gemm)
-
-
-# ----------------------------------------------------------------------
-# Built-in ViT runner
-# ----------------------------------------------------------------------
-def _run_vit_point(config: SystemConfig, **params) -> ViTResult:
-    return run_vit(config, **params)
-
-
-def _encode_vit(result: ViTResult) -> dict:
-    return {
-        "config_name": result.config_name,
-        "model_name": result.model_name,
-        "total_ticks": result.total_ticks,
-        "gemm_ticks": result.gemm_ticks,
-        "nongemm_ticks": result.nongemm_ticks,
-        "op_ticks": dict(result.op_ticks),
-        "memo_hits": result.memo_hits,
-    }
-
-
-def _decode_vit(record: dict) -> ViTResult:
-    return ViTResult(
-        config_name=record["config_name"],
-        model_name=record["model_name"],
-        total_ticks=record["total_ticks"],
-        gemm_ticks=record["gemm_ticks"],
-        nongemm_ticks=record["nongemm_ticks"],
-        op_ticks=dict(record.get("op_ticks", {})),
-        memo_hits=record.get("memo_hits", 0),
-    )
-
-
-register_runner("vit", _run_vit_point, _encode_vit, _decode_vit)
-
-
-# ----------------------------------------------------------------------
-# Built-in multi-device runners (topology experiments)
-# ----------------------------------------------------------------------
-def _run_multigemm_point(config: SystemConfig, **params) -> MultiGemmResult:
-    return run_multi_gemm(config, **params)
-
-
-def _encode_multigemm(result: MultiGemmResult) -> dict:
-    return {
-        "config_name": result.config_name,
-        "m": result.m,
-        "k": result.k,
-        "n": result.n,
-        "num_devices": result.num_devices,
-        "active_devices": result.active_devices,
-        "device_ticks": list(result.device_ticks),
-        "ticks": result.ticks,
-        "total_traffic_bytes": result.total_traffic_bytes,
-        "uplink_busy_frac": result.uplink_busy_frac,
-        "component_stats": dict(result.component_stats),
-    }
-
-
-def _decode_multigemm(record: dict) -> MultiGemmResult:
-    return MultiGemmResult(
-        config_name=record["config_name"],
-        m=record["m"],
-        k=record["k"],
-        n=record["n"],
-        num_devices=record["num_devices"],
-        active_devices=record["active_devices"],
-        device_ticks=list(record.get("device_ticks", [])),
-        ticks=record["ticks"],
-        total_traffic_bytes=record["total_traffic_bytes"],
-        uplink_busy_frac=record.get("uplink_busy_frac", 0.0),
-        component_stats=dict(record.get("component_stats", {})),
-    )
-
-
-register_runner(
-    "multigemm", _run_multigemm_point, _encode_multigemm, _decode_multigemm
-)
-
-
-def _run_peer_point(config: SystemConfig, **params) -> PeerTransferResult:
-    return run_peer_transfer(config, **params)
-
-
-def _encode_peer(result: PeerTransferResult) -> dict:
-    return {
-        "config_name": result.config_name,
-        "mode": result.mode,
-        "size_bytes": result.size_bytes,
-        "ticks": result.ticks,
-        "root_complex_bytes": result.root_complex_bytes,
-    }
-
-
-def _decode_peer(record: dict) -> PeerTransferResult:
-    return PeerTransferResult(
-        config_name=record["config_name"],
-        mode=record["mode"],
-        size_bytes=record["size_bytes"],
-        ticks=record["ticks"],
-        root_complex_bytes=record.get("root_complex_bytes", 0),
-    )
-
-
-register_runner("peer", _run_peer_point, _encode_peer, _decode_peer)
+register_runner("gemm", run_gemm, GemmResult)
+register_runner("vit", run_vit, ViTResult)
+register_runner("multigemm", run_multi_gemm, MultiGemmResult)
+register_runner("peer", run_peer_transfer, PeerTransferResult)
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ Covers:
 """
 
 import dataclasses
+import json
 import os
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import pytest
 from repro import SystemConfig
 from repro.core import runner as runner_mod
 from repro.core.config import canonical_value
-from repro.core.runner import run_vit
+from repro.core.runner import run_gemm, run_vit
 from repro.sim.eventq import Simulator
 from repro.sweep import (
     NullCache,
@@ -30,7 +31,13 @@ from repro.sweep import (
     derive_seed,
     gemm_points,
     point_key,
+    resolve_runner,
     run_sweep,
+)
+from repro.sweep.spec import (
+    LAZY_RUNNER_MODULES,
+    RUNNERS,
+    record_fields,
 )
 from repro.workloads.vit import build_vit_graph
 
@@ -234,8 +241,16 @@ class TestSpec:
             SweepSpec(name="dup", points=points)
 
     def test_unknown_runner_rejected(self):
-        with pytest.raises(ValueError, match="unknown runner"):
-            SweepSpec(name="bad", points=[], runner="no-such-runner")
+        # Spec construction and name lookup raise the same error, which
+        # names every runner, the lazily registered one included.
+        for lookup in (
+            lambda: SweepSpec(name="bad", points=[], runner="no-such-runner"),
+            lambda: resolve_runner("no-such-runner"),
+        ):
+            with pytest.raises(ValueError, match="unknown runner") as info:
+                lookup()
+            for name in ("gemm", "vit", "multigemm", "peer", "resilience"):
+                assert repr(name) in str(info.value)
 
     def test_registry_builds_cli_sweeps(self):
         spec = build_sweep("packet-size", size=16, packets=(64, 128))
@@ -456,11 +471,18 @@ class TestWrongShapeCacheEntry:
         spec = small_spec(packets=(64,))
         report = run_sweep(spec, workers=1, cache_dir=tmp_path)
         path = tmp_path / f"{report.outcomes[0].key_hash}.json"
-        for payload in ("null", "[]", "{}"):
+        # The last payloads have the entry shape but a record the runner
+        # cannot decode: they too are re-simulated, and then overwritten.
+        for payload in ("null", "[]", "{}",
+                        '{"record": {"ticks": 1}, "meta": {}}',
+                        '{"record": "ab", "meta": {}}'):
             path.write_text(payload)
             again = run_sweep(spec, workers=1, cache_dir=tmp_path)
             assert again.misses == 1, payload
-            assert ticks_of(again) == ticks_of(report)
+            assert again.outcomes[0].record == report.outcomes[0].record
+        replay = run_sweep(spec, workers=1, cache_dir=tmp_path)
+        assert replay.fully_cached
+        assert replay.outcomes[0].record == report.outcomes[0].record
 
 
 def _runner_fails_on_two(config, **params):
@@ -565,3 +587,51 @@ class TestWorkersEnv:
         monkeypatch.delenv(WORKERS_ENV)
         assert resolve_workers(None) == 1
         assert capsys.readouterr().err == ""
+
+
+#: Each built-in runner's smallest point: (registered sweep, its
+#: arguments, the point key).
+CODEC_CASES = {
+    "gemm": ("access-modes", {"size": 16}, "DC"),
+    "vit": ("ext-cxl-vit", {}, "vit_devmem_pcie"),
+    "multigemm": ("topo-contention", {"size": 32}, 1),
+    "peer": ("topo-p2p", {"sizes": (4096,)}, ("p2p", 4096)),
+    "resilience": ("resilience-error-rate",
+                   {"size_bytes": 4096, "transfers": 2}, 0.0),
+}
+
+
+class TestRecordCodec:
+    """Every runner's cache record is its result dataclass's fields."""
+
+    def test_every_builtin_runner_is_covered(self):
+        for name in LAZY_RUNNER_MODULES:
+            resolve_runner(name)
+        builtins = {name for name, runner in RUNNERS.items()
+                    if runner.run.__module__.startswith("repro.")}
+        assert builtins == set(CODEC_CASES)
+
+    @pytest.mark.parametrize("runner_name", sorted(CODEC_CASES))
+    def test_record_is_the_result_fields(self, runner_name):
+        sweep, kwargs, key = CODEC_CASES[runner_name]
+        spec = build_sweep(sweep, **kwargs)
+        assert spec.runner == runner_name
+        point = next(p for p in spec.points if p.key == key)
+        runner = resolve_runner(runner_name)
+        result = runner.run(point.config, **point.params)
+        assert isinstance(result, runner.result)
+        record = runner.encode(result)
+        assert set(record) == set(record_fields(runner.result))
+        json.dumps(record, sort_keys=True)
+        if hasattr(result, "c_matrix"):
+            result = dataclasses.replace(result, c_matrix=None)
+        assert runner.decode(record) == result
+        assert runner.decode(json.loads(json.dumps(record))) == result
+
+    def test_functional_gemm_record_has_no_c_matrix(self):
+        result = run_gemm(SystemConfig.table2_baseline(), 16, 16, 16,
+                          functional=True)
+        assert result.c_matrix is not None
+        record = resolve_runner("gemm").encode(result)
+        assert "c_matrix" not in record
+        assert resolve_runner("gemm").decode(record).c_matrix is None

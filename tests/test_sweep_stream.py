@@ -11,6 +11,9 @@ hood); these tests pin the contract:
 * the ``progress`` callback counts points across the whole batch.
 """
 
+from dataclasses import dataclass
+from types import SimpleNamespace
+
 import pytest
 
 from repro import SystemConfig
@@ -195,14 +198,19 @@ class TestDecodeErrorsPropagate:
         while silently dropping the outcome from the report."""
         from repro.sweep import register_runner
 
+        @dataclass
+        class ExplodingResult:
+            m: int
+
+            def __post_init__(self):
+                raise KeyError("decode exploded")
+
         def run_point(config, **params):
-            return {"m": params.get("m", 0)}
+            # Encoding reads the record fields off any object; only
+            # rebuilding an ExplodingResult from the record raises.
+            return SimpleNamespace(m=params.get("m", 0))
 
-        def bad_decode(record):
-            raise KeyError("decode exploded")
-
-        register_runner("bad-decode", run_point,
-                        encode=lambda r: r, decode=bad_decode)
+        register_runner("bad-decode", run_point, ExplodingResult)
         try:
             base = SystemConfig.table2_baseline()
             points = [SweepPoint(key=i, config=base, params={"m": i})

@@ -27,7 +27,7 @@ import asyncio
 import json
 import threading
 from typing import Dict, Optional, Tuple
-from urllib.parse import parse_qs, unquote, urlsplit
+from urllib.parse import parse_qs, urlsplit
 
 from repro.serve.service import (
     BadRequestError,
@@ -97,6 +97,8 @@ async def _read_request(
             n = int(length)
         except ValueError:
             raise _HttpError(400, "non-integer Content-Length") from None
+        if n < 0:
+            raise _HttpError(400, "negative Content-Length")
         if n > MAX_BODY_BYTES:
             raise _HttpError(413, "request body too large")
         if n:
@@ -226,13 +228,10 @@ class ReproServer:
                 if method == "POST":
                     payload = _parse_body(body)
                 elif method == "GET":
+                    # parse_qs already percent-decodes each value.
                     params = parse_qs(query)
-                    payload = {
-                        "sweep": unquote(params["sweep"][0])
-                        if "sweep" in params else None,
-                        "key": unquote(params["key"][0])
-                        if "key" in params else None,
-                    }
+                    payload = {name: params[name][0] if name in params
+                               else None for name in ("sweep", "key")}
                 else:
                     return (405, _json_bytes(
                         {"error": "use GET or POST on /query"}),

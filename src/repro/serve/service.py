@@ -25,12 +25,18 @@ service *pins* at construction what batch runs re-derive per process:
 the resolved cache directory (``$REPRO_SWEEP_CACHE_DIR`` is read once,
 a mid-flight env change cannot split the cache) and the
 :func:`~repro.sweep.cache.code_version` digest.  Both are exposed in
-``/healthz``; before every fill batch the digest is recomputed from
+``/healthz``; before every fill batch the digest is checked against
 disk (:func:`~repro.sweep.cache.fresh_code_version`) and a mismatch --
 someone edited the source tree under a running server -- refuses the
 fill with :class:`StaleCodeError` rather than serving records that are
 no longer reproducible by this tree.  Cached entries keep serving:
-they are still bit-identical to what the pinned tree computed.
+they are still bit-identical to what the pinned tree computed.  The
+check is a stat fingerprint (every source file's size and mtime, every
+source directory's mtime; the startup pin seeds it), so an unchanged
+tree costs ~115 ``stat`` calls, not a re-hash.  Its blind spot: an edit
+that keeps both a file's size and its ``mtime_ns`` (within one coarse
+kernel timestamp tick, or by a tool that restores mtimes) is missed
+until restart.
 
 Threading model: all service state is touched only from the event
 loop.  Fill batches run in a worker thread (``asyncio.to_thread``)

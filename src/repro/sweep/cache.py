@@ -5,7 +5,10 @@ identity: the runner name, the full canonical :class:`SystemConfig`, the
 workload parameters, and a *code version* fingerprint (a digest over the
 ``repro`` package sources).  Changing any configuration field, workload
 parameter, or simulator source line therefore changes the key and forces
-a re-simulation; nothing is ever served stale.
+a re-simulation; nothing is ever served stale.  A long-running server
+re-checks the digest against the tree on disk through a stat
+fingerprint (:class:`SourceDigest`), re-reading sources only when a
+file's size or mtime, or a directory's mtime, moved.
 
 The cache directory defaults to ``$REPRO_SWEEP_CACHE_DIR`` or
 ``~/.cache/repro/sweeps``.  Writes go through a temp file + ``os.replace``
@@ -49,25 +52,87 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "sweeps"
 
 
+class SourceDigest:
+    """The source digest of one package tree, re-hashed only on change.
+
+    A full hash reads every ``*.py`` file under ``root`` (default: the
+    ``repro`` package).  Before reading, it takes a *stat fingerprint*:
+    each file's ``(st_size, st_mtime_ns)`` and the ``st_mtime_ns`` of
+    every directory holding one, plus ``root``.  Adding, deleting or
+    renaming a file moves its directory's mtime; an ordinary edit moves
+    the file's.  :meth:`digest` re-stats those paths and returns the
+    remembered digest while the fingerprint holds; on any change, or
+    when a path is gone (``OSError``), it re-hashes in full.
+
+    Blind spot: an edit that keeps both a file's size and its
+    ``mtime_ns`` leaves the old digest in place until some other change
+    moves the fingerprint -- one landing within a single coarse kernel
+    timestamp tick of the last hash, or made by a tool that restores
+    mtimes.
+    """
+
+    def __init__(self, root: Optional[os.PathLike] = None) -> None:
+        self.root = (Path(root).resolve() if root is not None
+                     else Path(repro.__file__).resolve().parent)
+        #: ((files, dirs), fingerprint, digest) of the last full hash.
+        self._last: Optional[tuple] = None
+
+    @staticmethod
+    def _fingerprint(files, dirs) -> tuple:
+        return (tuple((st.st_size, st.st_mtime_ns)
+                      for st in map(os.stat, files)),
+                tuple(os.stat(path).st_mtime_ns for path in dirs))
+
+    def digest(self) -> str:
+        """The tree's digest, re-hashed only if its fingerprint moved."""
+        # One read: a concurrent re-hash replaces the whole tuple, so a
+        # racing caller at worst hashes the tree twice.
+        last = self._last
+        if last is not None:
+            stat_paths, fingerprint, digest = last
+            try:
+                if self._fingerprint(*stat_paths) == fingerprint:
+                    return digest
+            except OSError:
+                pass  # a file or directory went away: re-hash
+        return self._rehash()
+
+    def _rehash(self) -> str:
+        files = sorted(self.root.rglob("*.py"))
+        dirs = sorted({path.parent for path in files} | {self.root})
+        stat_paths = (tuple(map(str, files)), tuple(map(str, dirs)))
+        # Stat before reading: an edit racing the read then leaves a
+        # stale fingerprint, which forces the next call to re-hash.
+        fingerprint = self._fingerprint(*stat_paths)
+        digest = hashlib.sha256()
+        digest.update(getattr(repro, "__version__", "0").encode("utf-8"))
+        for path in files:
+            digest.update(str(path.relative_to(self.root)).encode("utf-8"))
+            digest.update(path.read_bytes())
+        hexdigest = digest.hexdigest()
+        self._last = (stat_paths, fingerprint, hexdigest)
+        return hexdigest
+
+
+#: The ``repro`` tree behind :func:`code_version` and
+#: :func:`fresh_code_version`.
+_REPRO_SOURCES = SourceDigest()
+
+
 @functools.lru_cache(maxsize=1)
 def code_version() -> str:
     """Digest of every ``repro`` source file (plus the package version).
 
     Computed once per process; any edit to the simulator invalidates all
     cached results, which keeps "cached" synonymous with "bit-identical
-    to a fresh run of this tree".
+    to a fresh run of this tree".  The first call also seeds the stat
+    fingerprint :func:`fresh_code_version` checks against.
     """
-    digest = hashlib.sha256()
-    digest.update(getattr(repro, "__version__", "0").encode("utf-8"))
-    package_root = Path(repro.__file__).resolve().parent
-    for path in sorted(package_root.rglob("*.py")):
-        digest.update(str(path.relative_to(package_root)).encode("utf-8"))
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
+    return _REPRO_SOURCES.digest()
 
 
 def fresh_code_version() -> str:
-    """Recompute the source digest from disk, bypassing the process memo.
+    """The source digest of the tree on disk now, bypassing the memo.
 
     :func:`code_version` is cached for the life of the process, which is
     exactly right for batch sweeps (the code cannot change under a
@@ -76,8 +141,13 @@ def fresh_code_version() -> str:
     digest.  The result server pins :func:`code_version` at startup and
     calls this before every fill run, refusing to simulate when the
     tree on disk no longer matches the pin (docs/SERVING.md).
+
+    This stats the ~115 source files and directories rather than
+    reading them: the digest is recomputed only when the
+    :class:`SourceDigest` stat fingerprint moved, with its blind spot
+    (an edit keeping both size and ``mtime_ns``).
     """
-    return code_version.__wrapped__()
+    return _REPRO_SOURCES.digest()
 
 
 def _runner_fingerprint(runner) -> str:

@@ -149,6 +149,32 @@ class TestQueryPath:
         assert status == 400
         assert b"args" in data
 
+    def test_negative_content_length_is_400(self, server):
+        # http.client refuses to send this header, so speak raw HTTP.
+        import socket
+
+        with socket.create_connection((server.host, server.port),
+                                      timeout=30) as sock:
+            sock.sendall(b"POST /query HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Length: -5\r\n\r\n")
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"negative Content-Length" in reply
+
+    def test_get_and_post_decode_a_percent_key_alike(self, server):
+        from urllib.parse import quote
+
+        # A literal '%' must survive one round of percent-decoding.
+        key = "(64, '%41')"
+        status, data = request(
+            server, "GET", f"/query?sweep={SWEEP}&key={quote(key)}")
+        post_status, post_payload = query(server, key)
+        assert status == post_status == 404
+        assert json.loads(data) == post_payload
+        assert repr(key) in post_payload["error"]
+
     def test_stale_domains_arg_is_400(self, server):
         # An argument the sweep factory does not take is a client error:
         # the reply names it instead of surfacing a 500.

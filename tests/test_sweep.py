@@ -6,6 +6,7 @@ Covers:
 * on-disk cache hit/miss accounting and replay fidelity,
 * cache invalidation when any configuration field changes,
 * SystemConfig.stable_hash / canonical serialization,
+* the source digest's stat fingerprint (re-hash exactly on change),
 * regressions for run_until_idle, ViT op-tick accounting, and the
   dataclasses.replace-based config copies.
 """
@@ -635,3 +636,111 @@ class TestRecordCodec:
         record = resolve_runner("gemm").encode(result)
         assert "c_matrix" not in record
         assert resolve_runner("gemm").decode(record).c_matrix is None
+
+
+def _full_hash(root: Path) -> str:
+    """The digest loop ``code_version`` ran before the stat fingerprint."""
+    import hashlib
+
+    import repro
+
+    digest = hashlib.sha256()
+    digest.update(getattr(repro, "__version__", "0").encode("utf-8"))
+    for path in sorted(root.rglob("*.py")):
+        digest.update(str(path.relative_to(root)).encode("utf-8"))
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+class TestSourceDigest:
+    """The stat fingerprint re-hashes exactly when the tree moved."""
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        root = tmp_path / "pkg"
+        (root / "sub").mkdir(parents=True)
+        for name, text in {"__init__.py": "VERSION = 1\n",
+                           "a.py": "A = 'alpha'\n",
+                           "notes.txt": "not source\n",
+                           "sub/__init__.py": "",
+                           "sub/b.py": "B = 'beta'\n"}.items():
+            (root / name).write_text(text)
+        # Backdate the tree an hour: a later edit then gets an mtime no
+        # coarse timestamp tick can merge with the fingerprinted one.
+        past = os.stat(root).st_mtime_ns - 3600 * 10**9
+        for path in (root / "a.py", root / "__init__.py", root / "sub/b.py",
+                     root / "sub/__init__.py", root / "sub", root):
+            os.utime(path, ns=(past, past))
+        return root
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        counted = []
+        read_bytes = Path.read_bytes
+
+        def counting(path):
+            counted.append(path)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        return counted
+
+    def test_unchanged_tree_reads_no_file(self, tree, reads):
+        from repro.sweep.cache import SourceDigest
+
+        source = SourceDigest(tree)
+        first = source.digest()
+        assert len(reads) == 4
+        reads.clear()
+        assert source.digest() == first
+        assert source.digest() == first
+        assert reads == []
+
+    def test_digest_equals_the_full_hash_loop(self, tree):
+        from repro.sweep.cache import SourceDigest, code_version
+
+        assert SourceDigest(tree).digest() == _full_hash(tree)
+        # Read-only check of the real package: the pin did not move.
+        assert code_version() == _full_hash(SourceDigest().root)
+
+    def test_same_size_edit_with_new_mtime_rehashes(self, tree, reads):
+        from repro.sweep.cache import SourceDigest
+
+        source = SourceDigest(tree)
+        before = source.digest()
+        path = tree / "a.py"
+        mtime = os.stat(path).st_mtime_ns
+        path.write_text("A = 'gamma'\n")
+        os.utime(path, ns=(mtime + 10**9, mtime + 10**9))
+        reads.clear()
+        after = source.digest()
+        assert reads, "an edit with a new mtime must re-read the tree"
+        assert after != before
+        assert after == _full_hash(tree)
+
+    def test_adding_a_file_changes_the_digest(self, tree):
+        from repro.sweep.cache import SourceDigest
+
+        source = SourceDigest(tree)
+        before = source.digest()
+        (tree / "sub" / "c.py").write_text("C = 'new'\n")
+        after = source.digest()
+        assert after != before
+        assert after == _full_hash(tree)
+
+    @pytest.mark.parametrize("change", ["delete", "rename"])
+    def test_deleting_or_renaming_a_file_changes_the_digest(
+        self, tree, change
+    ):
+        from repro.sweep.cache import SourceDigest
+
+        source = SourceDigest(tree)
+        before = source.digest()
+        path = tree / "sub" / "b.py"
+        if change == "delete":
+            path.unlink()
+        else:
+            path.rename(tree / "sub" / "b2.py")
+        after = source.digest()
+        assert after != before
+        assert after == _full_hash(tree)

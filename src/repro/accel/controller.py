@@ -16,6 +16,7 @@ a row of output tiles -- an ablation knob for the design-choice study.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -126,126 +127,9 @@ class AcceleratorController(SimObject):
             raise RuntimeError(f"{self.name}: a job is already running")
         self._busy = True
 
-        tile = self.systolic.params.rows
-        tiles_m = -(-job.m // tile)
-        tiles_n = -(-job.n // tile)
-        ntiles = tiles_m * tiles_n
-        eb = job.element_bytes
-        a_panel_bytes = tile * job.k * eb
-        b_panel_bytes = job.k * tile * eb
-        c_tile_bytes = tile * tile * eb
-
         if job.functional:
             job.c_result = np.zeros((job.m, job.n), dtype=np.int32)
-
-        state = {
-            "next_fetch": 0,
-            "next_compute": 0,
-            "ready": set(),
-            "writebacks": 0,
-            "fetched_a_row": -1,
-            "start": self.now,
-            "compute_done": 0,
-            "last_data_wait": self.now,
-        }
-
-        def tile_coords(index: int) -> tuple:
-            return index // tiles_n, index % tiles_n
-
-        def issue_prefetches() -> None:
-            while (
-                state["next_fetch"] < ntiles
-                and state["next_fetch"] - state["next_compute"] < self.prefetch_depth
-            ):
-                index = state["next_fetch"]
-                i, j = tile_coords(index)
-                fetch_a = not (self.reuse_a_panels and i == state["fetched_a_row"])
-                need = b_panel_bytes + (a_panel_bytes if fetch_a else 0)
-                try:
-                    self.local_buffer.alloc(f"tile{index}", need)
-                except BufferFullError:
-                    return  # retry after a tile frees its panels
-                state["next_fetch"] = index + 1
-                if fetch_a:
-                    state["fetched_a_row"] = i
-                descriptors: List[DMADescriptor] = []
-                if fetch_a:
-                    descriptors.append(
-                        DMADescriptor(
-                            job.a_addr + i * a_panel_bytes,
-                            a_panel_bytes,
-                            DMADirection.HOST_TO_DEVICE,
-                            stream="A",
-                            packet_size=job.packet_size,
-                        )
-                    )
-                descriptors.append(
-                    DMADescriptor(
-                        job.b_addr + j * b_panel_bytes,
-                        b_panel_bytes,
-                        DMADirection.HOST_TO_DEVICE,
-                        stream="B",
-                        packet_size=job.packet_size,
-                    )
-                )
-                self.dma.submit_list(
-                    descriptors, lambda idx=index: data_arrived(idx)
-                )
-
-        def data_arrived(index: int) -> None:
-            state["ready"].add(index)
-            start_computes()
-
-        def start_computes() -> None:
-            while state["next_compute"] < ntiles and state[
-                "next_compute"
-            ] in state["ready"]:
-                index = state["next_compute"]
-                state["next_compute"] = index + 1
-                self.systolic.compute_tile(
-                    job.k, lambda idx=index: tile_computed(idx)
-                )
-
-        def tile_computed(index: int) -> None:
-            i, j = tile_coords(index)
-            self.local_buffer.free(f"tile{index}")
-            self._tiles.inc()
-            if job.functional:
-                self._compute_tile_result(job, i, j, tile)
-            state["writebacks"] += 1
-            writeback = DMADescriptor(
-                job.c_addr + index * c_tile_bytes,
-                c_tile_bytes,
-                DMADirection.DEVICE_TO_HOST,
-                stream="C",
-                packet_size=job.packet_size,
-            )
-            self.dma.submit(writeback, lambda _d, idx=index: writeback_done(idx))
-            state["compute_done"] += 1
-            issue_prefetches()
-
-        def writeback_done(_index: int) -> None:
-            state["writebacks"] -= 1
-            maybe_finish()
-
-        def maybe_finish() -> None:
-            if state["compute_done"] == ntiles and state["writebacks"] == 0:
-                self._busy = False
-                self._jobs.inc()
-                self._stall_ticks.set(self.systolic.stats["idle_ticks"].value)
-                stats = {
-                    "ticks": self.now - state["start"],
-                    "tiles": ntiles,
-                    "bytes_read": job.traffic_bytes(
-                        tile, self.reuse_a_panels
-                    ),
-                    "bytes_written": ntiles * c_tile_bytes,
-                    "compute_busy_ticks": self.systolic.stats["busy_ticks"].value,
-                    "stall_ticks": self.systolic.stats["idle_ticks"].value,
-                }
-                on_done(job, stats)
-
-        issue_prefetches()
+        _Launch(self, job, on_done).issue_prefetches()
 
     # ------------------------------------------------------------------
     # Functional model
@@ -261,3 +145,136 @@ class AcceleratorController(SimObject):
     @property
     def busy(self) -> bool:
         return self._busy
+
+
+class _Launch:
+    """One running :meth:`AcceleratorController.launch`.
+
+    The DMA engine and the systolic array call this object's methods
+    back and it holds no reference to their queues or events, so it is
+    freed by reference counting once the job retires (docs/PERFORMANCE.md,
+    "Garbage collection").
+    """
+
+    __slots__ = (
+        "ctrl", "job", "on_done", "tile", "tiles_n", "ntiles",
+        "a_panel_bytes", "b_panel_bytes", "c_tile_bytes", "next_fetch",
+        "next_compute", "ready", "writebacks", "fetched_a_row", "start",
+        "compute_done",
+    )
+
+    def __init__(self, ctrl: AcceleratorController, job: GemmJob,
+                 on_done: JobDoneFn) -> None:
+        self.ctrl = ctrl
+        self.job = job
+        self.on_done = on_done
+        tile = self.tile = ctrl.systolic.params.rows
+        tiles_m = -(-job.m // tile)
+        self.tiles_n = -(-job.n // tile)
+        self.ntiles = tiles_m * self.tiles_n
+        eb = job.element_bytes
+        self.a_panel_bytes = tile * job.k * eb
+        self.b_panel_bytes = job.k * tile * eb
+        self.c_tile_bytes = tile * tile * eb
+        self.next_fetch = 0
+        self.next_compute = 0
+        self.ready = set()
+        self.writebacks = 0
+        self.fetched_a_row = -1
+        self.start = ctrl.now
+        self.compute_done = 0
+
+    def issue_prefetches(self) -> None:
+        ctrl = self.ctrl
+        job = self.job
+        while (
+            self.next_fetch < self.ntiles
+            and self.next_fetch - self.next_compute < ctrl.prefetch_depth
+        ):
+            index = self.next_fetch
+            i, j = divmod(index, self.tiles_n)
+            fetch_a = not (ctrl.reuse_a_panels and i == self.fetched_a_row)
+            need = self.b_panel_bytes + (self.a_panel_bytes if fetch_a else 0)
+            try:
+                ctrl.local_buffer.alloc(f"tile{index}", need)
+            except BufferFullError:
+                return  # retry after a tile frees its panels
+            self.next_fetch = index + 1
+            if fetch_a:
+                self.fetched_a_row = i
+            descriptors: List[DMADescriptor] = []
+            if fetch_a:
+                descriptors.append(
+                    DMADescriptor(
+                        job.a_addr + i * self.a_panel_bytes,
+                        self.a_panel_bytes,
+                        DMADirection.HOST_TO_DEVICE,
+                        stream="A",
+                        packet_size=job.packet_size,
+                    )
+                )
+            descriptors.append(
+                DMADescriptor(
+                    job.b_addr + j * self.b_panel_bytes,
+                    self.b_panel_bytes,
+                    DMADirection.HOST_TO_DEVICE,
+                    stream="B",
+                    packet_size=job.packet_size,
+                )
+            )
+            ctrl.dma.submit_list(descriptors, partial(self.data_arrived, index))
+
+    def data_arrived(self, index: int) -> None:
+        self.ready.add(index)
+        self.start_computes()
+
+    def start_computes(self) -> None:
+        while self.next_compute < self.ntiles and self.next_compute in self.ready:
+            index = self.next_compute
+            self.next_compute = index + 1
+            self.ctrl.systolic.compute_tile(
+                self.job.k, partial(self.tile_computed, index)
+            )
+
+    def tile_computed(self, index: int) -> None:
+        ctrl = self.ctrl
+        job = self.job
+        i, j = divmod(index, self.tiles_n)
+        ctrl.local_buffer.free(f"tile{index}")
+        ctrl._tiles.inc()
+        if job.functional:
+            ctrl._compute_tile_result(job, i, j, self.tile)
+        self.writebacks += 1
+        writeback = DMADescriptor(
+            job.c_addr + index * self.c_tile_bytes,
+            self.c_tile_bytes,
+            DMADirection.DEVICE_TO_HOST,
+            stream="C",
+            packet_size=job.packet_size,
+        )
+        ctrl.dma.submit(writeback, self.writeback_done)
+        self.compute_done += 1
+        self.issue_prefetches()
+
+    def writeback_done(self, _descriptor: DMADescriptor) -> None:
+        self.writebacks -= 1
+        if self.compute_done == self.ntiles and self.writebacks == 0:
+            self.finish()
+
+    def finish(self) -> None:
+        ctrl = self.ctrl
+        systolic_stats = ctrl.systolic.stats
+        ctrl._busy = False
+        ctrl._jobs.inc()
+        ctrl._stall_ticks.set(systolic_stats["idle_ticks"].value)
+        stats = {
+            "ticks": ctrl.now - self.start,
+            "tiles": self.ntiles,
+            "bytes_read": self.job.traffic_bytes(
+                self.tile, ctrl.reuse_a_panels
+            ),
+            "bytes_written": self.ntiles * self.c_tile_bytes,
+            "compute_busy_ticks": systolic_stats["busy_ticks"].value,
+            "stall_ticks": systolic_stats["idle_ticks"].value,
+        }
+        self.on_done(self.job, stats)

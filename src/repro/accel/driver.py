@@ -18,6 +18,7 @@ This is the "Kernel Driver Support" row of the paper's Table I.
 from __future__ import annotations
 
 import struct
+from functools import partial
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -274,19 +275,22 @@ class AccelDriver(SimObject):
             (REG_DOORBELL, self._u32(1)),  # must be last
         ]
 
-        def issue(index: int) -> None:
-            if index >= len(writes):
-                return
-            offset, payload = writes[index]
-            txn = Transaction.write(
-                bar0_base + offset, len(payload), payload, source="cpu.driver"
-            )
-            self._mmio_writes.inc()
-            self.fabric.host_access(
-                txn, self.wrapper.regs, lambda _t: issue(index + 1)
-            )
+        self._issue_writes(writes, bar0_base, 0)
 
-        issue(0)
+    def _issue_writes(self, writes, bar0_base: int, index: int,
+                      _txn: Optional[Transaction] = None) -> None:
+        """Post ``writes[index]``; its completion posts the next one."""
+        if index >= len(writes):
+            return
+        offset, payload = writes[index]
+        txn = Transaction.write(
+            bar0_base + offset, len(payload), payload, source="cpu.driver"
+        )
+        self._mmio_writes.inc()
+        self.fabric.host_access(
+            txn, self.wrapper.regs,
+            partial(self._issue_writes, writes, bar0_base, index + 1),
+        )
 
     def _on_msi(self, job: GemmJob, stats: Dict) -> None:
         callback = self._completion_cb

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -562,122 +563,140 @@ class ViTRunner(WorkloadRunner):
         graph = build_vit_graph(vit_config)
         placement = _place_tensors(system, graph)
 
-        gemm_memo: Dict[Tuple, int] = {}
-        nongemm_memo: Dict[Tuple, int] = {}
         result = ViTResult(
             config_name=config.name,
             model_name=vit_config.name,
             total_ticks=0, gemm_ticks=0, nongemm_ticks=0,
         )
-        state = {"index": 0, "op_start": 0}
-        ops = graph.ops
-
-        def next_op() -> None:
-            if state["index"] >= len(ops):
-                return
-            op = ops[state["index"]]
-            state["index"] += 1
-            state["op_start"] = system.now
-            if isinstance(op, GemmOp):
-                run_gemm_op(op)
-            else:
-                run_nongemm_op(op)
-
-        def account(op, elapsed: int) -> None:
-            # Ops may share a name (e.g. graphs built outside
-            # build_vit_graph); accumulate rather than overwrite so totals
-            # stay consistent.
-            result.op_ticks[op.name] = (
-                result.op_ticks.get(op.name, 0) + elapsed
-            )
-            if isinstance(op, GemmOp):
-                result.gemm_ticks += elapsed
-            else:
-                result.nongemm_ticks += elapsed
-
-        def run_gemm_op(op: GemmOp) -> None:
-            # The replayed latency depends on every knob that shapes a
-            # launch: the shape, the on-wire packet size, and the DMA
-            # read-request granularity (Fig. 7 overrides the segment size
-            # per point, so it must key the memo).
-            key = (
-                "gemm", op.m, op.k, op.n,
-                config.packet_size, config.dma_segment_bytes,
-            )
-            if memoize and key in gemm_memo:
-                result.memo_hits += 1
-                elapsed = gemm_memo[key] * op.batch
-                account(op, elapsed)
-                system.sim.schedule(elapsed, next_op)
-                return
-
-            a_ref = op.inputs[0]
-            b_ref = op.inputs[1] if len(op.inputs) > 1 else op.inputs[0]
-            c_ref = op.outputs[0]
-
-            def complete(_job, _stats) -> None:
-                elapsed = system.now - state["op_start"]
-                gemm_memo[key] = elapsed
-                remaining = (op.batch - 1) * elapsed
-                account(op, elapsed * op.batch)
-                system.sim.schedule(remaining, next_op)
-
-            system.driver.launch_gemm(
-                op.m, op.k, op.n,
-                placement[a_ref]["dev"],
-                placement[b_ref]["dev"],
-                placement[c_ref]["dev"],
-                complete,
-                packet_size=config.packet_size,
-            )
-
-        def run_nongemm_op(op: NonGemmOp) -> None:
-            # Shape key only: same operator over same element count
-            # behaves identically regardless of which layer's tensors it
-            # touches.
-            key = (
-                "nongemm", op.op_type, op.elements,
-                len(op.inputs), len(op.outputs),
-            )
-            if memoize and key in nongemm_memo:
-                result.memo_hits += 1
-                elapsed = nongemm_memo[key]
-                account(op, elapsed)
-                system.sim.schedule(elapsed, next_op)
-                return
-            kernel = kernel_for_op(
-                op.op_type,
-                op.elements,
-                [
-                    (placement[ref]["cpu"], graph.tensors[ref])
-                    for ref in op.inputs
-                ],
-                [
-                    (placement[ref]["cpu"], graph.tensors[ref])
-                    for ref in op.outputs
-                ],
-            )
-
-            def complete(elapsed: int) -> None:
-                nongemm_memo[key] = elapsed
-                account(op, elapsed)
-                system.sim.schedule(0, next_op)
-
-            system.cpu.run_kernel(
-                kernel.streams, kernel.compute_cycles, complete
-            )
-
-        next_op()
+        playback = _ViTPlayback(system, graph, placement, result, memoize)
+        playback.next_op()
         system.run()
-        if state["index"] < len(ops):
+        if playback.index < len(graph.ops):
             raise RuntimeError(
-                f"ViT run stalled at op {state['index']}/{len(ops)}"
+                f"ViT run stalled at op {playback.index}/{len(graph.ops)}"
             )
         result.total_ticks = system.now
         assert sum(result.op_ticks.values()) == (
             result.gemm_ticks + result.nongemm_ticks
         ), "per-op tick accounting drifted from the GEMM/non-GEMM totals"
         return result
+
+
+class _ViTPlayback:
+    """Plays a ViT op graph through one system, one op at a time.
+
+    The driver, the CPU and the event queue call this object's methods
+    back and it holds no reference to them, so a finished run is freed
+    by reference counting (docs/PERFORMANCE.md, "Garbage collection").
+    """
+
+    __slots__ = ("system", "config", "graph", "placement", "result",
+                 "memoize", "gemm_memo", "nongemm_memo", "index", "op_start")
+
+    def __init__(self, system: AcceSysSystem, graph, placement,
+                 result: ViTResult, memoize: bool) -> None:
+        self.system = system
+        self.config = system.config
+        self.graph = graph
+        self.placement = placement
+        self.result = result
+        self.memoize = memoize
+        self.gemm_memo: Dict[Tuple, int] = {}
+        self.nongemm_memo: Dict[Tuple, int] = {}
+        self.index = 0
+        self.op_start = 0
+
+    def next_op(self) -> None:
+        ops = self.graph.ops
+        if self.index >= len(ops):
+            return
+        op = ops[self.index]
+        self.index += 1
+        self.op_start = self.system.now
+        if isinstance(op, GemmOp):
+            self.run_gemm_op(op)
+        else:
+            self.run_nongemm_op(op)
+
+    def account(self, op, elapsed: int) -> None:
+        # Ops may share a name (e.g. graphs built outside
+        # build_vit_graph); accumulate rather than overwrite so totals
+        # stay consistent.
+        result = self.result
+        result.op_ticks[op.name] = result.op_ticks.get(op.name, 0) + elapsed
+        if isinstance(op, GemmOp):
+            result.gemm_ticks += elapsed
+        else:
+            result.nongemm_ticks += elapsed
+
+    def run_gemm_op(self, op: GemmOp) -> None:
+        # The replayed latency depends on every knob that shapes a
+        # launch: the shape, the on-wire packet size, and the DMA
+        # read-request granularity (Fig. 7 overrides the segment size
+        # per point, so it must key the memo).
+        config = self.config
+        key = (
+            "gemm", op.m, op.k, op.n,
+            config.packet_size, config.dma_segment_bytes,
+        )
+        if self.memoize and key in self.gemm_memo:
+            self.result.memo_hits += 1
+            elapsed = self.gemm_memo[key] * op.batch
+            self.account(op, elapsed)
+            self.system.sim.schedule(elapsed, self.next_op)
+            return
+
+        a_ref = op.inputs[0]
+        b_ref = op.inputs[1] if len(op.inputs) > 1 else op.inputs[0]
+        c_ref = op.outputs[0]
+        placement = self.placement
+        self.system.driver.launch_gemm(
+            op.m, op.k, op.n,
+            placement[a_ref]["dev"],
+            placement[b_ref]["dev"],
+            placement[c_ref]["dev"],
+            partial(self.gemm_done, op, key),
+            packet_size=config.packet_size,
+        )
+
+    def gemm_done(self, op: GemmOp, key: Tuple, _job, _stats) -> None:
+        elapsed = self.system.now - self.op_start
+        self.gemm_memo[key] = elapsed
+        remaining = (op.batch - 1) * elapsed
+        self.account(op, elapsed * op.batch)
+        self.system.sim.schedule(remaining, self.next_op)
+
+    def run_nongemm_op(self, op: NonGemmOp) -> None:
+        # Shape key only: same operator over same element count
+        # behaves identically regardless of which layer's tensors it
+        # touches.
+        key = (
+            "nongemm", op.op_type, op.elements,
+            len(op.inputs), len(op.outputs),
+        )
+        if self.memoize and key in self.nongemm_memo:
+            self.result.memo_hits += 1
+            elapsed = self.nongemm_memo[key]
+            self.account(op, elapsed)
+            self.system.sim.schedule(elapsed, self.next_op)
+            return
+        placement = self.placement
+        tensors = self.graph.tensors
+        kernel = kernel_for_op(
+            op.op_type,
+            op.elements,
+            [(placement[ref]["cpu"], tensors[ref]) for ref in op.inputs],
+            [(placement[ref]["cpu"], tensors[ref]) for ref in op.outputs],
+        )
+        self.system.cpu.run_kernel(
+            kernel.streams, kernel.compute_cycles,
+            partial(self.nongemm_done, op, key),
+        )
+
+    def nongemm_done(self, op: NonGemmOp, key: Tuple, elapsed: int) -> None:
+        self.nongemm_memo[key] = elapsed
+        self.account(op, elapsed)
+        self.system.sim.schedule(0, self.next_op)
 
 
 def run_vit(

@@ -89,45 +89,6 @@ class TimingCPU(ClockedObject):
         segments = self._segment(streams)
         compute_ticks = compute_cycles * self.clock_period
         self._compute_ticks.inc(compute_ticks)
-        state = {
-            "next": 0,
-            "outstanding": 0,
-            "mem_done_at": start,
-        }
-
-        def issue() -> None:
-            while (
-                state["next"] < len(segments)
-                and state["outstanding"] < self.mlp_window
-            ):
-                addr, size, is_read = segments[state["next"]]
-                state["next"] += 1
-                state["outstanding"] += 1
-                cmd = MemCmd.READ if is_read else MemCmd.WRITE
-                txn = Transaction(cmd, addr, size, source=self.name)
-                self._mem_bytes.inc(size)
-                self.mem_port.send(txn, segment_done)
-
-        def segment_done(_txn: Transaction) -> None:
-            state["outstanding"] -= 1
-            state["mem_done_at"] = max(state["mem_done_at"], self.now)
-            if state["next"] < len(segments):
-                issue()
-            elif state["outstanding"] == 0:
-                finish()
-
-        def finish() -> None:
-            mem_ticks = state["mem_done_at"] - start
-            total = max(mem_ticks, compute_ticks)
-            if mem_ticks > compute_ticks:
-                self._mem_stall_ticks.inc(mem_ticks - compute_ticks)
-            done_at = start + total
-
-            def retire() -> None:
-                self._busy = False
-                on_done(done_at - start)
-
-            self.schedule_at(max(done_at, self.now), retire)
 
         if not segments:
             # Pure-compute kernel.
@@ -137,7 +98,7 @@ class TimingCPU(ClockedObject):
 
             self.schedule(compute_ticks, retire_compute)
             return
-        issue()
+        _Kernel(self, segments, start, compute_ticks, on_done).issue()
 
     def _segment(self, streams: List[StreamRef]) -> List[Tuple[int, int, bool]]:
         """Cut tensors into interleaved issue-order segments."""
@@ -165,3 +126,62 @@ class TimingCPU(ClockedObject):
     @property
     def busy(self) -> bool:
         return self._busy
+
+
+class _Kernel:
+    """One running :meth:`TimingCPU.run_kernel` with memory traffic.
+
+    The memory port and the event queue call this object's methods back
+    and it holds no reference to either, so it is freed by reference
+    counting once the kernel retires (docs/PERFORMANCE.md, "Garbage
+    collection").
+    """
+
+    __slots__ = ("cpu", "segments", "next", "outstanding", "mem_done_at",
+                 "start", "compute_ticks", "on_done", "done_at")
+
+    def __init__(self, cpu: TimingCPU, segments: List[Tuple[int, int, bool]],
+                 start: int, compute_ticks: int,
+                 on_done: Callable[[int], None]) -> None:
+        self.cpu = cpu
+        self.segments = segments
+        self.next = 0
+        self.outstanding = 0
+        self.mem_done_at = start
+        self.start = start
+        self.compute_ticks = compute_ticks
+        self.on_done = on_done
+        self.done_at = start
+
+    def issue(self) -> None:
+        cpu = self.cpu
+        segments = self.segments
+        while self.next < len(segments) and self.outstanding < cpu.mlp_window:
+            addr, size, is_read = segments[self.next]
+            self.next += 1
+            self.outstanding += 1
+            cmd = MemCmd.READ if is_read else MemCmd.WRITE
+            txn = Transaction(cmd, addr, size, source=cpu.name)
+            cpu._mem_bytes.inc(size)
+            cpu.mem_port.send(txn, self.segment_done)
+
+    def segment_done(self, _txn: Transaction) -> None:
+        self.outstanding -= 1
+        self.mem_done_at = max(self.mem_done_at, self.cpu.now)
+        if self.next < len(self.segments):
+            self.issue()
+        elif self.outstanding == 0:
+            self.finish()
+
+    def finish(self) -> None:
+        cpu = self.cpu
+        mem_ticks = self.mem_done_at - self.start
+        total = max(mem_ticks, self.compute_ticks)
+        if mem_ticks > self.compute_ticks:
+            cpu._mem_stall_ticks.inc(mem_ticks - self.compute_ticks)
+        self.done_at = self.start + total
+        cpu.schedule_at(max(self.done_at, cpu.now), self.retire)
+
+    def retire(self) -> None:
+        self.cpu._busy = False
+        self.on_done(self.done_at - self.start)

@@ -74,19 +74,27 @@ class _Work:
 
 
 class _SegmentState:
-    """In-flight bookkeeping for one guarded segment (faulted runs only).
+    """One guarded segment in flight (faulted runs only).
 
     ``settled`` latches on the first outcome (completion, or abort after
     the retry budget/limit) so a late original completion racing a retry
     -- or arriving after an abort -- can never double-retire the tag.
+
+    The target and the event queue call this object's methods back.  It
+    holds its pending timeout event only until that event fires or is
+    cancelled, so a settled segment is freed by reference counting
+    (docs/PERFORMANCE.md, "Garbage collection").
     """
 
     __slots__ = (
-        "addr", "size", "attempts", "settled", "retrying", "timeout_event",
-        "issued_at",
+        "engine", "work", "addr", "size", "attempts", "settled", "retrying",
+        "timeout_event", "issued_at",
     )
 
-    def __init__(self, addr: int, size: int, issued_at: int) -> None:
+    def __init__(self, engine: "DMAEngine", work: _Work,
+                 addr: int, size: int, issued_at: int) -> None:
+        self.engine = engine
+        self.work = work
         self.addr = addr
         self.size = size
         self.attempts = 0
@@ -94,6 +102,105 @@ class _SegmentState:
         self.retrying = False
         self.timeout_event = None
         self.issued_at = issued_at
+
+    def send(self, txn: Transaction) -> None:
+        """Arm this attempt's completion timeout and issue ``txn``."""
+        engine = self.engine
+        policy = engine._fault_policy
+        timeout = policy.completion_timeout * (policy.backoff ** self.attempts)
+        self.timeout_event = engine.sim.schedule(
+            timeout, self.timeout_fired, name=engine.name
+        )
+        engine.target.send(txn, self.arrival)
+
+    def arrival(self, done_txn: Transaction) -> None:
+        engine = self.engine
+        now = engine.sim.now
+        if self.settled:
+            # Late completion of a superseded attempt (the original
+            # and a retry can both arrive) or of an aborted segment.
+            return
+        endpoint = engine._endpoint_fault
+        if endpoint is not None and endpoint.dropping(now):
+            # The endpoint is stalled/crashed: the completion is
+            # lost on the floor; the armed timeout takes it from here.
+            return
+        self.settled = True
+        if self.timeout_event is not None:
+            self.timeout_event.cancel()
+            self.timeout_event = None
+        if self.retrying:
+            engine._channel_retries[self.work.channel] -= 1
+        done_txn.complete_tick = now
+        engine._latency.sample(now - self.issued_at)
+        if engine.trace is not None:
+            engine.trace.segment(
+                done_txn.stream, self.issued_at, now, self.size
+            )
+        engine._retire_guarded(self.work, now)
+
+    def timeout_fired(self) -> None:
+        self.timeout_event = None
+        if self.settled:
+            return
+        engine = self.engine
+        policy = engine._fault_policy
+        channel = self.work.channel
+        engine._timeouts.inc()
+        can_retry = self.attempts < policy.max_retries
+        if can_retry and not self.retrying:
+            if engine._channel_retries[channel] < policy.retry_budget:
+                self.retrying = True
+                engine._channel_retries[channel] += 1
+            else:
+                can_retry = False
+        if not can_retry:
+            self.abort()
+            return
+        self.attempts += 1
+        engine._retries.inc()
+        work = self.work
+        if engine.trace is not None:
+            work.retries += 1
+            engine.trace.retry(
+                work.template.stream, engine.sim.now, self.attempts
+            )
+        self.send(work.template.clone_for_segment(
+            self.addr, self.size, engine.sim.now
+        ))
+
+    def abort(self) -> None:
+        engine = self.engine
+        work = self.work
+        now = engine.sim.now
+        self.settled = True
+        if self.retrying:
+            engine._channel_retries[work.channel] -= 1
+        descriptor = work.descriptor
+        if not work.failed:
+            work.failed = True
+            engine._aborted.inc()
+            endpoint = engine._endpoint_fault
+            if endpoint is not None and endpoint.crashed(now):
+                descriptor.error = (
+                    f"device lost: segment {self.addr:#x}+{self.size} "
+                    f"never completed ({self.attempts + 1} attempt(s))"
+                )
+            else:
+                descriptor.error = (
+                    f"completion timeout: segment {self.addr:#x}"
+                    f"+{self.size} after {self.attempts + 1} attempt(s)"
+                )
+            if work.next_offset < work.size:
+                # Still partially queued: by construction the head of
+                # its channel; drop it so no further segments are cut.
+                queue = engine._channels[work.channel].queue
+                if queue and queue[0] is work:
+                    queue.popleft()
+                work.next_offset = work.size
+            if engine.trace is not None:
+                engine.trace.abort(descriptor.stream, now, descriptor.error)
+        engine._retire_guarded(work, now)
 
 
 class _ChannelState:
@@ -337,122 +444,27 @@ class DMAEngine(SimObject):
         observe the failure instead of hanging.  An endpoint in a
         stall/crash window silently drops arriving completions -- the
         timeout is then the only way forward, exactly as on real
-        hardware.
+        hardware.  :class:`_SegmentState` carries the steps.
         """
-        policy = self._fault_policy
-        endpoint = self._endpoint_fault
-        channel = work.channel
-        seg = _SegmentState(addr, size, self.sim.now)
+        _SegmentState(self, work, addr, size, self.sim.now).send(txn)
 
-        def retire(now: int) -> None:
-            self._tags_in_use -= 1
-            work.outstanding -= 1
-            if work.outstanding == 0 and work.next_offset >= work.size:
-                descriptor = work.descriptor
-                descriptor.completed_at = now
-                if not work.failed:
-                    self._descriptors.inc()
-                    if self.trace is not None:
-                        self.trace.descriptor(
-                            descriptor.stream, work.submit_tick, now,
-                            work.size, work.retries,
-                        )
-                if work.on_complete is not None:
-                    work.on_complete(descriptor)
-            self._pump()
-
-        def arrival(done_txn: Transaction) -> None:
-            now = self.sim.now
-            if seg.settled:
-                # Late completion of a superseded attempt (the original
-                # and a retry can both arrive) or of an aborted segment.
-                return
-            if endpoint is not None and endpoint.dropping(now):
-                # The endpoint is stalled/crashed: the completion is
-                # lost on the floor; the armed timeout takes it from here.
-                return
-            seg.settled = True
-            if seg.timeout_event is not None:
-                seg.timeout_event.cancel()
-                seg.timeout_event = None
-            if seg.retrying:
-                self._channel_retries[channel] -= 1
-            done_txn.complete_tick = now
-            self._latency.sample(now - seg.issued_at)
-            if self.trace is not None:
-                self.trace.segment(
-                    done_txn.stream, seg.issued_at, now, seg.size
-                )
-            retire(now)
-
-        def abort() -> None:
-            now = self.sim.now
-            seg.settled = True
-            if seg.retrying:
-                self._channel_retries[channel] -= 1
+    def _retire_guarded(self, work: _Work, now: int) -> None:
+        """Free a guarded segment's tag; finish its descriptor if last."""
+        self._tags_in_use -= 1
+        work.outstanding -= 1
+        if work.outstanding == 0 and work.next_offset >= work.size:
             descriptor = work.descriptor
+            descriptor.completed_at = now
             if not work.failed:
-                work.failed = True
-                self._aborted.inc()
-                if endpoint is not None and endpoint.crashed(now):
-                    descriptor.error = (
-                        f"device lost: segment {seg.addr:#x}+{seg.size} "
-                        f"never completed ({seg.attempts + 1} attempt(s))"
-                    )
-                else:
-                    descriptor.error = (
-                        f"completion timeout: segment {seg.addr:#x}"
-                        f"+{seg.size} after {seg.attempts + 1} attempt(s)"
-                    )
-                if work.next_offset < work.size:
-                    # Still partially queued: by construction the head of
-                    # its channel; drop it so no further segments are cut.
-                    queue = self._channels[channel].queue
-                    if queue and queue[0] is work:
-                        queue.popleft()
-                    work.next_offset = work.size
+                self._descriptors.inc()
                 if self.trace is not None:
-                    self.trace.abort(descriptor.stream, now, descriptor.error)
-            retire(now)
-
-        def timeout_fired() -> None:
-            seg.timeout_event = None
-            if seg.settled:
-                return
-            self._timeouts.inc()
-            can_retry = seg.attempts < policy.max_retries
-            if can_retry and not seg.retrying:
-                if self._channel_retries[channel] < policy.retry_budget:
-                    seg.retrying = True
-                    self._channel_retries[channel] += 1
-                else:
-                    can_retry = False
-            if not can_retry:
-                abort()
-                return
-            seg.attempts += 1
-            self._retries.inc()
-            if self.trace is not None:
-                work.retries += 1
-                self.trace.retry(
-                    work.template.stream, self.sim.now, seg.attempts
-                )
-            retry_txn = work.template.clone_for_segment(
-                seg.addr, seg.size, self.sim.now
-            )
-            arm()
-            self.target.send(retry_txn, arrival)
-
-        def arm() -> None:
-            timeout = policy.completion_timeout * (
-                policy.backoff ** seg.attempts
-            )
-            seg.timeout_event = self.sim.schedule(
-                timeout, timeout_fired, name=self.name
-            )
-
-        arm()
-        self.target.send(txn, arrival)
+                    self.trace.descriptor(
+                        descriptor.stream, work.submit_tick, now,
+                        work.size, work.retries,
+                    )
+            if work.on_complete is not None:
+                work.on_complete(descriptor)
+        self._pump()
 
     # ------------------------------------------------------------------
     # Introspection

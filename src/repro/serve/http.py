@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import threading
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -44,6 +45,8 @@ __all__ = ["ReproServer", "ServerThread", "serve_forever"]
 #: Request line + headers cap; bodies are capped separately.
 MAX_HEADER_BYTES = 32 * 1024
 MAX_BODY_BYTES = 1 * 1024 * 1024
+
+_DIGITS = re.compile(r"[0-9]+")
 
 
 class _HttpError(Exception):
@@ -93,14 +96,19 @@ async def _read_request(
     body = b""
     length = headers.get("content-length")
     if length is not None:
-        try:
-            n = int(length)
-        except ValueError:
-            raise _HttpError(400, "non-integer Content-Length") from None
-        if n < 0:
-            raise _HttpError(400, "negative Content-Length")
-        if n > MAX_BODY_BYTES:
+        # RFC 9110 section 8.6: Content-Length = 1*DIGIT.  int() alone
+        # would also take "+5", "1_0" (as ten) and non-ASCII digits.
+        if not _DIGITS.fullmatch(length):
+            if length.startswith("-") and _DIGITS.fullmatch(length[1:]):
+                raise _HttpError(400, "negative Content-Length")
+            raise _HttpError(
+                400, f"Content-Length must be decimal digits, got {length!r}")
+        # Count digits before int(), which refuses over 4300 of them.
+        significant = length.lstrip("0") or "0"
+        if (len(significant) > len(str(MAX_BODY_BYTES))
+                or int(significant) > MAX_BODY_BYTES):
             raise _HttpError(413, "request body too large")
+        n = int(significant)
         if n:
             try:
                 body = await reader.readexactly(n)

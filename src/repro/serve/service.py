@@ -365,20 +365,22 @@ class SweepService:
                 await self._run_fill(jobs)
 
     async def _run_fill(self, jobs: List[_FillJob]) -> None:
-        digest = await asyncio.to_thread(fresh_code_version)
+        try:
+            digest = await asyncio.to_thread(fresh_code_version)
+        except Exception as exc:  # noqa: BLE001 - surfaced per waiter
+            # E.g. a file listed by the re-hash vanished before it was
+            # read.  Fail this batch, keep the fill loop alive.
+            self._fail_jobs(jobs, "fill-error", FillError(
+                f"code digest check failed: {type(exc).__name__}: {exc}"))
+            return
         if digest != self.code:
             self.fill_refused += len(jobs)
-            error = StaleCodeError(
+            self._fail_jobs(jobs, "fill-refused", StaleCodeError(
                 f"source tree changed under the running server: pinned "
                 f"code digest {self.code[:12]}..., tree is now "
                 f"{digest[:12]}... -- refusing to fill; restart the "
                 f"server to serve the edited tree"
-            )
-            for job in jobs:
-                self._flight_sweep.pop(job.key_hash, None)
-                self.singleflight.fail(job.key_hash, error)
-            self._broadcast({"type": "fill-refused", "points": len(jobs),
-                             "error": str(error)})
+            ))
             return
         self.fill_runs += 1
         self._broadcast({"type": "fill-start", "points": len(jobs)})
@@ -396,16 +398,21 @@ class SweepService:
                 on_outcome=from_fill_thread,
             )
         except Exception as exc:  # noqa: BLE001 - surfaced per waiter
-            error = FillError(f"fill run failed: {exc}")
-            for job in jobs:
-                # Outcomes that landed before the failure already
-                # resolved their flights; fail only the remainder.
-                self._flight_sweep.pop(job.key_hash, None)
-                self.singleflight.fail(job.key_hash, error)
-            self._broadcast({"type": "fill-error", "points": len(jobs),
-                             "error": str(exc)})
+            self._fail_jobs(jobs, "fill-error",
+                            FillError(f"fill run failed: {exc}"))
             return
         self._broadcast({"type": "fill-done", "points": len(jobs)})
+
+    def _fail_jobs(self, jobs: List[_FillJob], event: str,
+                   error: Exception) -> None:
+        """Fail every still-open flight of ``jobs`` with ``error``."""
+        for job in jobs:
+            # Outcomes that landed before a failure already resolved
+            # their flights; failing them again is a no-op.
+            self._flight_sweep.pop(job.key_hash, None)
+            self.singleflight.fail(job.key_hash, error)
+        self._broadcast({"type": event, "points": len(jobs),
+                         "error": str(error)})
 
     def _land(self, outcome) -> None:
         """One fill outcome arrives on the event loop thread."""

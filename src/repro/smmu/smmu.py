@@ -110,86 +110,7 @@ class SMMU(SimObject):
         holds the original address and ``txn.addr``/``txn.paddr`` the
         physical one.
         """
-        cfg = self.config
-        pages = self._pages_with_lines(txn)
-        start_tick = self.now
-        state = {"index": 0, "stall": 0}
-        cycle = cfg.cycle_ticks
-
-        def step() -> None:
-            while state["index"] < len(pages):
-                vpn, nlines = pages[state["index"]]
-                state["index"] += 1
-                pfn = self.utlb.lookup(vpn, count=1)
-                if pfn is not None:
-                    if nlines > 1:
-                        self.utlb.lookup(vpn, count=nlines - 1)
-                    self._account_lines(nlines, hit_cycles=1)
-                    continue
-                # uTLB miss: consult the main TLB.
-                pfn = self.tlb.lookup(vpn)
-                if pfn is not None:
-                    state["stall"] += cfg.tlb_latency
-                    self.utlb.insert(vpn, pfn)
-                    if nlines > 1:
-                        self.utlb.lookup(vpn, count=nlines - 1)
-                    miss_cycles = 1 + cfg.tlb_latency // cycle
-                    self._trans_cycles.sample(miss_cycles)
-                    self._translations.inc(1)
-                    self._account_lines(nlines - 1, hit_cycles=1)
-                    continue
-                # Main-TLB miss: fault in the page if needed, then walk.
-                state["stall"] += cfg.tlb_latency
-                if (
-                    self._fault_handler is not None
-                    and not self.page_table.is_mapped(vpn << 12)
-                ):
-                    self._page_faults.inc()
-                    self._fault_handler(
-                        vpn, lambda v=vpn, n=nlines: start_walk(v, n)
-                    )
-                    return
-                start_walk(vpn, nlines)
-                return
-            finish()
-
-        def start_walk(vpn: int, nlines: int) -> None:
-            self.walker.walk(
-                vpn,
-                lambda w_vpn, _levels, w_ticks, n=nlines: walk_done(
-                    w_vpn, w_ticks, n
-                ),
-            )
-
-        def walk_done(vpn: int, walk_ticks: int, nlines: int) -> None:
-            paddr = self.page_table.translate(vpn << 12)
-            pfn = paddr >> 12
-            self.tlb.insert(vpn, pfn)
-            self.utlb.insert(vpn, pfn)
-            if nlines > 1:
-                self.utlb.lookup(vpn, count=nlines - 1)
-            walk_cycles = walk_ticks // self.config.cycle_ticks
-            self._ptw_cycles.sample(walk_cycles)
-            miss_cycles = 1 + (self.config.tlb_latency // self.config.cycle_ticks)
-            self._trans_cycles.sample(miss_cycles + walk_cycles)
-            self._translations.inc(1)
-            self._account_lines(nlines - 1, hit_cycles=1)
-            step()
-
-        def finish() -> None:
-            paddr = self.page_table.translate(txn.addr)
-            txn.vaddr = txn.addr
-            txn.paddr = paddr
-            txn.addr = paddr
-            txn.is_translated = True
-            total_stall = (self.now - start_tick) + state["stall"]
-            self._stall_ticks.inc(total_stall)
-            if state["stall"]:
-                self.schedule(state["stall"], lambda: on_done(txn))
-            else:
-                on_done(txn)
-
-        step()
+        _Translation(self, txn, on_done).step()
 
     # ------------------------------------------------------------------
     # Demand paging
@@ -248,3 +169,110 @@ class SMMU(SimObject):
                 else 0.0
             ),
         }
+
+
+class _Translation:
+    """One in-flight :meth:`SMMU.translate` call.
+
+    The walker, the fault handler and the event queue hold bound methods
+    of this object and it holds no reference back to any of them, so it
+    is freed by reference counting once its last callback has run
+    (docs/PERFORMANCE.md, "Garbage collection").
+    """
+
+    __slots__ = (
+        "smmu", "txn", "on_done", "pages", "index", "stall", "start_tick",
+        "vpn", "nlines",
+    )
+
+    def __init__(self, smmu: SMMU, txn: Transaction,
+                 on_done: CompletionFn) -> None:
+        self.smmu = smmu
+        self.txn = txn
+        self.on_done = on_done
+        self.pages = smmu._pages_with_lines(txn)
+        self.index = 0
+        self.stall = 0
+        self.start_tick = smmu.now
+        self.vpn = 0
+        self.nlines = 0
+
+    def step(self) -> None:
+        smmu = self.smmu
+        cfg = smmu.config
+        pages = self.pages
+        utlb = smmu.utlb
+        while self.index < len(pages):
+            vpn, nlines = pages[self.index]
+            self.index += 1
+            pfn = utlb.lookup(vpn, count=1)
+            if pfn is not None:
+                if nlines > 1:
+                    utlb.lookup(vpn, count=nlines - 1)
+                smmu._account_lines(nlines, hit_cycles=1)
+                continue
+            # uTLB miss: consult the main TLB.
+            pfn = smmu.tlb.lookup(vpn)
+            if pfn is not None:
+                self.stall += cfg.tlb_latency
+                utlb.insert(vpn, pfn)
+                if nlines > 1:
+                    utlb.lookup(vpn, count=nlines - 1)
+                miss_cycles = 1 + cfg.tlb_latency // cfg.cycle_ticks
+                smmu._trans_cycles.sample(miss_cycles)
+                smmu._translations.inc(1)
+                smmu._account_lines(nlines - 1, hit_cycles=1)
+                continue
+            # Main-TLB miss: fault in the page if needed, then walk.
+            self.stall += cfg.tlb_latency
+            self.vpn = vpn
+            self.nlines = nlines
+            if (
+                smmu._fault_handler is not None
+                and not smmu.page_table.is_mapped(vpn << 12)
+            ):
+                smmu._page_faults.inc()
+                smmu._fault_handler(vpn, self.start_walk)
+                return
+            self.start_walk()
+            return
+        self.finish()
+
+    def start_walk(self) -> None:
+        self.smmu.walker.walk(self.vpn, self.walk_done)
+
+    def walk_done(self, vpn: int, _levels: int, walk_ticks: int) -> None:
+        smmu = self.smmu
+        cfg = smmu.config
+        nlines = self.nlines
+        paddr = smmu.page_table.translate(vpn << 12)
+        pfn = paddr >> 12
+        smmu.tlb.insert(vpn, pfn)
+        smmu.utlb.insert(vpn, pfn)
+        if nlines > 1:
+            smmu.utlb.lookup(vpn, count=nlines - 1)
+        walk_cycles = walk_ticks // cfg.cycle_ticks
+        smmu._ptw_cycles.sample(walk_cycles)
+        miss_cycles = 1 + (cfg.tlb_latency // cfg.cycle_ticks)
+        smmu._trans_cycles.sample(miss_cycles + walk_cycles)
+        smmu._translations.inc(1)
+        smmu._account_lines(nlines - 1, hit_cycles=1)
+        self.step()
+
+    def finish(self) -> None:
+        smmu = self.smmu
+        txn = self.txn
+        paddr = smmu.page_table.translate(txn.addr)
+        txn.vaddr = txn.addr
+        txn.paddr = paddr
+        txn.addr = paddr
+        txn.is_translated = True
+        stall = self.stall
+        smmu._stall_ticks.inc((smmu.now - self.start_tick) + stall)
+        if stall:
+            smmu.schedule(stall, self.deliver)
+        else:
+            self.on_done(txn)
+
+    def deliver(self) -> None:
+        self.on_done(self.txn)

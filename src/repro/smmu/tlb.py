@@ -9,7 +9,7 @@ within a set.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 
 class TLB:
@@ -35,7 +35,10 @@ class TLB:
         self.entries = entries
         self.assoc = assoc
         self.num_sets = entries // assoc
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
+        #: Set index -> that set's LRU-ordered {vpn: pfn}, created on the
+        #: set's first insert (a main TLB has 512 sets and most runs
+        #: touch a handful of them).
+        self._sets: Dict[int, OrderedDict] = {}
 
         self.lookups = 0
         self.hits = 0
@@ -44,17 +47,14 @@ class TLB:
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
-    def _set_for(self, vpn: int) -> OrderedDict:
-        return self._sets[vpn % self.num_sets]
-
     def lookup(self, vpn: int, count: int = 1) -> Optional[int]:
         """Look up ``vpn``; ``count`` accounts for batched per-line lookups.
 
         Returns the pfn on hit (with LRU update) or None.
         """
         self.lookups += count
-        entry_set = self._set_for(vpn)
-        pfn = entry_set.get(vpn)
+        entry_set = self._sets.get(vpn % self.num_sets)
+        pfn = None if entry_set is None else entry_set.get(vpn)
         if pfn is None:
             self.misses += count
             return None
@@ -64,11 +64,15 @@ class TLB:
 
     def probe(self, vpn: int) -> bool:
         """Presence check without stats or LRU update."""
-        return vpn in self._set_for(vpn)
+        entry_set = self._sets.get(vpn % self.num_sets)
+        return entry_set is not None and vpn in entry_set
 
     def insert(self, vpn: int, pfn: int) -> Optional[int]:
         """Insert a mapping; returns an evicted vpn or None."""
-        entry_set = self._set_for(vpn)
+        index = vpn % self.num_sets
+        entry_set = self._sets.get(index)
+        if entry_set is None:
+            entry_set = self._sets[index] = OrderedDict()
         victim = None
         if vpn not in entry_set and len(entry_set) >= self.assoc:
             victim, _ = entry_set.popitem(last=False)
@@ -80,12 +84,11 @@ class TLB:
     # Maintenance
     # ------------------------------------------------------------------
     def invalidate(self, vpn: int) -> bool:
-        entry_set = self._set_for(vpn)
-        return entry_set.pop(vpn, None) is not None
+        entry_set = self._sets.get(vpn % self.num_sets)
+        return entry_set is not None and entry_set.pop(vpn, None) is not None
 
     def invalidate_all(self) -> None:
-        for entry_set in self._sets:
-            entry_set.clear()
+        self._sets.clear()
 
     def reset(self) -> None:
         """Drop all entries and zero the access counters."""
@@ -99,7 +102,7 @@ class TLB:
     # ------------------------------------------------------------------
     @property
     def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())
 
     @property
     def hit_rate(self) -> float:

@@ -14,7 +14,7 @@ SMMU implementations with a small number of walk slots.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Callable, Deque, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.smmu.page_table import LEVELS, PTE_BYTES, PageTable
 from repro.sim.eventq import Simulator
@@ -45,6 +45,12 @@ class PageTableWalker(SimObject):
         self._walk_cache: OrderedDict = OrderedDict()
         self._busy = False
         self._pending: Deque[Tuple[int, WalkDoneFn]] = deque()
+        # The walk in flight (see _fetch_next).
+        self._to_fetch: List[Tuple[int, int]] = []
+        self._fetch_index = 0
+        self._vpn = 0
+        self._on_done: Optional[WalkDoneFn] = None
+        self._start_tick = 0
 
         self._walks = self.stats.scalar("walks", "page table walks")
         self._fetches = self.stats.scalar("descriptor_fetches", "PTE memory reads")
@@ -58,6 +64,9 @@ class PageTableWalker(SimObject):
         self._walk_cache.clear()
         self._busy = False
         self._pending.clear()
+        self._to_fetch = []
+        self._fetch_index = 0
+        self._on_done = None
 
     # ------------------------------------------------------------------
     # Public interface
@@ -93,23 +102,33 @@ class PageTableWalker(SimObject):
             else:
                 break
 
-        to_fetch = path[first_fetch:]
-        start_tick = self.now
-        state = {"index": 0}
+        self._to_fetch = path[first_fetch:]
+        self._fetch_index = 0
+        self._vpn = vpn
+        self._on_done = on_done
+        self._start_tick = self.now
+        self._fetch_next()
 
-        def fetch_next() -> None:
-            if state["index"] >= len(to_fetch):
-                self._finish(vpn, len(to_fetch), start_tick, on_done)
-                return
-            level, pte_addr = to_fetch[state["index"]]
-            state["index"] += 1
-            self._fetches.inc()
-            if level < LEVELS - 1:
-                self._cache_node(pte_addr - (pte_addr % 4096))
-            txn = Transaction.read(pte_addr, PTE_BYTES, source=f"{self.name}.ptw")
-            self.mem_target.send(txn, lambda _t: fetch_next())
+    def _fetch_next(self, _txn: Optional[Transaction] = None) -> None:
+        """Fetch the current walk's next descriptor, or finish the walk.
 
-        fetch_next()
+        The walk's state lives on the walker (one walk is in flight at a
+        time) and the memory completion calls this bound method back, so
+        no per-walk object can reach itself (docs/PERFORMANCE.md,
+        "Garbage collection").
+        """
+        to_fetch = self._to_fetch
+        index = self._fetch_index
+        if index >= len(to_fetch):
+            self._finish(len(to_fetch))
+            return
+        level, pte_addr = to_fetch[index]
+        self._fetch_index = index + 1
+        self._fetches.inc()
+        if level < LEVELS - 1:
+            self._cache_node(pte_addr - (pte_addr % 4096))
+        txn = Transaction.read(pte_addr, PTE_BYTES, source=f"{self.name}.ptw")
+        self.mem_target.send(txn, self._fetch_next)
 
     def _cache_node(self, node_page: int) -> None:
         if node_page in self._walk_cache:
@@ -119,12 +138,12 @@ class PageTableWalker(SimObject):
             self._walk_cache.popitem(last=False)
         self._walk_cache[node_page] = True
 
-    def _finish(
-        self, vpn: int, levels_fetched: int, start_tick: int, on_done: WalkDoneFn
-    ) -> None:
-        ticks = self.now - start_tick
+    def _finish(self, levels_fetched: int) -> None:
+        on_done = self._on_done
+        self._on_done = None
+        ticks = self.now - self._start_tick
         self._walk_ticks.sample(ticks)
-        on_done(vpn, levels_fetched, ticks)
+        on_done(self._vpn, levels_fetched, ticks)
         self._start_next()
 
     # ------------------------------------------------------------------

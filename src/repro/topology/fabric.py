@@ -223,6 +223,39 @@ class SwitchLink(SimObject):
         return self._busy_ticks.value / self.now if self.now else 0.0
 
 
+class _RouteTraversal:
+    """One transaction's walk along a compiled route, one wire per hop.
+
+    Each wire calls :meth:`hop` back on arrival and the traversal holds
+    no reference to the wires' queues or events, so it is freed by
+    reference counting once its last wire delivers (docs/PERFORMANCE.md,
+    "Garbage collection").
+    """
+
+    __slots__ = ("route", "index", "txn", "payload_bytes", "on_done",
+                 "force_tlps")
+
+    def __init__(self, route: Route, txn: Transaction, payload_bytes: int,
+                 on_done: Callable[[Transaction], None],
+                 force_tlps: int) -> None:
+        self.route = route
+        self.index = 0
+        self.txn = txn
+        self.payload_bytes = payload_bytes
+        self.on_done = on_done
+        self.force_tlps = force_tlps
+
+    def hop(self, _txn: Optional[Transaction] = None) -> None:
+        """Submit the train to the next wire of the route."""
+        route = self.route
+        index = self.index
+        link, port, skip_hop = route[index]
+        self.index = index + 1
+        on_arrive = self.on_done if index + 1 == len(route) else self.hop
+        link.submit(port, self.txn, self.payload_bytes, on_arrive,
+                    self.force_tlps, skip_hop)
+
+
 class _Node:
     """Compiled tree node: links plus parent/child bookkeeping."""
 
@@ -490,20 +523,7 @@ class SwitchedPCIeFabric(SimObject):
         if not route:
             on_done(txn)
             return
-
-        def step(index: int) -> None:
-            link, port, skip_hop = route[index]
-            nxt = index + 1
-            if nxt == len(route):
-                link.submit(port, txn, payload_bytes, on_done, force_tlps,
-                            skip_hop)
-            else:
-                link.submit(
-                    port, txn, payload_bytes,
-                    lambda _t: step(nxt), force_tlps, skip_hop,
-                )
-
-        step(0)
+        _RouteTraversal(route, txn, payload_bytes, on_done, force_tlps).hop()
 
     def _request_tlps(self, txn: Transaction) -> int:
         packet = txn.packet_size or self.config.tlp.max_payload

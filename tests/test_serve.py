@@ -12,10 +12,13 @@ Covers:
 * distinct cold misses batch into one fill run,
 * SSE progress events, prefetch, HTTP error mapping,
 * stale-tree refusal: fills are refused once the source digest drifts
-  from the pinned one, while cached queries keep serving,
+  from the pinned one, while cached queries keep serving; a digest
+  check that raises fails its batch with a 500 and the fill loop lives,
+* the request parser: strict ``Content-Length`` and a hypothesis fuzz,
 * cache-prune hammer: concurrent prunes never corrupt in-flight fills.
 """
 
+import asyncio
 import json
 import threading
 import time
@@ -23,11 +26,14 @@ import http.client
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import SystemConfig
 from repro.sweep import SWEEPS, ResultCache, register_sweep, run_sweep
 from repro.sweep.spec import SweepSpec, gemm_points
 from repro.serve import ServeSettings, ServerThread, SingleFlight
+from repro.serve.http import MAX_HEADER_BYTES, _HttpError, _read_request
 
 SIZE = 24
 PACKETS = (64, 128, 256, 512)
@@ -311,6 +317,37 @@ class TestStaleCodeRefusal:
         assert status == 200 and payload["cached"] is True
 
 
+class TestDigestFailure:
+    def test_failed_digest_check_fails_the_batch_not_the_loop(
+        self, server, monkeypatch
+    ):
+        import repro.serve.service as service_mod
+
+        real = service_mod.fresh_code_version
+        calls = {"n": 0}
+
+        def vanishing_file():
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise FileNotFoundError(2, "No such file or directory",
+                                        ".swap.py")
+            return real()
+
+        monkeypatch.setattr(service_mod, "fresh_code_version",
+                            vanishing_file)
+        first, second = keys()[0], keys()[1]
+        status, payload = query(server, first, timeout=30)
+        assert status == 500
+        assert "FileNotFoundError" in payload["error"]
+        assert ".swap.py" in payload["error"]
+        # The fill loop survived: the next cold query is filled.
+        status, payload = query(server, second, timeout=30)
+        assert status == 200 and payload["cached"] is False
+        status, payload = query(server, first, timeout=30)
+        assert status == 200 and payload["cached"] is False
+        assert server.service.healthz()["in_flight"] == 0
+
+
 class TestPruneHammer:
     def test_concurrent_prune_never_breaks_in_flight_fills(self, server):
         """`cache prune` racing the server must never 500 a query.
@@ -389,3 +426,91 @@ class TestSingleFlightUnit:
                 await flights.wait(flight3)
 
         asyncio.run(scenario())
+
+
+def _parse(chunks, eof=True, timeout=5.0):
+    """Run ``_read_request`` over ``chunks`` delivered one per loop turn."""
+
+    async def scenario():
+        reader = asyncio.StreamReader(limit=MAX_HEADER_BYTES)
+
+        async def feed():
+            for chunk in chunks:
+                reader.feed_data(chunk)
+                await asyncio.sleep(0)
+            if eof:
+                reader.feed_eof()
+
+        feeder = asyncio.ensure_future(feed())
+        try:
+            return await asyncio.wait_for(_read_request(reader), timeout)
+        finally:
+            await feeder
+
+    return asyncio.run(scenario())
+
+
+_LENGTHS = ["0", "5", "005", "+5", "1_0", "-5", "-0", " 5", "5 ", "0x5",
+            "5.0", "", "\xb2", "\uff15".encode("utf-8").decode("latin-1"),
+            "9" * 5000, "0" * 5000 + "5", str(2 * 1024 * 1024)]
+
+
+@st.composite
+def _requests(draw):
+    """Bytes shaped like a request, so the fuzz reaches the body path."""
+    method = draw(st.sampled_from([b"GET", b"POST", b"get", b"P OST", b""]))
+    target = draw(st.sampled_from([b"/query", b"/healthz?x=1", b"", b"*"]))
+    line = method + b" " + target + draw(st.sampled_from(
+        [b" HTTP/1.1", b"", b" HTTP/1.1 extra"]))
+    headers = draw(st.lists(st.sampled_from(
+        [b"Host: x", b"Connection: close", b"no-colon", b": empty",
+         b"X-Pad: " + b"a" * 64]), max_size=3))
+    length = draw(st.one_of(st.none(), st.sampled_from(_LENGTHS)))
+    if length is not None:
+        headers.append(b"Content-Length: " + length.encode("latin-1"))
+    head = b"\r\n".join([line, *headers]) + b"\r\n\r\n"
+    return head + draw(st.binary(max_size=16))
+
+
+class TestHttpParser:
+    @pytest.mark.parametrize("value", ["+5", "1_0", " +5", "0x5", "5.0",
+                                       "\xb2", "", "5, 5"])
+    def test_content_length_must_be_digits(self, value):
+        raw = (f"POST /query HTTP/1.1\r\nContent-Length: {value}\r\n\r\n"
+               "0123456789").encode("latin-1")
+        with pytest.raises(_HttpError) as info:
+            _parse([raw])
+        assert info.value.status == 400
+        assert "Content-Length" in str(info.value)
+
+    def test_leading_zeros_and_huge_values(self):
+        raw = b"POST /q HTTP/1.1\r\nContent-Length: 0005\r\n\r\nhello"
+        assert _parse([raw])[3] == b"hello"
+        for value in ("9" * 5000, "0" * 5000 + "9" * 8):
+            head = f"POST /q HTTP/1.1\r\nContent-Length: {value}\r\n\r\n"
+            with pytest.raises(_HttpError) as info:
+                _parse([head.encode("latin-1")])
+            assert info.value.status == 413
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(st.binary(max_size=200), _requests()),
+           cuts=st.lists(st.integers(min_value=0, max_value=300),
+                         max_size=4))
+    def test_fuzz_returns_a_request_none_or_a_4xx(self, data, cuts):
+        bounds = sorted({cut for cut in cuts if 0 < cut < len(data)})
+        chunks = [data[a:b] for a, b in
+                  zip([0, *bounds], [*bounds, len(data)])]
+        try:
+            request = _parse(chunks)
+        except _HttpError as exc:
+            assert 400 <= exc.status < 500, exc.status
+            return
+        if request is None:
+            assert data == b""
+            return
+        method, target, headers, body = request
+        assert method == method.upper() and isinstance(target, str)
+        assert all(name == name.lower() for name in headers)
+        length = headers.get("content-length", "0")
+        assert length.isascii() and length.isdigit(), length
+        assert len(body) == int(length)

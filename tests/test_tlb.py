@@ -1,5 +1,7 @@
 """Unit and property tests for the TLB."""
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,3 +126,110 @@ class TestProperties:
         for _ in range(passes):
             for vpn in range(working_set):
                 assert tlb.lookup(vpn) == vpn
+
+
+class _EagerTLB:
+    """The TLB as it was before sets were created lazily: one
+    ``OrderedDict`` per set, built up front.  The differential oracle."""
+
+    def __init__(self, entries, assoc=None):
+        if assoc is None or assoc >= entries:
+            assoc = entries
+        self.assoc = assoc
+        self.num_sets = entries // assoc
+        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        self.lookups = self.hits = self.misses = 0
+
+    def lookup(self, vpn, count=1):
+        self.lookups += count
+        entry_set = self._sets[vpn % self.num_sets]
+        pfn = entry_set.get(vpn)
+        if pfn is None:
+            self.misses += count
+            return None
+        self.hits += count
+        entry_set.move_to_end(vpn)
+        return pfn
+
+    def probe(self, vpn):
+        return vpn in self._sets[vpn % self.num_sets]
+
+    def insert(self, vpn, pfn):
+        entry_set = self._sets[vpn % self.num_sets]
+        victim = None
+        if vpn not in entry_set and len(entry_set) >= self.assoc:
+            victim, _ = entry_set.popitem(last=False)
+        entry_set[vpn] = pfn
+        entry_set.move_to_end(vpn)
+        return victim
+
+    def invalidate(self, vpn):
+        return self._sets[vpn % self.num_sets].pop(vpn, None) is not None
+
+    def invalidate_all(self):
+        for entry_set in self._sets:
+            entry_set.clear()
+
+    def reset(self):
+        self.invalidate_all()
+        self.lookups = self.hits = self.misses = 0
+
+    @property
+    def occupancy(self):
+        return sum(len(s) for s in self._sets)
+
+
+#: VPNs 0..39 overflow every geometry below, so sets fill and evict.
+_TLB_VPNS = 40
+_TLB_OPS = st.tuples(
+    st.sampled_from(["insert"] * 4 + ["lookup"] * 3
+                    + ["probe", "invalidate", "invalidate_all", "reset"]),
+    st.integers(min_value=0, max_value=_TLB_VPNS - 1),
+    st.integers(min_value=1, max_value=4),
+)
+
+
+class TestLazySetsDifferential:
+    """Lazily created sets keep the eager TLB's hits, LRU order and
+    victims exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        geometry=st.sampled_from([(1, None), (4, None), (8, 2), (16, 4),
+                                  (16, 1), (32, 8)]),
+        ops=st.lists(_TLB_OPS, min_size=20, max_size=120),
+    )
+    def test_matches_eager_oracle(self, geometry, ops):
+        entries, assoc = geometry
+        tlb = TLB("t", entries, assoc)
+        oracle = _EagerTLB(entries, assoc)
+        for op, vpn, count in ops:
+            if op == "insert":
+                args = (vpn, vpn + 1000 * count)
+            elif op == "lookup":
+                args = (vpn, count)
+            elif op in ("probe", "invalidate"):
+                args = (vpn,)
+            else:
+                args = ()
+            assert getattr(tlb, op)(*args) == getattr(oracle, op)(*args), (
+                op, args)
+            assert tlb.occupancy == oracle.occupancy
+            assert (tlb.lookups, tlb.hits, tlb.misses) == (
+                oracle.lookups, oracle.hits, oracle.misses)
+        for vpn in range(_TLB_VPNS):
+            assert tlb.probe(vpn) == oracle.probe(vpn), vpn
+        # Victim order: filling every set evicts in the same LRU order.
+        for vpn in range(_TLB_VPNS, 3 * _TLB_VPNS):
+            assert tlb.insert(vpn, vpn) == oracle.insert(vpn, vpn), vpn
+
+    def test_sets_are_created_on_first_insert_and_dropped_on_reset(self):
+        tlb = TLB("t", entries=4096, assoc=8)
+        assert tlb.lookup(3) is None and not tlb.probe(3)
+        assert not tlb.invalidate(3)
+        assert len(tlb._sets) == 0
+        tlb.insert(3, 7)
+        tlb.insert(3 + tlb.num_sets, 8)
+        assert len(tlb._sets) == 1
+        tlb.reset()
+        assert len(tlb._sets) == 0 and tlb.occupancy == 0

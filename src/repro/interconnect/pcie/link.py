@@ -20,7 +20,7 @@ Timing per transaction (a train of ``n`` TLPs):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.interconnect.pcie.tlp import TLPParams
 from repro.sim.eventq import Simulator
@@ -108,14 +108,11 @@ class PCIeConfig:
         )
 
 
-def tlp_params_for(config: PCIeConfig, txn: Transaction) -> TLPParams:
-    """Packetization for one transaction (honours ``txn.packet_size``)."""
-    if (
-        txn.packet_size is not None
-        and txn.packet_size != config.tlp.max_payload
-    ):
+def tlp_params_for(config: PCIeConfig, packet_size: Optional[int]) -> TLPParams:
+    """Packetization for a transaction's ``packet_size`` (None: the link's)."""
+    if packet_size is not None and packet_size != config.tlp.max_payload:
         return TLPParams(
-            max_payload=txn.packet_size,
+            max_payload=packet_size,
             header_bytes=config.tlp.header_bytes,
         )
     return config.tlp
@@ -133,7 +130,8 @@ def train_timing(
     buffer, and one (largest) TLP's wire time -- the per-hop
     store-and-forward fill.  The flat :class:`PCIeChannel` and the
     topology fabric's ``SwitchLink`` both build their timing from this
-    single definition, so the degenerate-case bit-identity cannot drift.
+    single definition, through :class:`TrainMemo`, so the degenerate-case
+    bit-identity cannot drift.
     """
     bandwidth = config.effective_bytes_per_sec
     n_tlps = max(tlp.num_tlps(payload_bytes), force_tlps)
@@ -147,6 +145,60 @@ def train_timing(
         tlp.tlp_wire_bytes(payload_bytes), bandwidth
     )
     return n_tlps, wire_bytes, serialize, tlp_fill
+
+
+#: Shapes one link's :class:`TrainMemo` keeps.  DMA traffic repeats a
+#: handful of segment shapes; the cap only guards pathological streams of
+#: distinct sizes (the DRAM striping memo uses the same bound).
+TRAIN_MEMO_ENTRIES = 4096
+
+
+class TrainMemo(dict):
+    """One link's TLP-train timing, computed once per train shape.
+
+    Maps ``(packet_size, payload_bytes, force_tlps)`` -- every per-call
+    input of a train -- to the *pre-fault* ``(n_tlps, wire_bytes,
+    occupancy, tlp_wire_ticks, pipeline_fill)``: :func:`train_timing`
+    plus the link's hop constants.  Occupancy is the serialization time
+    or the packet-rate bound of the slowest hop (``hop_occupancy`` per
+    TLP), whichever is longer; the pipeline fill is ``hop_latency`` plus
+    one TLP store-and-forward fill per hop.  The value is a pure function
+    of the key and construction-time configuration, so it survives
+    ``reset_state`` and a hit is bit-identical to recomputing it.  Fault
+    injection adjusts the returned values on every call.
+
+    A miss builds (and validates) the ``TLPParams``; a shape that fails
+    validation raises and is never stored, so it raises on every call.
+    """
+
+    __slots__ = ("config", "hop_latency", "hop_occupancy", "hops")
+
+    def __init__(self, config: PCIeConfig, hop_latency: int,
+                 hop_occupancy: int, hops: int) -> None:
+        super().__init__()
+        self.config = config
+        self.hop_latency = hop_latency
+        self.hop_occupancy = hop_occupancy
+        self.hops = hops
+
+    def __missing__(
+        self, key: Tuple[Optional[int], int, int]
+    ) -> Tuple[int, int, int, int, int]:
+        packet_size, payload_bytes, force_tlps = key
+        tlp = tlp_params_for(self.config, packet_size)
+        n_tlps, wire_bytes, serialize, tlp_fill = train_timing(
+            self.config, tlp, payload_bytes, force_tlps
+        )
+        shape = (
+            n_tlps,
+            wire_bytes,
+            max(serialize, n_tlps * self.hop_occupancy),
+            tlp_fill,
+            self.hop_latency + self.hops * tlp_fill,
+        )
+        if len(self) < TRAIN_MEMO_ENTRIES:
+            self[key] = shape
+        return shape
 
 
 class PCIeChannel(SimObject):
@@ -172,9 +224,11 @@ class PCIeChannel(SimObject):
                 (config.rc_latency, config.rc_tlp_occupancy),
             ]
         self.hops = hops
-        self._total_hop_latency = sum(latency for latency, _ in hops)
-        self._max_occupancy = max(
-            (occupancy for _, occupancy in hops), default=0
+        self._trains = TrainMemo(
+            config,
+            hop_latency=sum(latency for latency, _ in hops),
+            hop_occupancy=max((occupancy for _, occupancy in hops), default=0),
+            hops=len(hops),
         )
         self._wire_free_at = 0
         self._last_arrival = 0
@@ -218,14 +272,14 @@ class PCIeChannel(SimObject):
         for header-only trains: a read of N bytes issues one request TLP
         per packet-size chunk, not a single request.
         """
-        tlp = tlp_params_for(self.config, txn)
-        n_tlps, wire_bytes, serialize, tlp_wire_ticks = train_timing(
-            self.config, tlp, payload_bytes, force_tlps
+        # Wire occupancy is serialization (with the oversized-TLP credit
+        # stall folded in by train_timing) or the packet-rate bound of the
+        # slowest hop; the pipeline fill is the store-and-forward delay:
+        # each hop adds its latency plus one TLP serialization before the
+        # head of the train moves on.  Both are looked up per train shape.
+        n_tlps, wire_bytes, occupancy, tlp_wire_ticks, pipeline_fill = (
+            self._trains[txn.packet_size, payload_bytes, force_tlps]
         )
-        # Wire occupancy: serialization (with the oversized-TLP credit
-        # stall folded in by train_timing), or the packet-rate bound of
-        # the slowest hop if that is slower than the wire.
-        occupancy = max(serialize, n_tlps * self._max_occupancy)
 
         start = max(self.now, self._wire_free_at)
         if self.faults is not None:
@@ -235,18 +289,17 @@ class PCIeChannel(SimObject):
             start += stall
         self._wire_free_at = start + occupancy
 
-        # Store-and-forward: each hop adds its latency plus one TLP
-        # serialization before the head of the train moves on.  Arrivals
-        # are FIFO: PCIe ordering rules forbid overtaking within a
-        # virtual channel, so a short train never passes a long one.
-        pipeline_fill = self._total_hop_latency + len(self.hops) * tlp_wire_ticks
+        # Arrivals are FIFO: PCIe ordering rules forbid overtaking within
+        # a virtual channel, so a short train never passes a long one.
         arrival = max(start + occupancy + pipeline_fill, self._last_arrival)
         self._last_arrival = arrival
 
-        self._tlps.inc(n_tlps)
-        self._payload_bytes.inc(max(0, payload_bytes))
-        self._wire_byte_stat.inc(wire_bytes)
-        self._busy_ticks.inc(occupancy)
+        # Batched stat update (equivalent to inc() per counter).
+        self._tlps.value += n_tlps
+        self._payload_bytes.value += max(0, payload_bytes)
+        self._wire_byte_stat.value += wire_bytes
+        self._busy_ticks.value += occupancy
+        self.stats.dirty = True
         if self.trace is not None:
             self.trace.tlp_train(start, occupancy, n_tlps, payload_bytes)
         self.schedule_at(arrival, lambda: on_arrive(txn))

@@ -1,9 +1,12 @@
 """Radix page table (ARM LPAE-style: 4 levels, 9 bits per level, 4 KiB).
 
-The table is held both *logically* (nested dicts for O(1) translation) and
-*spatially*: every table node is assigned a physical page so the walker can
-issue real descriptor fetches with meaningful addresses.  Mappings are
-installed by the driver model when it pins DMA buffers.
+The table is held both *logically* (a flat ``vpn -> pfn`` dict, so a
+functional translation is one lookup) and *spatially* (the radix tree):
+every table node is assigned a physical page so the walker can issue real
+descriptor fetches with meaningful addresses.  :meth:`PageTable.map_page`
+writes both and :meth:`PageTable.reset` clears both, so they always hold
+the same mappings.  Mappings are installed by the driver model when it
+pins DMA buffers.
 """
 
 from __future__ import annotations
@@ -52,13 +55,19 @@ class PageTable:
         self.table_base = table_base
         self._alloc_cursor = table_base
         self.root = self._new_node()
-        self.mapped_pages = 0
+        #: Leaf of every mapping, ``vpn -> pfn`` (the radix tree's leaves).
+        self._leaves: Dict[int, int] = {}
 
     def reset(self) -> None:
         """Drop every mapping and node, back to a freshly built table."""
         self._alloc_cursor = self.table_base
         self.root = self._new_node()
-        self.mapped_pages = 0
+        self._leaves.clear()
+
+    @property
+    def mapped_pages(self) -> int:
+        """Distinct pages mapped (a remap does not count twice)."""
+        return len(self._leaves)
 
     def _new_node(self) -> _Node:
         node = _Node(self._alloc_cursor)
@@ -96,10 +105,9 @@ class PageTable:
                 child = self._new_node()
                 node.entries[index] = child
             node = child
-        leaf_index = self.level_index(vpn, LEVELS - 1)
-        if leaf_index not in node.entries:
-            self.mapped_pages += 1
-        node.entries[leaf_index] = paddr >> PAGE_SHIFT
+        pfn = paddr >> PAGE_SHIFT
+        node.entries[self.level_index(vpn, LEVELS - 1)] = pfn
+        self._leaves[vpn] = pfn
 
     def map_range(self, vaddr: int, paddr: int, size: int) -> int:
         """Map a contiguous range; returns the number of pages mapped.
@@ -124,15 +132,12 @@ class PageTable:
     # Translation
     # ------------------------------------------------------------------
     def translate(self, vaddr: int) -> int:
-        """Return the physical address for ``vaddr`` (functional)."""
-        vpn = self.vpn_of(vaddr)
-        node = self.root
-        for level in range(LEVELS - 1):
-            child = node.entries.get(self.level_index(vpn, level))
-            if child is None:
-                raise PageFault(vaddr)
-            node = child
-        pfn = node.entries.get(self.level_index(vpn, LEVELS - 1))
+        """Return the physical address for ``vaddr`` (functional).
+
+        Reads the flat leaf dict; :meth:`walk_path` walks the radix tree
+        for the descriptor addresses a timed walk fetches.
+        """
+        pfn = self._leaves.get(vaddr >> PAGE_SHIFT)
         if pfn is None:
             raise PageFault(vaddr)
         return (pfn << PAGE_SHIFT) | (vaddr & (PAGE_SIZE - 1))
@@ -155,11 +160,7 @@ class PageTable:
         return path
 
     def is_mapped(self, vaddr: int) -> bool:
-        try:
-            self.translate(vaddr)
-            return True
-        except PageFault:
-            return False
+        return vaddr >> PAGE_SHIFT in self._leaves
 
     @property
     def table_bytes(self) -> int:

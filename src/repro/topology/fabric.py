@@ -39,11 +39,7 @@ from collections import deque
 from typing import Callable, List, Optional, Tuple
 
 from repro.interconnect.pcie.fabric import require_host_target
-from repro.interconnect.pcie.link import (
-    PCIeConfig,
-    tlp_params_for,
-    train_timing,
-)
+from repro.interconnect.pcie.link import PCIeConfig, TrainMemo
 from repro.memory.addr_range import AddrRange
 from repro.sim.eventq import Simulator
 from repro.sim.ports import CompletionFn, TargetPort
@@ -89,13 +85,15 @@ class SwitchLink(SimObject):
             raise ValueError(f"{name}: need at least one port, got {num_ports}")
         self.config = config
         self.num_ports = num_ports
-        self.hop_latency = hop_latency
-        self.tlp_occupancy = tlp_occupancy
         self._queues: List[deque] = [deque() for _ in range(num_ports)]
         self._pending = 0
         self._rr_next = 0
         self._busy = False
         self._last_arrival = 0
+        #: Train timing per shape through this hop, and wire-only (a
+        #: ``skip_hop`` train pays serialization and one TLP fill only).
+        self._trains = TrainMemo(config, hop_latency, tlp_occupancy, hops=1)
+        self._wire_trains = TrainMemo(config, 0, 0, hops=1)
         #: Fault-injection state (:class:`repro.faults.injector
         #: .LinkFaultState`); attached by the system's fault model, None
         #: on every fault-free run.
@@ -170,12 +168,10 @@ class SwitchLink(SimObject):
          queued_at) = queues[index].popleft()
         self._pending -= 1
 
-        tlp = tlp_params_for(self.config, txn)
-        n_tlps, wire_bytes, serialize, tlp_fill = train_timing(
-            self.config, tlp, payload_bytes, force_tlps
+        trains = self._wire_trains if skip_hop else self._trains
+        n_tlps, wire_bytes, occupancy, tlp_fill, fill = (
+            trains[txn.packet_size, payload_bytes, force_tlps]
         )
-        tlp_occupancy = 0 if skip_hop else self.tlp_occupancy
-        occupancy = max(serialize, n_tlps * tlp_occupancy)
 
         now = self.now
         if self.faults is not None:
@@ -186,7 +182,6 @@ class SwitchLink(SimObject):
                 now, occupancy, n_tlps, tlp_fill
             )
             occupancy += stall
-        fill = (0 if skip_hop else self.hop_latency) + tlp_fill
         arrival = now + occupancy + fill
         if arrival < self._last_arrival:
             arrival = self._last_arrival

@@ -138,3 +138,69 @@ class TestPageTableProperties:
         for vpn, pfn in mappings.items():
             assert pt.translate(vpn * PAGE_SIZE) == pfn * PAGE_SIZE
         assert pt.mapped_pages == len(mappings)
+
+
+def _radix_leaf(pt, vpn):
+    """The pfn the radix tree holds for ``vpn`` (None if unmapped)."""
+    node = pt.root
+    for level in range(LEVELS - 1):
+        node = node.entries.get(pt.level_index(vpn, level))
+        if node is None:
+            return None
+    return node.entries.get(pt.level_index(vpn, LEVELS - 1))
+
+
+#: Virtual pages from two regions, each small enough that ranges overlap
+#: (remaps), and far enough apart to need separate interior nodes.
+VPAGES = st.one_of(st.integers(min_value=0, max_value=64),
+                   st.integers(min_value=1 << 26, max_value=(1 << 26) + 64))
+
+
+class TestLeafDictDifferential:
+    """The flat leaf dict always agrees with the radix tree."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ranges=st.lists(
+            st.tuples(VPAGES,
+                      st.integers(min_value=0, max_value=1 << 20),
+                      st.integers(min_value=0, max_value=PAGE_SIZE - 1),
+                      st.integers(min_value=1, max_value=12 * PAGE_SIZE)),
+            min_size=1, max_size=12,
+        ),
+        probes=st.lists(VPAGES, max_size=20),
+        offset=st.integers(min_value=0, max_value=PAGE_SIZE - 1),
+    )
+    def test_translate_equals_the_radix_walk(self, ranges, probes, offset):
+        pt = make_table()
+        expected = {}
+        for vpage, ppage, start, size in ranges:
+            vaddr = vpage * PAGE_SIZE + start
+            delta = (ppage - vpage) * PAGE_SIZE
+            pages = pt.map_range(vaddr, vaddr + delta, size)
+            for page in range(vpage, vpage + pages):
+                expected[page] = page + delta // PAGE_SIZE
+
+        assert pt.mapped_pages == len(expected)
+        for vpn in [*expected, *probes]:
+            vaddr = vpn * PAGE_SIZE + offset
+            leaf = _radix_leaf(pt, vpn)
+            assert leaf == expected.get(vpn)
+            assert pt.is_mapped(vaddr) == (leaf is not None)
+            if leaf is None:
+                with pytest.raises(PageFault):
+                    pt.translate(vaddr)
+                with pytest.raises(PageFault):
+                    pt.walk_path(vpn)
+                continue
+            assert pt.translate(vaddr) == leaf * PAGE_SIZE + offset
+            assert len(pt.walk_path(vpn)) == LEVELS
+
+        pt.reset()
+        assert pt.mapped_pages == 0
+        for vpn in expected:
+            assert not pt.is_mapped(vpn * PAGE_SIZE)
+            with pytest.raises(PageFault):
+                pt.translate(vpn * PAGE_SIZE + offset)
+            with pytest.raises(PageFault):
+                pt.walk_path(vpn)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FAULT_PRESETS, LinkFaults, LinkFaultState, fault_preset
 from repro.interconnect.pcie import (
     PCIE_GENERATIONS,
     PCIeChannel,
@@ -11,9 +12,11 @@ from repro.interconnect.pcie import (
     PCIeFabric,
     TLPParams,
 )
+from repro.interconnect.pcie.link import tlp_params_for, train_timing
 from repro.sim.eventq import Simulator
 from repro.sim.ports import FixedLatencyTarget
-from repro.sim.ticks import ns, serialization_ticks, ticks_to_seconds
+from repro.sim.statistics import StatGroup
+from repro.sim.ticks import ns, serialization_ticks, ticks_to_seconds, us
 from repro.sim.transaction import Transaction
 
 GB = 10**9
@@ -253,3 +256,142 @@ class TestThroughputProperties:
         base = run(lanes, gbps)
         faster = run(lanes, gbps * 2)
         assert faster <= base
+
+
+# ----------------------------------------------------------------------
+# The per-shape train memo against the unmemoized arithmetic
+# ----------------------------------------------------------------------
+LINK_STATS = ("tlps", "payload_bytes", "wire_bytes", "busy_ticks")
+
+#: ``(seed, LinkFaults)`` cases: fault-free, every registered preset's
+#: link faults, and a dense mix that fires all three classes often.
+LINK_FAULT_CASES = [None] + [
+    (fault_preset(name).seed, entry)
+    for name in sorted(FAULT_PRESETS)
+    for entry in fault_preset(name).links
+] + [
+    (3, LinkFaults(corrupt_rate=0.4, retrain_period=us(7),
+                   retrain_duration=us(2), downtrain_at=us(20),
+                   downtrain_factor=3)),
+]
+
+#: One train: (gap before it in ticks, packet_size, payload, force_tlps).
+#: Small pools make shapes repeat (memo hits); the integer ranges add
+#: shapes the memo has never seen.
+TRAINS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=us(2)),
+        st.one_of(st.sampled_from([None, 64, 256, 4096]),
+                  st.integers(min_value=1, max_value=8192)),
+        st.one_of(st.sampled_from([0, 64, 512, 4096]),
+                  st.integers(min_value=0, max_value=20000)),
+        st.one_of(st.just(0), st.integers(min_value=0, max_value=64)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _fault_state(case, name):
+    if case is None:
+        return None
+    seed, entry = case
+    return LinkFaultState(entry, seed, name, StatGroup(name))
+
+
+class _ChannelOracle:
+    """``PCIeChannel.deliver`` recomputed from ``train_timing`` per call."""
+
+    def __init__(self, config, hops, faults):
+        self.config = config
+        self.hops = hops
+        self.faults = faults
+        self.reset()
+
+    def reset(self):
+        self.wire_free_at = 0
+        self.last_arrival = 0
+        self.stats = dict.fromkeys(LINK_STATS, 0)
+        if self.faults is not None:
+            self.faults.reset()
+
+    def deliver(self, now, packet_size, payload, force_tlps):
+        tlp = tlp_params_for(self.config, packet_size)
+        n_tlps, wire_bytes, serialize, tlp_fill = train_timing(
+            self.config, tlp, payload, force_tlps
+        )
+        occupancy = max(serialize, n_tlps * max(occ for _, occ in self.hops))
+        start = max(now, self.wire_free_at)
+        if self.faults is not None:
+            stall, occupancy = self.faults.adjust(
+                start, occupancy, n_tlps, tlp_fill
+            )
+            start += stall
+        self.wire_free_at = start + occupancy
+        fill = sum(lat for lat, _ in self.hops) + len(self.hops) * tlp_fill
+        arrival = max(start + occupancy + fill, self.last_arrival)
+        self.last_arrival = arrival
+        for name, amount in zip(LINK_STATS, (n_tlps, max(0, payload),
+                                             wire_bytes, occupancy)):
+            self.stats[name] += amount
+        return arrival
+
+
+def _drive_channel(sim, channel, trains):
+    """Deliver ``trains`` at their gap-spaced ticks; return arrival ticks."""
+    arrivals = {}
+    at = 0
+    for index, (gap, packet_size, payload, force_tlps) in enumerate(trains):
+        at += gap
+        txn = Transaction.read(0, max(payload, 1))
+        txn.packet_size = packet_size
+
+        def send(txn=txn, index=index, payload=payload, force=force_tlps):
+            channel.deliver(txn, payload,
+                            lambda _t, i=index: arrivals.__setitem__(i, sim.now),
+                            force_tlps=force)
+
+        sim.schedule_at(at, send)
+    sim.run()
+    return [arrivals[index] for index in range(len(trains))]
+
+
+class TestTrainMemoDifferential:
+    """Every delivery equals the arithmetic the memo replaced."""
+
+    @pytest.mark.parametrize("case", LINK_FAULT_CASES)
+    @settings(max_examples=30, deadline=None)
+    @given(first=TRAINS, second=TRAINS)
+    def test_channel_matches_unmemoized_arithmetic(self, case, first, second):
+        sim = Simulator()
+        cfg = PCIeConfig(lanes=2, tlp=TLPParams(max_payload=256))
+        channel = PCIeChannel(sim, "ch", cfg)
+        channel.faults = _fault_state(case, "ch")
+        oracle = _ChannelOracle(cfg, channel.hops, _fault_state(case, "ch"))
+        for trains in (first, second):
+            got = _drive_channel(sim, channel, trains)
+            want = []
+            at = 0
+            for gap, packet_size, payload, force_tlps in trains:
+                at += gap
+                want.append(oracle.deliver(at, packet_size, payload,
+                                           force_tlps))
+            assert got == want
+            assert {name: channel.stats[name].value
+                    for name in LINK_STATS} == oracle.stats
+            # The memo survives the reset; the oracle starts over.
+            sim.reset()
+            for obj in sim.objects:
+                obj.reset_state()
+            oracle.reset()
+
+    @pytest.mark.parametrize("packet_size", [0, -64])
+    def test_invalid_shape_raises_on_every_call(self, packet_size):
+        sim = Simulator()
+        channel = PCIeChannel(sim, "ch", PCIeConfig())
+        for _ in range(3):
+            txn = Transaction.read(0, 256)
+            txn.packet_size = packet_size
+            with pytest.raises(ValueError, match="max payload"):
+                channel.deliver(txn, 256, lambda t: None)
+        assert all(channel.stats[name].value == 0 for name in LINK_STATS)

@@ -6,14 +6,22 @@ robin, FIFO ordering, reset identity), and SwitchedPCIeFabric routing
 (host path, MMIO, peer-to-peer, wiring errors)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import SystemConfig, canonical_value
+from repro.faults import FAULT_PRESETS, LinkFaults, LinkFaultState, fault_preset
 from repro.interconnect.pcie.fabric import PCIeFabric
-from repro.interconnect.pcie.link import PCIeConfig
+from repro.interconnect.pcie.link import (
+    PCIeConfig,
+    tlp_params_for,
+    train_timing,
+)
 from repro.memory.addr_range import AddrRange
 from repro.sim.eventq import Simulator
 from repro.sim.ports import FixedLatencyTarget
-from repro.sim.ticks import ns
+from repro.sim.statistics import StatGroup
+from repro.sim.ticks import ns, us
 from repro.sim.transaction import Transaction
 from repro.topology import (
     EndpointDesc,
@@ -188,6 +196,146 @@ class TestSwitchLink:
             obj.reset_state()
         second = drive()
         assert first == second
+
+
+LINK_STATS = ("tlps", "payload_bytes", "wire_bytes", "busy_ticks")
+
+#: ``(seed, LinkFaults)`` cases: fault-free, every registered preset's
+#: link faults, and a dense mix that fires all three classes often.
+LINK_FAULT_CASES = [None] + [
+    (fault_preset(name).seed, entry)
+    for name in sorted(FAULT_PRESETS)
+    for entry in fault_preset(name).links
+] + [
+    (3, LinkFaults(corrupt_rate=0.4, retrain_period=us(7),
+                   retrain_duration=us(2), downtrain_at=us(20),
+                   downtrain_factor=3)),
+]
+
+
+def _fault_state(case, name):
+    if case is None:
+        return None
+    seed, entry = case
+    return LinkFaultState(entry, seed, name, StatGroup(name))
+
+
+#: One train: (gap before its submit in ticks, packet_size, payload,
+#: force_tlps, skip_hop).  Small pools make shapes repeat (memo hits).
+SWITCH_TRAINS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=us(2)),
+        st.one_of(st.sampled_from([None, 64, 256, 4096]),
+                  st.integers(min_value=1, max_value=8192)),
+        st.one_of(st.sampled_from([0, 64, 512, 4096]),
+                  st.integers(min_value=0, max_value=20000)),
+        st.one_of(st.just(0), st.integers(min_value=0, max_value=64)),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class _SwitchLinkOracle:
+    """A one-port ``SwitchLink`` recomputed from ``train_timing`` per grant.
+
+    With one port, trains are granted in submit order, each at its
+    submit tick or when the previous train releases the wire.
+    """
+
+    def __init__(self, config, hop_latency, tlp_occupancy, faults):
+        self.config = config
+        self.hop_latency = hop_latency
+        self.tlp_occupancy = tlp_occupancy
+        self.faults = faults
+        self.reset()
+
+    def reset(self):
+        self.free_at = 0
+        self.last_arrival = 0
+        self.stats = dict.fromkeys(LINK_STATS, 0)
+        if self.faults is not None:
+            self.faults.reset()
+
+    def submit(self, at, packet_size, payload, force_tlps, skip_hop):
+        tlp = tlp_params_for(self.config, packet_size)
+        n_tlps, wire_bytes, serialize, tlp_fill = train_timing(
+            self.config, tlp, payload, force_tlps
+        )
+        per_tlp = 0 if skip_hop else self.tlp_occupancy
+        occupancy = max(serialize, n_tlps * per_tlp)
+        now = max(at, self.free_at)
+        if self.faults is not None:
+            stall, occupancy = self.faults.adjust(
+                now, occupancy, n_tlps, tlp_fill
+            )
+            occupancy += stall
+        self.free_at = now + occupancy
+        fill = (0 if skip_hop else self.hop_latency) + tlp_fill
+        arrival = max(now + occupancy + fill, self.last_arrival)
+        self.last_arrival = arrival
+        for name, amount in zip(LINK_STATS, (n_tlps, max(0, payload),
+                                             wire_bytes, occupancy)):
+            self.stats[name] += amount
+        return arrival
+
+
+class TestSwitchLinkTrainMemo:
+    """Every grant equals the arithmetic the shared train memo replaced."""
+
+    @pytest.mark.parametrize("case", LINK_FAULT_CASES)
+    @settings(max_examples=30, deadline=None)
+    @given(first=SWITCH_TRAINS, second=SWITCH_TRAINS)
+    def test_link_matches_unmemoized_arithmetic(self, case, first, second):
+        sim = Simulator()
+        cfg = PCIeConfig(lanes=2)
+        link = SwitchLink(sim, "link", cfg, num_ports=1,
+                          hop_latency=ns(50), tlp_occupancy=ns(30))
+        link.faults = _fault_state(case, "link")
+        oracle = _SwitchLinkOracle(cfg, ns(50), ns(30),
+                                   _fault_state(case, "link"))
+        for trains in (first, second):
+            arrivals = {}
+            at = 0
+            want = []
+            for index, (gap, packet_size, payload, force_tlps,
+                        skip_hop) in enumerate(trains):
+                at += gap
+                txn = Transaction.read(0, max(payload, 1))
+                txn.packet_size = packet_size
+
+                def submit(txn=txn, index=index, payload=payload,
+                           force=force_tlps, skip=skip_hop):
+                    link.submit(
+                        0, txn, payload,
+                        lambda _t, i=index: arrivals.__setitem__(i, sim.now),
+                        force_tlps=force, skip_hop=skip,
+                    )
+
+                sim.schedule_at(at, submit)
+                want.append(oracle.submit(at, packet_size, payload,
+                                          force_tlps, skip_hop))
+            sim.run()
+            assert [arrivals[i] for i in range(len(trains))] == want
+            assert {name: link.stats[name].value
+                    for name in LINK_STATS} == oracle.stats
+            # The memo survives the reset; the oracle starts over.
+            sim.reset()
+            for obj in sim.objects:
+                obj.reset_state()
+            oracle.reset()
+
+    @pytest.mark.parametrize("skip_hop", [False, True])
+    def test_invalid_shape_raises_on_every_call(self, skip_hop):
+        sim = Simulator()
+        link = SwitchLink(sim, "link", PCIeConfig(), num_ports=1)
+        for _ in range(3):
+            txn = Transaction.read(0, 256)
+            txn.packet_size = 0
+            with pytest.raises(ValueError, match="max payload"):
+                link.submit(0, txn, 256, lambda t: None, skip_hop=skip_hop)
+        assert all(link.stats[name].value == 0 for name in LINK_STATS)
 
 
 def make_switched(n=2, topology=None, host_latency=ns(100)):

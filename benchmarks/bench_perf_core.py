@@ -8,6 +8,10 @@ result server's warm-query latency and miss-coalescing factor -- and
 records them in ``BENCH_core.json`` so every PR can show its perf delta
 against the committed numbers (see docs/PERFORMANCE.md).
 
+It also prints an informational per-package host-time fold (cProfile,
+the table ``sweep --profile`` writes) of one warm gemm and one warm
+multigemm point.
+
 Usage::
 
     python benchmarks/bench_perf_core.py                  # print metrics
@@ -270,10 +274,13 @@ def bench_tracer_off_overhead(size: int) -> float:
     acquisition.  This bench times a warm GEMM point on that normal
     path, then again with the per-acquisition consultation
     short-circuited, and reports the median of paired fractional
-    differences (pairing cancels transient machine noise).  The per-event ``is None`` hook
-    checks are co-located with pre-existing branches and cannot be
-    separated out; everything the telemetry layer *added* to the point
-    path is what this measures.  CI gates it absolutely (<2%, see
+    differences (pairing cancels transient machine noise).  The event
+    loop carries no telemetry test at all (profiling wraps a whole point
+    in the sweep engine, outside ``Simulator.run``); the remaining
+    ``trace is None`` checks on the link and DMA paths sit next to
+    pre-existing branches and cannot be separated out, so this measures
+    everything else the telemetry layer adds to the point path.  CI
+    gates it absolutely (<2%, see
     ``ABSOLUTE_GATES``) -- a relative tolerance is useless on a number
     that should sit at zero.
     """
@@ -496,6 +503,41 @@ def bench_serve_coalesce() -> float:
     return round(clients / simulated, 2)
 
 
+def print_layer_folds(size: int) -> None:
+    """Print where one warm gemm and one warm multigemm point spend host time.
+
+    Each point runs three times under cProfile, folded by ``repro``
+    package (:mod:`repro.telemetry.profiler`, the fold ``sweep
+    --profile`` writes); the fastest run is printed, as the timed
+    benches keep their fastest.  Informational: printed only, never
+    recorded in ``BENCH_core.json`` or gated.  A tree without the fold
+    (an older baseline on ``PYTHONPATH``) skips it.
+    """
+    try:
+        from repro.telemetry.profiler import layer_table, profile_call
+    except ImportError:
+        print("  (no per-package profile fold in this tree)")
+        return
+    points = (
+        ("gemm_point", run_gemm, SystemConfig.pcie_8gb()),
+        ("multigemm_point", run_multi_gemm,
+         SystemConfig.pcie_2gb(num_accelerators=2)),
+    )
+    for name, run, config in points:
+        run(config, size, size, size)  # warm the system memo
+        document = min(
+            (profile_call(run, config, size, size, size)[1]
+             for _ in range(3)),
+            key=lambda doc: doc["wall_seconds"],
+        )
+        print()
+        print(layer_table(
+            document["layers"],
+            title=f"{name} layer fold ({size}^3, warm, "
+                  f"{document['wall_seconds'] * 1e3:.1f} ms under cProfile)",
+        ))
+
+
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
@@ -672,6 +714,7 @@ def main(argv=None) -> int:
         shown = (f"{value:>14.4g}" if name.endswith("_s")
                  else f"{value:>14,.2f}")
         print(f"  {name:24s} {shown}")
+    print_layer_folds(64 if args.quick else 96)
     # Pair this run's metrics with its own calibration for the gate.
     metrics["_normalized"] = {
         name: round(value, 4) for name, value in normalized(metrics).items()

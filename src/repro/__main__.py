@@ -727,6 +727,7 @@ def cmd_telemetry(args) -> int:
 
     if args.action == "summarize":
         rows = []
+        profiles = []
         for key in keys:
             spans = instants = "-"
             valid = "-"
@@ -751,11 +752,11 @@ def cmd_telemetry(args) -> int:
             if os.path.exists(profile_path):
                 with open(profile_path, encoding="utf-8") as handle:
                     profile = json.load(handle)
-                buckets = profile.get("buckets", [])
-                if buckets:
-                    top = buckets[0]
-                    hotspot = (f"{top['bucket']} "
-                               f"({top['seconds'] * 1e3:.1f} ms)")
+                profiles.append(profile)
+                layers = profile.get("layers", [])
+                if layers:
+                    hotspot = (f"{layers[0]['layer']} "
+                               f"({layers[0]['share']:.2f})")
             rows.append((key[:16], spans, instants, samples, series,
                          hotspot, valid))
         print(format_table(
@@ -763,6 +764,15 @@ def cmd_telemetry(args) -> int:
              "hotspot", "trace"],
             rows, title=f"telemetry artifacts in {directory}",
         ))
+        if profiles:
+            from repro.telemetry.profiler import layer_table, merge_layers
+
+            print()
+            print(layer_table(
+                merge_layers(profiles),
+                title=f"host self time by layer, {len(profiles)} "
+                      f"profiled point(s)",
+            ))
         return 0
 
     # export: one validated Chrome trace document to --out.
@@ -969,15 +979,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sample per-component stat deltas every N "
                               "simulated ticks into ring-buffered time "
                               "series (with Prometheus text exposition)")
-    p_sweep.add_argument("--profile", choices=["exact", "sampling"],
-                         default=None,
-                         help="attribute host wall-clock of the event "
-                              "loop to component buckets (exact: time "
-                              "every callback; sampling: every 97th)")
+    p_sweep.add_argument("--profile", action="store_true",
+                         help="run each simulated point under cProfile "
+                              "and write its host self time, share and "
+                              "calls per repro package (layer) as a "
+                              "table; results stay bit-identical")
     p_sweep.add_argument("--diagnostics", action="store_true",
                          help="record simulator run-health counters "
-                              "(events executed/skipped, sync rounds) "
-                              "in each outcome record")
+                              "(events executed/skipped, freelist "
+                              "high-water mark) in each outcome record")
     p_sweep.add_argument("--telemetry-dir", default=None, metavar="DIR",
                          help="artifact directory for --trace/"
                               "--metrics-every/--profile outputs "
@@ -1089,7 +1099,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tel = sub.add_parser(
         "telemetry",
         help="summarize or export telemetry artifacts captured with "
-             "sweep --trace / --metrics-every (docs/OBSERVABILITY.md)",
+             "sweep --trace / --metrics-every / --profile "
+             "(docs/OBSERVABILITY.md)",
     )
     p_tel.add_argument("action", choices=["summarize", "export"],
                        nargs="?", default="summarize")

@@ -33,7 +33,6 @@ little generality for speed:
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from time import perf_counter
 from typing import Callable, Optional
 
 #: Default event priority.  Lower values run first within a tick.
@@ -212,9 +211,6 @@ class Simulator:
         self.freelist_high_water: int = 0
         #: Every SimObject constructed against this simulator, in order.
         self.objects: list = []
-        #: Self-profiler hook (repro.telemetry.profiler).  ``None`` (off)
-        #: costs :meth:`run` one local ``is None`` test per event.
-        self._profiler = None
 
     def register(self, obj) -> None:
         """Record a SimObject for system-wide reset walks."""
@@ -330,16 +326,10 @@ class Simulator:
         which leaves the pop order unchanged (``seq`` makes every key
         unique).  ``now`` mirrors ``self.now`` in a local so the
         monotonicity check costs a local load (the attribute store
-        remains, because callbacks read ``self.now``), and the
-        self-profiler costs one local ``is None`` test per event when
-        it is off.
+        remains, because callbacks read ``self.now``).
         """
         if max_events is not None and max_events <= 0:
             return self.now
-        profiler = self._profiler
-        if profiler is not None:
-            stride = profiler.sample_every
-            record = profiler.record
         running = self._running
         self._running = True
         executed = 0
@@ -369,16 +359,7 @@ class Simulator:
                         f"but time already at {now}"
                     )
                 self.now = now = when
-                if profiler is None:
-                    event.callback()
-                else:
-                    profiler.events_seen += 1
-                    if profiler.events_seen % stride == 0:
-                        began = perf_counter()
-                        event.callback()
-                        record(event.name, perf_counter() - began)
-                    else:
-                        event.callback()
+                event.callback()
                 event.callback = None
                 if len(free) < _FREELIST_MAX:
                     free.append(event)

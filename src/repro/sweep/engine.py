@@ -314,28 +314,24 @@ def point_params(spec: SweepSpec, point: SweepPoint) -> dict:
     return params
 
 
-def _drain_telemetry(key_hash: str) -> Optional[dict]:
+def _drain_telemetry(settings, key_hash: str, profile) -> Optional[dict]:
     """Collect one simulated point's telemetry; write its artifacts.
 
     Runs in whichever process simulated the point (pool workers inherit
     the session through the environment channel), so artifacts land on
     disk exactly once, next to the worker that produced them.  Artifact
-    names are ``<key_hash>.<kind>`` -- deterministic, so rerunning the
-    same point overwrites with byte-identical content.  Returns the
-    JSON-safe summary carried on :attr:`SweepOutcome.telemetry`, or
-    None when no session is active.  The self-profiler's wall-clock
-    numbers go only into their artifact file, never the summary:
-    everything shipped between processes and merged into reports must
-    be deterministic.
+    names are ``<key_hash>.<kind>``, so rerunning the same point
+    overwrites them (byte-identically, except the wall-clock profile).
+    Returns the JSON-safe summary carried on
+    :attr:`SweepOutcome.telemetry`, or None when no session is active.
+    The profile's numbers go only into their artifact file, never the
+    summary: everything shipped between processes must be deterministic.
     """
-    from repro.telemetry.state import active, drain_point
-
-    settings = active()
     if settings is None or not settings.enabled:
         return None
-    data = drain_point()
-    if not data:
-        return None
+    from repro.telemetry.state import drain_point
+
+    data = drain_point() or {}
     directory = settings.trace_dir
     if directory:
         os.makedirs(directory, exist_ok=True)
@@ -361,7 +357,6 @@ def _drain_telemetry(key_hash: str) -> Optional[dict]:
             entry["path"] = path
             entry["prometheus_path"] = prom_path
         out["metrics"] = entry
-    profile = data.get("profile")
     if profile is not None and directory:
         path = os.path.join(directory, f"{key_hash}.profile.json")
         atomic_write_json(path, profile)
@@ -371,17 +366,32 @@ def _drain_telemetry(key_hash: str) -> Optional[dict]:
     return out or None
 
 
+def _point_record(runner: Runner, config, params: dict) -> dict:
+    """Acquire, drive and snapshot one point, then encode its record."""
+    return runner.encode(runner.run(config, **params))
+
+
 def _simulate(
     runner: Runner, point: SweepPoint, params: dict, key_hash: str
 ) -> tuple:
     """Run one point and encode its result (this is the worker body).
 
     Returns ``(record, telemetry)``: the runner-encoded record, plus the
-    per-point telemetry summary (None on ordinary untraced runs).
+    per-point telemetry summary (None on ordinary untraced runs).  A
+    session with ``profile`` on and an artifact directory to write the
+    profile to runs the whole point under cProfile.
     """
-    result = runner.run(point.config, **params)
-    record = runner.encode(result)
-    return record, _drain_telemetry(key_hash)
+    from repro.telemetry.state import active
+
+    settings = active()
+    if settings is not None and settings.profile and settings.trace_dir:
+        from repro.telemetry.profiler import profile_call
+
+        record, profile = profile_call(_point_record, runner,
+                                       point.config, params)
+    else:
+        record, profile = _point_record(runner, point.config, params), None
+    return record, _drain_telemetry(settings, key_hash, profile)
 
 
 @dataclass

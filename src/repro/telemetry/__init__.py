@@ -1,4 +1,4 @@
-"""Telemetry: span tracing, time-series metrics, self-profiling.
+"""Telemetry: span tracing, time-series metrics, host-time profiling.
 
 Three observability primitives for the simulator (docs/OBSERVABILITY.md):
 
@@ -8,20 +8,22 @@ Three observability primitives for the simulator (docs/OBSERVABILITY.md):
   in Perfetto.
 * :mod:`repro.telemetry.metrics` -- periodic StatGroup delta snapshots
   in a bounded ring buffer, with a Prometheus text exposition writer.
-* :mod:`repro.telemetry.profiler` -- host wall-clock attribution of the
-  event loop to component buckets (exact or sampling).
+* :mod:`repro.telemetry.profiler` -- each simulated point run under
+  stdlib ``cProfile``, with self time and calls folded by the ``repro``
+  package (layer) that defines each function.  It loads ``cProfile``
+  only when a point is profiled.
 
 Sessions are process-global (:func:`activate` / :func:`deactivate`,
 inherited by sweep pool workers through an environment variable) and
 never touch cache keys or result records: telemetry observes a
 simulation, it does not participate in one.  Disabled -- the default --
 every hook is ``None`` and the golden-value tests pin bit-identical
-results; the import itself is gated below 2% run-loop overhead by
-``benchmarks/bench_perf_core.py``'s ``tracer_off_overhead`` metric.
+results; the per-acquisition session check is gated below 2% of a warm
+point by ``benchmarks/bench_perf_core.py``'s ``tracer_off_overhead``
+metric.
 """
 
 from repro.telemetry.metrics import MetricsSampler, render_prometheus
-from repro.telemetry.profiler import SelfProfiler
 from repro.telemetry.runtime import TelemetryRuntime
 from repro.telemetry.state import (
     TELEMETRY_ENV,
@@ -44,7 +46,6 @@ __all__ = [
     "TELEMETRY_ENV",
     "MetricsSampler",
     "NullTracer",
-    "SelfProfiler",
     "SpanTracer",
     "TRACER",
     "TelemetryRuntime",

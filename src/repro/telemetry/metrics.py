@@ -103,7 +103,7 @@ class MetricsSampler:
         ]
 
     def arm(self, sim) -> None:
-        """Schedule the periodic sampling event on ``sim``.
+        """Schedule the periodic sample event on ``sim``.
 
         The event re-arms itself only while other events remain pending,
         so it never keeps a drained queue alive.

@@ -5,7 +5,7 @@
 objects to a system's instrumented components (mirroring how
 :class:`~repro.faults.injector.FaultModel` attaches fault state --
 default-``None`` attributes checked next to existing branches), arms
-the metrics sampler and self-profiler per point, and *drains* the
+the metrics sampler per point, and *drains* the
 collected data after each point so consecutive points of a sweep never
 bleed into each other.
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.telemetry.metrics import MetricsSampler
-from repro.telemetry.profiler import SelfProfiler
 from repro.telemetry.state import TelemetrySettings
 from repro.telemetry.tracer import DmaTrace, LinkTrace, SpanTracer
 
@@ -72,10 +71,6 @@ class TelemetryRuntime:
         if self.metrics is not None:
             self.metrics.begin_run(system)
             self.metrics.arm(system.sim)
-        if self.settings.profile is not None:
-            system.sim._profiler = SelfProfiler(
-                self.settings.profile, self.settings.profile_every
-            )
 
     def _attach(self, system) -> None:
         if self.tracer is None:
@@ -103,7 +98,6 @@ class TelemetryRuntime:
                 state.trace = None
         for wrapper in system.wrappers:
             wrapper.dma.trace = None
-        system.sim._profiler = None
 
     def detach_all(self) -> None:
         for system in self._attached:
@@ -118,8 +112,8 @@ class TelemetryRuntime:
     def drain_point(self) -> dict:
         """Collect everything recorded since the last acquisition.
 
-        Clears the tracer (the sampler and profiler reset at the next
-        acquisition) so each point's artifacts stand alone.  The
+        Clears the tracer (the sampler resets at the next acquisition)
+        so each point's artifacts stand alone.  The
         returned dict is JSON-safe except for ``trace.chrome_json``,
         which is the pre-serialized (byte-stable) trace document.
         """
@@ -137,11 +131,6 @@ class TelemetryRuntime:
                 "prometheus": self.metrics.prometheus_text(),
             }
         system = self.current_system
-        if system is not None:
-            profiler = getattr(system.sim, "_profiler", None)
-            if profiler is not None:
-                out["profile"] = profiler.to_record()
-                system.sim._profiler = None
-            if self.settings.diagnostics:
-                out["diagnostics"] = system.sim.diagnostics()
+        if system is not None and self.settings.diagnostics:
+            out["diagnostics"] = system.sim.diagnostics()
         return out

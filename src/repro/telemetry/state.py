@@ -3,7 +3,7 @@
 This module is deliberately tiny and import-light: the system factory
 (:func:`repro.core.runner.system_for`) consults it on *every* system
 acquisition, including the default untraced path, so it must not drag
-the rest of the telemetry stack (tracer, sampler, profiler) into the
+the rest of the telemetry stack (tracer, sampler, cProfile) into the
 import footprint of ordinary sweeps.  The heavy modules are imported
 lazily, and only once a session is actually active.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 __all__ = [
@@ -57,10 +57,10 @@ class TelemetrySettings:
     metrics_every: Optional[int] = None
     #: Ring-buffer capacity of the metrics sampler (samples retained).
     metrics_capacity: int = 4096
-    #: Self-profiler mode: ``None``, ``"exact"`` or ``"sampling"``.
-    profile: Optional[str] = None
-    #: Sampling stride for ``profile="sampling"``.
-    profile_every: int = 97
+    #: Run each point under cProfile and write its per-package layer
+    #: table to ``trace_dir`` (``<key_hash>.profile.json``); without a
+    #: ``trace_dir`` nothing is profiled.
+    profile: bool = False
     #: Capture ``Simulator.diagnostics()`` per point.
     diagnostics: bool = False
 
@@ -69,20 +69,12 @@ class TelemetrySettings:
         return bool(
             self.trace
             or self.metrics_every is not None
-            or self.profile is not None
+            or self.profile
             or self.diagnostics
         )
 
     def to_json(self) -> dict:
-        return {
-            "trace": self.trace,
-            "trace_dir": self.trace_dir,
-            "metrics_every": self.metrics_every,
-            "metrics_capacity": self.metrics_capacity,
-            "profile": self.profile,
-            "profile_every": self.profile_every,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)  # every field is JSON-safe
 
     @classmethod
     def from_json(cls, payload: dict) -> "TelemetrySettings":
@@ -91,8 +83,7 @@ class TelemetrySettings:
             trace_dir=payload.get("trace_dir"),
             metrics_every=payload.get("metrics_every"),
             metrics_capacity=int(payload.get("metrics_capacity", 4096)),
-            profile=payload.get("profile"),
-            profile_every=int(payload.get("profile_every", 97)),
+            profile=bool(payload.get("profile", False)),
             diagnostics=bool(payload.get("diagnostics", False)),
         )
 

@@ -301,3 +301,26 @@ class TestCommands:
         assert main(["gemm", "--system", "DevMem-CXL", "--size", "32"]) == 0
         out = capsys.readouterr().out
         assert "DevMem-CXL" in out
+
+    def test_profiled_sweep_then_summarize_prints_layer_table(
+            self, capsys, tmp_path):
+        from repro.telemetry.state import deactivate
+
+        directory = str(tmp_path / "telemetry")
+        try:
+            assert main(["sweep", "--name", "access-modes", "--size", "16",
+                         "--shard", "1/3", "--profile",
+                         "--telemetry-dir", directory,
+                         "--cache-dir", str(tmp_path / "cache")]) == 0
+        finally:
+            # The CLI leaves its session active for the life of the
+            # process; later tests must start without one.
+            deactivate()
+        assert "telemetry: 1/1 point(s) captured" in capsys.readouterr().out
+        assert main(["telemetry", "summarize", "--dir", directory]) == 0
+        out = capsys.readouterr().out
+        assert "host self time by layer, 1 profiled point(s)" in out
+        table = out.split("host self time by layer", 1)[1].splitlines()
+        assert table[1].split() == ["layer", "self", "ms", "share", "calls"]
+        layers = {line.split()[0] for line in table[3:] if line.strip()}
+        assert {"sim", "cache", "builtins"} <= layers

@@ -9,25 +9,30 @@ Covers the acceptance bars of docs/OBSERVABILITY.md:
 * record bit-identity: a traced sweep produces the very records an
   untraced sweep does, with telemetry/diagnostics only as siblings;
 * the metrics ring buffer, the Prometheus exposition, the
-  self-profiler, and the env-var session channel.
+  per-package cProfile fold, and the env-var session channel.
 """
 
+import cProfile
+import heapq
 import json
 import os
+import pstats
 
 import pytest
 
+import repro
 from repro import SystemConfig
 from repro.core.runner import run_gemm, system_for
 from repro.sim.eventq import Simulator
 from repro.sim.statistics import StatGroup
 from repro.sweep import SweepSpec, gemm_points, run_sweep
+from repro.sweep.engine import _point_record, point_params
+from repro.sweep.spec import resolve_runner
 from repro.telemetry import (
     TELEMETRY_ENV,
     TRACER,
     MetricsSampler,
     NullTracer,
-    SelfProfiler,
     SpanTracer,
     TelemetrySettings,
     activate,
@@ -35,6 +40,7 @@ from repro.telemetry import (
     deactivate,
     validate_chrome_trace,
 )
+from repro.telemetry.profiler import fold_stats, layer_of, merge_layers
 
 SIZE = 32
 
@@ -78,7 +84,6 @@ class TestDisabledDefaults:
     def test_component_hooks_default_none(self):
         system = system_for(SystemConfig.table2_baseline())
         assert system.wrapper.dma.trace is None
-        assert system.sim._profiler is None
         assert system.fabric.up.trace is None
         assert system.fabric.down.trace is None
 
@@ -159,7 +164,7 @@ class TestSessionChannel:
     def test_json_round_trip(self):
         settings = TelemetrySettings(
             trace=True, trace_dir="/tmp/t", metrics_every=1000,
-            profile="sampling", diagnostics=True,
+            profile=True, diagnostics=True,
         )
         assert TelemetrySettings.from_json(settings.to_json()) == settings
 
@@ -240,7 +245,7 @@ class TestTracedSweep:
     def test_metrics_and_profile_artifacts(self, tmp_path):
         settings = TelemetrySettings(
             trace_dir=str(tmp_path / "m"), metrics_every=1_000_000,
-            profile="exact",
+            profile=True,
         )
         activate(settings)
         try:
@@ -258,11 +263,9 @@ class TestTracedSweep:
             assert "repro_stat{" in prom
             assert "repro_samples_total" in prom
             profile_doc = json.loads(open(summary["profile"]["path"]).read())
-            assert profile_doc["mode"] == "exact"
-            assert profile_doc["buckets"]
+            assert profile_doc["layers"]
             # Host wall-clock stays out of the cross-process summary.
-            assert "buckets" not in summary["profile"]
-            assert "total_seconds" not in summary["profile"]
+            assert list(summary["profile"]) == ["path"]
 
     def test_diagnostics_only_session(self, tmp_path):
         settings = TelemetrySettings(diagnostics=True)
@@ -382,85 +385,121 @@ class TestMetricsSampler:
 
 
 # ----------------------------------------------------------------------
-# Self-profiler
+# Host-time profile: cProfile folded by repro package
 # ----------------------------------------------------------------------
-class TestSelfProfiler:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SelfProfiler(mode="turbo")
-        with pytest.raises(ValueError):
-            SelfProfiler(mode="sampling", sample_every=0)
-        assert SelfProfiler(mode="exact").sample_every == 1
+REPRO_DIR = os.path.dirname(repro.__file__)
 
-    def test_bucket_accounting(self):
-        profiler = SelfProfiler(mode="sampling", sample_every=10)
-        profiler.record("dma", 0.001)
-        profiler.record("dma", 0.002)
-        profiler.record("link", 0.004)
-        table = profiler.table()
-        assert table[0]["bucket"] == "link"  # heaviest (stride-scaled)
-        assert table[0]["seconds"] == pytest.approx(0.04)
-        assert profiler.total_seconds == pytest.approx(0.07)
-        record = profiler.to_record()
-        assert record["mode"] == "sampling"
-        assert len(record["buckets"]) == 2
 
-    def test_profiled_run_same_results(self):
-        def drive(profiler):
-            sim = Simulator()
-            if profiler is not None:
-                sim._profiler = profiler
-            state = {"fired": 0}
+def repro_file(*parts):
+    return os.path.join(REPRO_DIR, *parts)
 
-            def fire():
-                state["fired"] += 1
-                if state["fired"] < 50:
-                    sim.schedule(7, fire, name="train")
 
-            sim.schedule(1, fire, name="train")
-            sim.run()
-            return sim.now, sim.events_executed, state["fired"]
+class TestLayerFold:
+    def test_layer_of_paths(self):
+        assert layer_of(repro_file("interconnect", "pcie", "link.py")) == (
+            "interconnect.pcie")
+        assert layer_of(repro_file("memory", "dram", "controller.py")) == (
+            "memory.dram")
+        assert layer_of(repro_file("cache", "tags.py")) == "cache"
+        assert layer_of(repro_file("__main__.py")) == "repro"
+        assert layer_of("~") == "builtins"
+        assert layer_of(heapq.__file__) == "other"
+        assert layer_of("<frozen importlib._bootstrap>") == "other"
+        # A sibling directory whose name merely starts with "repro".
+        assert layer_of(REPRO_DIR + "_extra" + os.sep + "x.py") == "other"
 
-        plain = drive(None)
-        profiler = SelfProfiler(mode="exact")
-        profiled = drive(profiler)
-        assert plain == profiled  # simulated results identical
-        assert profiler.events_seen == plain[1]
-        assert "train" in profiler.buckets
+    def test_fold_sums_self_time_and_calls(self):
+        stats = {
+            (repro_file("cache", "tags.py"), 10, "access"):
+                (40, 50, 0.030, 0.040, {}),
+            (repro_file("cache", "cache.py"), 20, "send"):
+                (10, 10, 0.010, 0.090, {}),
+            (repro_file("interconnect", "pcie", "link.py"), 5, "deliver"):
+                (4, 4, 0.020, 0.025, {}),
+            ("~", 0, "<built-in method builtins.len>"):
+                (7, 7, 0.005, 0.005, {}),
+            (heapq.__file__, 1, "heappush"): (3, 3, 0.0, 0.0, {}),
+        }
+        rows = fold_stats(stats)
+        assert [row["layer"] for row in rows] == [
+            "cache", "interconnect.pcie", "builtins", "other"]
+        cache = rows[0]
+        assert cache["self_seconds"] == pytest.approx(0.040)
+        assert cache["calls"] == 60  # total calls, recursive ones included
+        assert cache["share"] == pytest.approx(0.040 / 0.065)
+        assert sum(row["share"] for row in rows) == pytest.approx(1.0)
+        assert fold_stats({}) == []
 
-    def test_profiled_bounded_run(self):
-        def drive(profiler):
-            sim = Simulator()
-            if profiler is not None:
-                sim._profiler = profiler
-            for tick in (10, 20, 30, 40):
-                sim.schedule(tick, lambda: None, name="tick")
-            sim.schedule(15, lambda: None, name="tick").cancel()
-            sim.run(until=25)
-            return sim.now, sim.events_executed, sim.pending_events
+    def test_merge_layers(self):
+        doc = {"layers": [
+            {"layer": "sim", "self_seconds": 0.3, "share": 0.75,
+             "calls": 9},
+            {"layer": "cache", "self_seconds": 0.1, "share": 0.25,
+             "calls": 4},
+        ]}
+        rows = merge_layers([doc, doc, {"layers": []}])
+        assert [(row["layer"], row["calls"]) for row in rows] == [
+            ("sim", 18), ("cache", 8)]
+        assert rows[0]["self_seconds"] == pytest.approx(0.6)
+        assert rows[0]["share"] == pytest.approx(0.75)
 
-        plain = drive(None)
-        profiler = SelfProfiler(mode="exact")
-        profiled = drive(profiler)
-        assert plain == profiled == (20, 2, 2)  # 30 and 40 stay queued
-        assert profiler.events_seen == 2
-        assert "tick" in profiler.buckets
+    def test_warm_point_calls_match_a_hand_fold(self, tmp_path):
+        spec = SweepSpec(name="profiled-gemm", points=gemm_points(
+            {"pcie_8gb": SystemConfig.pcie_8gb()}, 64))
+        activate(TelemetrySettings(profile=True, trace_dir=str(tmp_path)))
+        for _warm in range(2):
+            run_sweep(spec, workers=1, cache=False)
+        outcome = run_sweep(spec, workers=1, cache=False).outcomes[0]
+        document = json.loads(
+            open(outcome.telemetry["profile"]["path"]).read()
+        )
+        assert document["wall_seconds"] > 0
+        assert "sim" in {row["layer"] for row in document["layers"]}
+        # Host wall-clock stays out of the cross-process summary.
+        assert outcome.telemetry == {"profile": {
+            "path": str(tmp_path / f"{outcome.key_hash}.profile.json")}}
 
-    def test_profiled_run_until_idle(self):
-        sim = Simulator()
-        profiler = SelfProfiler(mode="exact")
-        sim._profiler = profiler
-        state = {"left": 20}
+        # The reference: the same point body profiled by hand, folded
+        # by pstats entry with a package map written out here.
+        point = spec.points[0]
+        profile = cProfile.Profile()
+        profile.runcall(_point_record, resolve_runner(spec.runner),
+                        point.config, point_params(spec, point))
+        reference = {}
+        root = REPRO_DIR + os.sep
+        for (filename, _line, _name), entry in (
+                pstats.Stats(profile).stats.items()):
+            if filename == "~":
+                layer = "builtins"
+            elif filename.startswith(root):
+                package = os.path.dirname(filename[len(root):])
+                layer = package.replace(os.sep, ".") or "repro"
+            else:
+                layer = "other"
+            reference[layer] = reference.get(layer, 0) + entry[1]
+        assert {row["layer"]: row["calls"]
+                for row in document["layers"]} == reference
 
-        def fire():
-            state["left"] -= 1
-            if state["left"]:
-                sim.schedule(3, fire, name="idle-train")
+    def test_no_artifact_directory_means_no_profiling(self, monkeypatch):
+        import repro.telemetry.profiler as profiler
 
-        sim.schedule(1, fire, name="idle-train")
-        sim.run_until_idle(lambda: state["left"] <= 0)
-        assert state["left"] == 0
-        assert profiler.events_seen > 0
+        def refuse(*args):
+            raise AssertionError("profiled a point it cannot write out")
+
+        monkeypatch.setattr(profiler, "profile_call", refuse)
+        activate(TelemetrySettings(profile=True))
+        report = run_sweep(small_spec(), workers=1, cache=False)
+        assert [outcome.telemetry for outcome in report.outcomes] == [
+            None, None]
+
+    def test_records_identical_with_profile(self, tmp_path):
+        plain = run_sweep(small_spec(), workers=1, cache=False)
+        activate(TelemetrySettings(profile=True, trace_dir=str(tmp_path)))
+        profiled = run_sweep(small_spec(), workers=1, cache=False)
+        deactivate()
+        assert ([outcome.record for outcome in plain.outcomes]
+                == [outcome.record for outcome in profiled.outcomes])
+        assert len(list(tmp_path.glob("*.profile.json"))) == 2
 
 
 # ----------------------------------------------------------------------
@@ -483,7 +522,7 @@ class TestDiagnostics:
         plain = run_gemm(config, SIZE, SIZE, SIZE)
         settings = TelemetrySettings(
             trace=True, trace_dir=str(tmp_path / "g"),
-            metrics_every=1_000_000, profile="exact", diagnostics=True,
+            metrics_every=1_000_000, profile=True, diagnostics=True,
         )
         activate(settings)
         try:

@@ -3,10 +3,11 @@
 
 Measures the hot paths the sweep engine leans on -- raw event-loop
 throughput, cancellation churn, quiesce-throttled idle loops, one GEMM
-point, one system build, a stats snapshot, a small fig6 grid, and the
-result server's warm-query latency and miss-coalescing factor -- and
-records them in ``BENCH_core.json`` so every PR can show its perf delta
-against the committed numbers (see docs/PERFORMANCE.md).
+point, one system build, a warm cached-grid replay, a stats snapshot, a
+small fig6 grid, and the result server's warm-query latency and
+miss-coalescing factor -- and records them in ``BENCH_core.json`` so
+every change can show its perf delta against the committed numbers (see
+docs/PERFORMANCE.md).
 
 It also prints an informational per-package host-time fold (cProfile,
 the table ``sweep --profile`` writes) of one warm gemm and one warm
@@ -263,6 +264,38 @@ def bench_system_build() -> float:
     best = _best_of(run)[0]
     clear_system_memo()  # pin no fig5 system for the later benches
     return best
+
+
+def bench_warm_replay(passes: int) -> float:
+    """Median per-point microseconds of a warm ``fig5-memory`` replay.
+
+    Simulates the 12 points (size 128) into a throwaway cache once, then
+    replays the grid ``passes`` times through ``iter_sweep``; a point's
+    time is the gap between consecutive outcomes, as perfbench's
+    ``warm_us_p50`` times it.  Every replayed point is a cache hit, so
+    this is the cost of keying a point and reading its record.  Each
+    pass builds the spec afresh, as a ``repro sweep`` replay does, so
+    no config arrives with its canonical form already stored.
+    """
+    import statistics
+    import tempfile
+
+    from repro.sweep import iter_sweep
+
+    samples = []
+    with tempfile.TemporaryDirectory() as tmp:
+        run_sweep(build_sweep("fig5-memory", size=128), workers=1,
+                  cache_dir=tmp)
+        for _ in range(passes):
+            spec = build_sweep("fig5-memory", size=128)
+            last = time.perf_counter_ns()
+            for outcome in iter_sweep(spec, workers=1, cache_dir=tmp):
+                now = time.perf_counter_ns()
+                assert outcome.cached
+                samples.append(now - last)
+                last = now
+    clear_system_memo()  # pin no fig5 system for the later benches
+    return statistics.median(samples) / 1e3
 
 
 def bench_tracer_off_overhead(size: int) -> float:
@@ -564,6 +597,8 @@ def collect_metrics(quick: bool) -> dict:
         bench_p2p_transfer(128 * 1024 if quick else 512 * 1024)
     )
     metrics["system_build_s"] = _sig4(bench_system_build())
+    metrics["warm_replay_us"] = round(bench_warm_replay(
+        100 if quick else 300), 1)
     metrics["snapshot_us"] = round(bench_snapshot(gemm_size, snap_iters), 2)
     metrics["tracer_off_overhead"] = round(
         bench_tracer_off_overhead(gemm_size), 4

@@ -375,13 +375,22 @@ def cmd_sweep(args) -> int:
         print("note: --fault-seed applies with --faults only",
               file=sys.stderr)
     settings = _telemetry_settings(args)
-    if settings is not None:
-        # Process-global session; pool workers inherit it through the
-        # environment channel.  No explicit deactivate: the CLI process
-        # (and with it the env var) ends right after the run.
-        from repro.telemetry.state import activate
+    if settings is None:
+        return _run_sweep_specs(args, specs, shard)
+    # Process-global session; pool workers inherit it through the
+    # environment channel.  Ended on the way out, so an in-process
+    # caller of ``main`` does not keep collecting on later runs.
+    from repro.telemetry.state import activate, deactivate
 
-        activate(settings)
+    activate(settings)
+    try:
+        return _run_sweep_specs(args, specs, shard, settings)
+    finally:
+        deactivate()
+
+
+def _run_sweep_specs(args, specs, shard, settings=None) -> int:
+    """The body of ``sweep`` once the specs (and telemetry) are set."""
     if args.ladder:
         return _run_ladders(args, specs, shard)
     for flag in ("top_k", "pareto", "margin", "objective", "calibration"):

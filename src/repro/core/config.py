@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -299,16 +300,36 @@ class SystemConfig:
         """
         return canonical_value(self)
 
+    # The two attributes below are computed once per instance and kept
+    # in its ``__dict__`` (``cached_property`` writes there directly, so
+    # the frozen ``__setattr__`` is not in the way).  They are not
+    # fields: ``replace``/``with_*`` copies start without them, and a
+    # pickled config carries them to pool workers.  Storing them is
+    # sound only because every dataclass reachable from the fields is
+    # frozen and holds no list/dict/set; tests/test_config_key.py
+    # enforces that.
+    @functools.cached_property
+    def canonical_json(self) -> str:
+        """:meth:`to_canonical` as compact JSON with sorted keys.
+
+        The exact text :meth:`stable_hash` digests and the sweep cache
+        splices into every point key.
+        """
+        return json.dumps(
+            self.to_canonical(), sort_keys=True, separators=(",", ":")
+        )
+
+    @functools.cached_property
+    def _stable_digest(self) -> str:
+        return hashlib.sha256(self.canonical_json.encode("utf-8")).hexdigest()
+
     def stable_hash(self) -> str:
         """A hex digest stable across processes and interpreter runs.
 
         Unlike ``hash()``, this does not depend on ``PYTHONHASHSEED``;
         the sweep result cache uses it to key results on disk.
         """
-        payload = json.dumps(
-            self.to_canonical(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return self._stable_digest
 
 
 def canonical_value(obj):

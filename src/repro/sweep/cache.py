@@ -201,16 +201,18 @@ def point_key(point: SweepPoint, runner, params: Optional[dict] = None) -> str:
     the seed-augmented set so auto-seeded runs key on the actual seed.
     """
     runner = resolve_runner(runner)
-    identity = {
+    rest = json.dumps({
         "format": CACHE_FORMAT,
-        "runner": runner.name,
-        "runner_src": _runner_fingerprint(runner),
-        "config": point.config.to_canonical(),
         "params": canonical_value(dict(params if params is not None
                                        else point.params)),
-        "code": code_version(),
-    }
-    payload = json.dumps(identity, sort_keys=True, separators=(",", ":"))
+        "runner": runner.name,
+        "runner_src": _runner_fingerprint(runner),
+    }, sort_keys=True, separators=(",", ":"))
+    # The identity is one sorted-key JSON object; "code" and "config"
+    # sort ahead of every other key, so the config's stored canonical
+    # text is spliced in rather than the whole tree serialised again.
+    payload = (f'{{"code":{json.dumps(code_version())},'
+               f'"config":{point.config.canonical_json},{rest[1:]}')
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -299,12 +301,15 @@ class ResultCache:
 
     def __init__(self, cache_dir: Optional[os.PathLike] = None) -> None:
         self.root = Path(cache_dir) if cache_dir else default_cache_dir()
+        #: ``root`` plus a separator: :meth:`_path` joins entry paths
+        #: as strings, keeping pathlib off every warm read.
+        self._prefix = os.path.join(self.root, "")
         self.hits = 0
         self.misses = 0
         self._counter_lock = threading.Lock()
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return f"{self._prefix}{key}.json"
 
     def _entry_paths(self):
         """Every *committed* entry file, sorted; temp files excluded."""
@@ -317,14 +322,12 @@ class ResultCache:
 
     def get(self, key: str) -> Optional[dict]:
         """The stored record for ``key``, or None (counted as a miss)."""
-        path = self._path(key)
         try:
-            with path.open("r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-            record = entry["record"]
-        except (OSError, json.JSONDecodeError, KeyError, TypeError):
-            # Unreadable, non-JSON, or wrong-shape entries (e.g. from an
-            # older format) all degrade to a re-simulation.
+            with open(self._path(key), "rb") as handle:
+                record = json.loads(handle.read())["record"]
+        except (OSError, ValueError, KeyError, TypeError):
+            # Unreadable, non-UTF-8, non-JSON, or wrong-shape entries
+            # (e.g. from an older format) all degrade to a re-simulation.
             with self._counter_lock:
                 self.misses += 1
             return None
@@ -350,9 +353,8 @@ class ResultCache:
         """
         for path in self._entry_paths():
             try:
-                with path.open("r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
-            except (OSError, json.JSONDecodeError):
+                entry = json.loads(path.read_bytes())
+            except (OSError, ValueError):
                 continue
             if not isinstance(entry, dict):
                 continue

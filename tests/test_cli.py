@@ -282,6 +282,15 @@ class TestCommands:
         assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
         assert "removed 0 entries" in capsys.readouterr().out
 
+    def test_cache_stats_skips_a_non_utf8_entry(self, capsys, tmp_path):
+        assert main(["sweep", "--name", "access-modes", "--size", "16",
+                     "--shard", "1/3", "--cache-dir", str(tmp_path)]) == 0
+        (tmp_path / f"{'ef' * 32}.json").write_bytes(
+            b'{"record": "\xff\xfe"}')
+        capsys.readouterr()
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        assert "entries:    1" in capsys.readouterr().out
+
     def test_cache_prune_requires_sweep(self, tmp_path):
         with pytest.raises(SystemExit, match="--sweep"):
             main(["cache", "prune", "--cache-dir", str(tmp_path)])
@@ -302,20 +311,33 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "DevMem-CXL" in out
 
+    @pytest.mark.parametrize("ladder", [False, True])
+    def test_sweep_ends_its_telemetry_session(self, capsys, tmp_path,
+                                              ladder):
+        import os
+
+        from repro.sweep import build_sweep, run_sweep
+        from repro.telemetry.state import TELEMETRY_ENV, active
+
+        argv = ["sweep", "--name", "access-modes", "--size", "16",
+                "--diagnostics", "--no-cache",
+                "--telemetry-dir", str(tmp_path / "telemetry")]
+        assert main(argv + (["--ladder", "--top-k", "1"] if ladder
+                            else ["--shard", "1/3"])) == 0
+        capsys.readouterr()
+        assert active() is None
+        assert TELEMETRY_ENV not in os.environ
+        report = run_sweep(build_sweep("access-modes", size=16), workers=1,
+                           cache=False, shard=(1, 3))
+        assert [outcome.telemetry for outcome in report.outcomes] == [None]
+
     def test_profiled_sweep_then_summarize_prints_layer_table(
             self, capsys, tmp_path):
-        from repro.telemetry.state import deactivate
-
         directory = str(tmp_path / "telemetry")
-        try:
-            assert main(["sweep", "--name", "access-modes", "--size", "16",
-                         "--shard", "1/3", "--profile",
-                         "--telemetry-dir", directory,
-                         "--cache-dir", str(tmp_path / "cache")]) == 0
-        finally:
-            # The CLI leaves its session active for the life of the
-            # process; later tests must start without one.
-            deactivate()
+        assert main(["sweep", "--name", "access-modes", "--size", "16",
+                     "--shard", "1/3", "--profile",
+                     "--telemetry-dir", directory,
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
         assert "telemetry: 1/1 point(s) captured" in capsys.readouterr().out
         assert main(["telemetry", "summarize", "--dir", directory]) == 0
         out = capsys.readouterr().out

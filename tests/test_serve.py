@@ -130,6 +130,20 @@ class TestQueryPath:
         assert (json.dumps(cold["record"], sort_keys=True)
                 == json.dumps(direct_record, sort_keys=True))
 
+    def test_non_utf8_entry_is_refilled(self, server):
+        key = keys()[0]
+        status, cold = query(server, key)
+        assert status == 200 and cold["cached"] is False
+        cache = server.service.cache
+        path = cache.root / f"{cold['key_hash']}.json"
+        path.write_bytes(b'{"record": "\xff\xfe"}')
+        status, refill = query(server, key)
+        assert status == 200
+        assert refill["cached"] is False
+        assert refill["record"] == cold["record"]
+        status, warm = query(server, key)
+        assert status == 200 and warm["cached"] is True
+
     def test_get_query_string_form(self, server):
         from urllib.parse import quote
 

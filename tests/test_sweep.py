@@ -144,6 +144,30 @@ class TestCache:
         assert again.misses == 1
         assert ticks_of(report) == ticks_of(again)
 
+    def test_non_utf8_entry_is_a_miss(self, tmp_path):
+        # A torn or bit-rotted entry whose bytes are not UTF-8 used to
+        # raise UnicodeDecodeError out of get() and entries().
+        cache = ResultCache(tmp_path)
+        cache.put("ab" * 32, {"ticks": 1})
+        (tmp_path / f"{'cd' * 32}.json").write_bytes(
+            b'{"record": "\xff\xfe"}')
+        assert cache.get("cd" * 32) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert [path.stem for path, _ in cache.entries()] == ["ab" * 32]
+        assert cache.summarize()["entries"] == 1
+
+    def test_non_utf8_entry_is_resimulated_and_overwritten(self, tmp_path):
+        spec = small_spec(packets=(64,))
+        report = run_sweep(spec, workers=1, cache_dir=tmp_path)
+        path = tmp_path / f"{report.outcomes[0].key_hash}.json"
+        path.write_bytes(b'{"record": "\xff\xfe"}')
+        again = run_sweep(spec, workers=1, cache_dir=tmp_path)
+        assert (again.hits, again.misses) == (0, 1)
+        assert again.outcomes[0].record == report.outcomes[0].record
+        assert json.loads(path.read_bytes())["record"] == (
+            report.outcomes[0].record)
+        assert run_sweep(spec, workers=1, cache_dir=tmp_path).fully_cached
+
     def test_no_cache_flag(self, tmp_path):
         spec = small_spec(packets=(64,))
         run_sweep(spec, workers=1, cache=False, cache_dir=tmp_path)

@@ -4,8 +4,8 @@
 Measures the hot paths the sweep engine leans on -- raw event-loop
 throughput, cancellation churn, quiesce-throttled idle loops, one GEMM
 point, one system build, a warm cached-grid replay, a stats snapshot, a
-small fig6 grid, and the result server's warm-query latency and
-miss-coalescing factor -- and records them in ``BENCH_core.json`` so
+small fig6 grid, and the result server's warm- and cold-query latency
+and miss-coalescing factor -- and records them in ``BENCH_core.json`` so
 every change can show its perf delta against the committed numbers (see
 docs/PERFORMANCE.md).
 
@@ -498,6 +498,55 @@ def bench_serve_query_lat(quick: bool) -> float:
     return samples[len(samples) // 2]
 
 
+#: Cold-query grid: one 16x16 GEMM point per packet size, 7 systems,
+#: all resident in the system memo so a cold query pays its fill, not a
+#: system build.
+SERVE_COLD_ARGS = {"size": 16, "packets": [64, 128, 256, 512, 1024, 2048,
+                                           4096]}
+
+
+def bench_serve_cold_query(quick: bool) -> float:
+    """Cold point-query p50 through the result server, milliseconds.
+
+    A real server at default settings (so at the default batch window)
+    answers every point of :data:`SERVE_COLD_ARGS` once per round over
+    one keep-alive connection; the grid's cache entries are deleted
+    between rounds, so each timed query misses and waits out its fill.
+    The first round builds the query index and is not timed.
+    """
+    import http.client
+    import tempfile
+
+    from repro.serve import ServeSettings, ServerThread
+
+    rounds = 3 if quick else 8
+    spec = build_sweep(SERVE_SWEEP, size=SERVE_COLD_ARGS["size"],
+                       packets=tuple(SERVE_COLD_ARGS["packets"]))
+    for point in spec.points:
+        system_for(point.config)
+    bodies = [json.dumps({"sweep": SERVE_SWEEP, "key": repr(point.key),
+                          "args": SERVE_COLD_ARGS})
+              for point in spec.points]
+    samples = []
+    with tempfile.TemporaryDirectory() as tmp:
+        with ServerThread(ServeSettings(port=0, cache_dir=tmp)) as st:
+            conn = http.client.HTTPConnection(st.host, st.port, timeout=120)
+            for round_index in range(rounds + 1):
+                for entry in Path(tmp).glob("*.json"):
+                    entry.unlink()
+                for body in bodies:
+                    t0 = time.perf_counter()
+                    conn.request("POST", "/query", body=body)
+                    payload = json.loads(conn.getresponse().read())
+                    elapsed = time.perf_counter() - t0
+                    assert payload["cached"] is False, payload
+                    if round_index:
+                        samples.append(elapsed * 1e3)
+            conn.close()
+    samples.sort()
+    return samples[len(samples) // 2]
+
+
 def bench_serve_coalesce() -> float:
     """Single-flight factor: identical concurrent colds per simulation.
 
@@ -607,6 +656,7 @@ def collect_metrics(quick: bool) -> dict:
     metrics["surrogate_grid_eps"] = round(bench_surrogate_grid(quick), 1)
     metrics["ladder_fig6_s"] = _sig4(bench_ladder_fig6(grid_size))
     metrics["serve_query_lat_us"] = round(bench_serve_query_lat(quick), 1)
+    metrics["serve_cold_query_ms"] = round(bench_serve_cold_query(quick), 3)
     metrics["serve_coalesce_x"] = bench_serve_coalesce()
     return metrics
 

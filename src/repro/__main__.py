@@ -1137,11 +1137,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--workers", type=int, default=1,
                          help="process-pool width of each fill batch "
                               "(default 1)")
-    p_serve.add_argument("--batch-window", type=float, default=0.01,
+    p_serve.add_argument("--batch-window", type=float, default=0.0,
                          metavar="SECONDS",
                          help="how long a first miss waits for concurrent "
                               "distinct misses to share its fill run "
-                              "(default 0.01)")
+                              "(default 0: fill at once; misses arriving "
+                              "during a fill share the next one)")
     p_serve.set_defaults(func=cmd_serve)
 
     p_cache = sub.add_parser(

@@ -27,17 +27,26 @@ attempt/owner -- and drops the shard without marking anything, so a
 slow-but-alive worker can never corrupt the ledger of its replacement
 (both would have produced bit-identical cache entries anyway; the
 content-addressed cache makes double execution harmless).
+
+Every read-check-write of a state file (a heartbeat, an expiry, a
+claim's ``running`` write, a worker's final ``done``/``failed``) runs
+under :func:`lease_lock`, an exclusive ``flock`` on a sibling lock
+file.  Without it a dispatcher's expiry could land between a
+heartbeat's ownership check and its write, and the stale attempt's
+lease would overwrite the new one.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import json
 import os
 import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.sweep.cache import atomic_write_json
 
@@ -80,6 +89,24 @@ def shards_dir(run_dir: os.PathLike) -> Path:
 
 def lease_path(run_dir: os.PathLike, index: int) -> Path:
     return shards_dir(run_dir) / f"shard-{index:04d}.json"
+
+
+@contextlib.contextmanager
+def lease_lock(run_dir: os.PathLike, index: int) -> Iterator[None]:
+    """Hold shard ``index``'s lease lock: one read-check-write at a time.
+
+    An exclusive ``flock`` on ``shard-NNNN.lock`` beside the state file.
+    Each entry opens the file anew, so threads of one process exclude
+    each other as well as processes do.
+    """
+    path = shards_dir(run_dir) / f"shard-{index:04d}.lock"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # releases the lock
 
 
 def report_path(run_dir: os.PathLike, index: int) -> Path:
@@ -175,7 +202,8 @@ def try_claim(run_dir: os.PathLike, lease: ShardLease, owner: str) -> bool:
     lease.claimed_at = now
     lease.heartbeat = now
     lease.error = ""
-    write_lease(run_dir, lease)
+    with lease_lock(run_dir, lease.index):
+        write_lease(run_dir, lease)
     return True
 
 
@@ -193,20 +221,21 @@ def expire_lease(run_dir: os.PathLike, lease: ShardLease) -> ShardLease:
     instead of being stomped back to pending.  A finished shard must
     never be redone because the dispatcher raced its completion.
     """
-    current = read_lease(run_dir, lease.index)
-    if current is not None and (
-        current.state == DONE
-        or current.attempt != lease.attempt
-        or current.owner != lease.owner
-    ):
-        return current
-    lease.state = PENDING
-    lease.attempt += 1
-    lease.owner = ""
-    lease.heartbeat = 0.0
-    lease.claimed_at = 0.0
-    lease.hits = lease.misses = lease.done_points = 0
-    write_lease(run_dir, lease)
+    with lease_lock(run_dir, lease.index):
+        current = read_lease(run_dir, lease.index)
+        if current is not None and (
+            current.state == DONE
+            or current.attempt != lease.attempt
+            or current.owner != lease.owner
+        ):
+            return current
+        lease.state = PENDING
+        lease.attempt += 1
+        lease.owner = ""
+        lease.heartbeat = 0.0
+        lease.claimed_at = 0.0
+        lease.hits = lease.misses = lease.done_points = 0
+        write_lease(run_dir, lease)
     return lease
 
 
@@ -251,15 +280,16 @@ class Heartbeat:
 
     def _beat(self) -> bool:
         """One liveness write; False if the lease is no longer ours."""
-        if not self._still_ours():
-            self.lost = True
-            return False
-        with self._lock:
-            self.lease.hits = self._progress["hits"]
-            self.lease.misses = self._progress["misses"]
-            self.lease.done_points = self._progress["done_points"]
-        self.lease.heartbeat = time.time()
-        write_lease(self.run_dir, self.lease)
+        with lease_lock(self.run_dir, self.lease.index):
+            if not self._still_ours():
+                self.lost = True
+                return False
+            with self._lock:
+                self.lease.hits = self._progress["hits"]
+                self.lease.misses = self._progress["misses"]
+                self.lease.done_points = self._progress["done_points"]
+            self.lease.heartbeat = time.time()
+            write_lease(self.run_dir, self.lease)
         return True
 
     def _run(self) -> None:

@@ -32,6 +32,7 @@ from repro.orchestrate.lease import (
     PENDING,
     Heartbeat,
     ShardLease,
+    lease_lock,
     read_lease,
     read_leases,
     report_path,
@@ -142,15 +143,24 @@ def _run_shard(
         # Same ownership discipline as the success path: a worker that
         # stalled past the TTL, was replaced, and *then* failed must
         # not write ``failed`` over its replacement's lease.
-        if not beat.lost and _lease_still_ours(run_dir, lease):
-            lease.state = FAILED
-            lease.error = traceback.format_exc(limit=20)
-            write_lease(run_dir, lease)
+        with lease_lock(run_dir, lease.index):
+            if not beat.lost and _lease_still_ours(run_dir, lease):
+                lease.state = FAILED
+                lease.error = traceback.format_exc(limit=20)
+                write_lease(run_dir, lease)
         return False
     beat.stop()
-    if not beat.lost and not _lease_still_ours(run_dir, lease):
-        # Never write ``done`` over a replacement's ledger entry.
-        beat.lost = True
+    with lease_lock(run_dir, lease.index):
+        if not beat.lost and not _lease_still_ours(run_dir, lease):
+            # Never write ``done`` over a replacement's ledger entry.
+            beat.lost = True
+        if not beat.lost:
+            _write_shard_report(run_dir, lease, reports)
+            lease.state = DONE
+            lease.hits = sum(report.hits for report in reports)
+            lease.misses = sum(report.misses for report in reports)
+            lease.done_points = lease.hits + lease.misses
+            write_lease(run_dir, lease)
     if beat.lost:
         # The dispatcher reassigned this shard under us (we looked
         # dead).  Our cache entries stand; the ledger belongs to the
@@ -161,12 +171,6 @@ def _run_shard(
             file=sys.stderr,
         )
         return False
-    _write_shard_report(run_dir, lease, reports)
-    lease.state = DONE
-    lease.hits = sum(report.hits for report in reports)
-    lease.misses = sum(report.misses for report in reports)
-    lease.done_points = lease.hits + lease.misses
-    write_lease(run_dir, lease)
     return True
 
 

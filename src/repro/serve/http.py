@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import re
 import threading
 from typing import Dict, Optional, Tuple
@@ -47,6 +48,8 @@ MAX_HEADER_BYTES = 32 * 1024
 MAX_BODY_BYTES = 1 * 1024 * 1024
 
 _DIGITS = re.compile(r"[0-9]+")
+
+_log = logging.getLogger(__name__)
 
 
 class _HttpError(Exception):
@@ -136,7 +139,10 @@ def _parse_body(body: bytes) -> dict:
         return {}
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
+        # Also covers non-UTF-8 bytes and integer literals longer than
+        # int()'s 4300-digit limit, which json.loads refuses with a
+        # plain ValueError.
         raise _HttpError(400, f"request body is not JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise _HttpError(
@@ -250,9 +256,8 @@ class ReproServer:
                     raise _HttpError(
                         400, 'query needs {"sweep": <name>, "key": '
                              '<repr of point key>}')
-                result = await service.query(
-                    sweep, key, payload.get("args"))
-                return 200, _json_bytes(result), "application/json"
+                reply = await service.query(sweep, key, payload.get("args"))
+                return 200, reply, "application/json"
             if path == "/sweep" and method == "POST":
                 payload = _parse_body(body)
                 sweep = payload.get("sweep")
@@ -273,6 +278,11 @@ class ReproServer:
             return 503, _json_bytes({"error": str(exc)}), "application/json"
         except FillError as exc:
             return 500, _json_bytes({"error": str(exc)}), "application/json"
+        except Exception as exc:  # noqa: BLE001 - every request gets a reply
+            _log.exception("unhandled error answering %s %s", method, path)
+            return (500, _json_bytes(
+                {"error": f"internal server error: {type(exc).__name__}"}),
+                "application/json")
 
     async def _stream_events(self, writer: asyncio.StreamWriter) -> None:
         """SSE: every fill progress event, one ``data:`` frame each."""

@@ -3,18 +3,20 @@
 :class:`SweepService` is the HTTP-agnostic core of ``python -m repro
 serve`` (docs/SERVING.md).  It answers point-result queries straight
 from the content-addressed :class:`~repro.sweep.cache.ResultCache` --
-a warm query is an in-memory index lookup plus one small-file read,
-microseconds end to end -- and turns cold misses into simulations
-through three layers:
+a warm query is an in-memory index lookup plus one ``stat`` of the
+entry, whose record bytes the service keeps from its first read (the
+*reply memo*, below) -- and turns cold misses into simulations through
+three layers:
 
 1. **Single-flight coalescing** (:mod:`repro.serve.singleflight`):
    concurrent identical misses share one flight keyed on the same
    sha256 ``point_key`` the cache uses, so N clients asking for one
    cold point cost exactly one simulation.
-2. **Miss batching**: distinct cold misses accumulate for a short
-   ``batch_window`` and fill as *one*
-   :func:`~repro.sweep.engine.run_points` batch on a worker pool --
-   one pool invocation per burst, not per query.
+2. **Miss batching**: the fill loop takes every pending miss each
+   time it wakes, so distinct cold misses that arrive while a batch
+   runs fill together as *one* :func:`~repro.sweep.engine.run_points`
+   batch on a worker pool.  A first miss starts its fill at once; an
+   optional ``batch_window`` makes it wait for companions instead.
 3. **Bit-identity**: fills run through the unmodified sweep engine
    against the same cache directory, so served records are the very
    records a direct ``run_sweep`` produces (the golden-identity rig
@@ -38,9 +40,19 @@ that keeps both a file's size and its ``mtime_ns`` (within one coarse
 kernel timestamp tick, or by a tool that restores mtimes) is missed
 until restart.
 
+The reply memo maps a point's ``key_hash`` to the ``stat`` signature
+``(st_ino, st_size, st_mtime_ns)`` of its cache entry, taken *before*
+the read, and the record's canonical JSON bytes.  A repeat query
+serves those bytes only while the entry's current ``stat`` matches;
+a deleted, rewritten or replaced entry goes through
+:meth:`ResultCache.get` again (a miss when it is gone or undecodable).
+The memo holds at most :data:`REPLY_MEMO_ENTRIES` points, oldest
+evicted first.  Its blind spot is the source digest's: an in-place
+edit that keeps the entry's size, inode and ``mtime_ns``.
+
 Threading model: all service state is touched only from the event
-loop.  Fill batches run in a worker thread (``asyncio.to_thread``)
-that reports back exclusively through ``call_soon_threadsafe``; the
+loop.  Fill batches run one at a time on one dedicated fill thread,
+which reports back exclusively through ``call_soon_threadsafe``; the
 shared :class:`ResultCache` instance is the one object both threads
 drive, which its lock-protected counters make safe.
 """
@@ -48,10 +60,12 @@ drive, which its lock-protected counters make safe.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import os
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -72,12 +86,42 @@ from repro.serve.singleflight import SingleFlight
 __all__ = [
     "BadRequestError",
     "FillError",
+    "REPLY_MEMO_ENTRIES",
     "ServeSettings",
     "StaleCodeError",
     "SweepService",
     "UnknownPointError",
     "UnknownSweepError",
+    "reply_body",
 ]
+
+#: Most points whose record bytes the reply memo keeps (FIFO eviction).
+REPLY_MEMO_ENTRIES = 4096
+
+_JSON_BOOL = {True: b"true", False: b"false"}
+
+
+def reply_body(sweep: str, key: str, key_hash: str, record: bytes, *,
+               cached: bool, coalesced: bool) -> bytes:
+    """The ``/query`` reply for one point, around its record's JSON.
+
+    ``record`` is ``json.dumps(record, sort_keys=True)`` encoded; the
+    result is byte-identical to ``json.dumps`` of the whole reply
+    object with ``sort_keys=True``, whose keys sort as spliced here.
+    """
+    return b"".join((
+        b'{"cached": ', _JSON_BOOL[cached],
+        b', "coalesced": ', _JSON_BOOL[coalesced],
+        b', "key": ', json.dumps(key).encode(),
+        b', "key_hash": ', json.dumps(key_hash).encode(),
+        b', "record": ', record,
+        b', "sweep": ', json.dumps(sweep).encode(),
+        b"}",
+    ))
+
+
+def _record_json(record: dict) -> bytes:
+    return json.dumps(record, sort_keys=True).encode()
 
 
 class UnknownSweepError(LookupError):
@@ -113,8 +157,9 @@ class ServeSettings:
     #: default location *once*, at service construction.
     cache_dir: Optional[str] = None
     #: Seconds a first miss waits for concurrent distinct misses to
-    #: pile onto the same fill batch.
-    batch_window: float = 0.01
+    #: pile onto the same fill batch.  0 starts the fill at once; misses
+    #: arriving while it runs still share the next batch.
+    batch_window: float = 0.0
     #: Retained per-query latency samples for the /metrics quantiles.
     latency_window: int = 4096
 
@@ -160,9 +205,12 @@ class SweepService:
         #: (name, canonical args JSON) -> (spec, {repr(key): entry}).
         self._indices: Dict[Tuple[str, str],
                             Tuple[SweepSpec, Dict[str, _PointEntry]]] = {}
+        #: key_hash -> (entry stat signature, record JSON bytes).
+        self._reply_memo: Dict[str, Tuple[Tuple[int, int, int], bytes]] = {}
         self._subscribers: List[asyncio.Queue] = []
         self._wake: Optional[asyncio.Event] = None
         self._fill_task: Optional[asyncio.Task] = None
+        self._fill_thread: Optional[ThreadPoolExecutor] = None
         # Counters (event-loop thread only).
         self.queries_total = 0
         self.query_hits = 0
@@ -171,6 +219,7 @@ class SweepService:
         self.fill_points = 0
         self.fill_refused = 0
         self.events_dropped = 0
+        self.reply_memo_hits = 0
         self._latency_us: deque = deque(
             maxlen=self.settings.latency_window)
 
@@ -180,6 +229,12 @@ class SweepService:
     async def start(self) -> None:
         """Arm the fill loop on the running event loop."""
         self._wake = asyncio.Event()
+        # Not the loop's default executor: a batch submitted just as
+        # the previous one returned found no idle thread there and
+        # started another, and each extra thread's malloc arena grew
+        # the server's RSS by megabytes.
+        self._fill_thread = ThreadPoolExecutor(
+            1, thread_name_prefix="repro.serve.fill")
         self._fill_task = asyncio.get_running_loop().create_task(
             self._fill_loop(), name="repro.serve.fill"
         )
@@ -193,6 +248,10 @@ class SweepService:
             except asyncio.CancelledError:
                 pass
             self._fill_task = None
+        if self._fill_thread is not None:
+            # A batch still running finishes in the background.
+            self._fill_thread.shutdown(wait=False, cancel_futures=True)
+            self._fill_thread = None
         self._pending.clear()
         self._flight_sweep.clear()
         self.singleflight.fail_all(FillError("server shutting down"))
@@ -231,19 +290,23 @@ class SweepService:
 
         try:
             spec = apply_overrides(sweep, args)
-        except (TypeError, ValueError, KeyError) as exc:
+            runner = resolve_runner(spec.runner)
+            index: Dict[str, _PointEntry] = {}
+            for point in spec.points:
+                params = point_params(spec, point)
+                index[repr(point.key)] = _PointEntry(
+                    point=point,
+                    params=params,
+                    key_hash=point_key(point, runner, params),
+                )
+        except Exception as exc:  # noqa: BLE001 - any bad args are a 400
+            # Factories take whatever JSON the client sent, so a wrong
+            # type can fail anywhere inside them or in keying the points
+            # they built (AttributeError, OverflowError, ...).
             raise BadRequestError(
-                f"cannot build sweep {sweep!r} with args {args!r}: {exc}"
+                f"cannot build sweep {sweep!r} with args {args!r}: "
+                f"{type(exc).__name__}: {exc}"
             ) from None
-        runner = resolve_runner(spec.runner)
-        index: Dict[str, _PointEntry] = {}
-        for point in spec.points:
-            params = point_params(spec, point)
-            index[repr(point.key)] = _PointEntry(
-                point=point,
-                params=params,
-                key_hash=point_key(point, runner, params),
-            )
         self._indices[cache_key] = (spec, index)
         return spec, index
 
@@ -266,8 +329,8 @@ class SweepService:
     # ------------------------------------------------------------------
     async def query(
         self, sweep: str, key: str, args: Optional[dict] = None
-    ) -> dict:
-        """One point result: cache hit, coalesced wait, or fresh fill.
+    ) -> bytes:
+        """One point's JSON reply: cache hit, coalesced wait, or fill.
 
         The in-flight registry is checked *before* the cache: a
         coalesced follower costs a dict lookup, never disk I/O, and the
@@ -282,31 +345,50 @@ class SweepService:
             flight, _leader = self.singleflight.claim(entry.key_hash)
             coalesced = True
         else:
-            record = self.cache.get(entry.key_hash)
+            record = self._cached_record(entry.key_hash)
             if record is not None:
                 self.query_hits += 1
                 self._note_latency(t0)
-                return self._payload(sweep, key, entry, record,
-                                     cached=True, coalesced=False)
+                return reply_body(sweep, key, entry.key_hash, record,
+                                  cached=True, coalesced=False)
             flight, leader = self.singleflight.claim(entry.key_hash)
             if leader:
                 self._enqueue(spec, entry)
         self.query_misses += 1
         record = await self.singleflight.wait(flight)
         self._note_latency(t0)
-        return self._payload(sweep, key, entry, record,
-                             cached=False, coalesced=coalesced)
+        return reply_body(sweep, key, entry.key_hash, record,
+                          cached=False, coalesced=coalesced)
 
-    @staticmethod
-    def _payload(sweep, key, entry, record, *, cached, coalesced) -> dict:
-        return {
-            "sweep": sweep,
-            "key": key,
-            "key_hash": entry.key_hash,
-            "cached": cached,
-            "coalesced": coalesced,
-            "record": record,
-        }
+    def _cached_record(self, key_hash: str) -> Optional[bytes]:
+        """The cached record's JSON bytes for ``key_hash``, or None.
+
+        Served from the reply memo while the entry's ``stat`` matches
+        the one taken before the memo's read; otherwise read through
+        :meth:`ResultCache.get`, which counts the hit or miss.
+        """
+        memo = self._reply_memo
+        try:
+            st = os.stat(self.cache.entry_path(key_hash))
+        except OSError:
+            signature = None
+        else:
+            signature = (st.st_ino, st.st_size, st.st_mtime_ns)
+            held = memo.get(key_hash)
+            if held is not None and held[0] == signature:
+                self.cache.count_hit()
+                self.reply_memo_hits += 1
+                return held[1]
+        memo.pop(key_hash, None)
+        record = self.cache.get(key_hash)
+        if record is None:
+            return None
+        data = _record_json(record)
+        if signature is not None:
+            if len(memo) >= REPLY_MEMO_ENTRIES:
+                del memo[next(iter(memo))]
+            memo[key_hash] = (signature, data)
+        return data
 
     def enqueue_sweep(self, sweep: str, args: Optional[dict] = None) -> dict:
         """Prefetch: enqueue every cold point of a sweep for filling.
@@ -365,8 +447,10 @@ class SweepService:
                 await self._run_fill(jobs)
 
     async def _run_fill(self, jobs: List[_FillJob]) -> None:
+        loop = asyncio.get_running_loop()
         try:
-            digest = await asyncio.to_thread(fresh_code_version)
+            digest = await loop.run_in_executor(self._fill_thread,
+                                                fresh_code_version)
         except Exception as exc:  # noqa: BLE001 - surfaced per waiter
             # E.g. a file listed by the re-hash vanished before it was
             # read.  Fail this batch, keep the fill loop alive.
@@ -384,22 +468,24 @@ class SweepService:
             return
         self.fill_runs += 1
         self._broadcast({"type": "fill-start", "points": len(jobs)})
-        loop = asyncio.get_running_loop()
 
         def from_fill_thread(outcome) -> None:
             loop.call_soon_threadsafe(self._land, outcome)
 
         try:
-            await asyncio.to_thread(
+            await loop.run_in_executor(self._fill_thread, functools.partial(
                 run_points,
                 [(job.spec, job.point) for job in jobs],
                 workers=self.settings.workers,
                 cache=self.cache,
                 on_outcome=from_fill_thread,
-            )
+            ))
         except Exception as exc:  # noqa: BLE001 - surfaced per waiter
+            # A failed point's message carries the worker's traceback;
+            # clients get its first line, not the server's source paths.
+            summary = str(exc).partition("\n")[0]
             self._fail_jobs(jobs, "fill-error",
-                            FillError(f"fill run failed: {exc}"))
+                            FillError(f"fill run failed: {summary}"))
             return
         self._broadcast({"type": "fill-done", "points": len(jobs)})
 
@@ -419,7 +505,9 @@ class SweepService:
         if not outcome.cached:
             self.fill_points += 1
         sweep = self._flight_sweep.pop(outcome.key_hash, None)
-        self.singleflight.resolve(outcome.key_hash, outcome.record)
+        # Encoded once here; every waiter splices the same bytes.
+        self.singleflight.resolve(outcome.key_hash,
+                                  _record_json(outcome.record))
         self._broadcast({
             "type": "outcome",
             "sweep": sweep,
@@ -486,6 +574,8 @@ class SweepService:
             "fill_refused": self.fill_refused,
             "cache_hits": self.cache.hits,
             "cache_misses": self.cache.misses,
+            "reply_memo_entries": len(self._reply_memo),
+            "reply_memo_hits": self.reply_memo_hits,
             "latency_us": self.latency_quantiles(),
         }
 
@@ -535,6 +625,13 @@ class SweepService:
             ("repro_serve_cache_misses_total", "counter",
              "Result-cache misses (query path plus fill engine).",
              [(None, self.cache.misses)]),
+            ("repro_serve_reply_memo_entries", "gauge",
+             "Points whose record bytes the reply memo holds.",
+             [(None, len(self._reply_memo))]),
+            ("repro_serve_reply_memo_hits_total", "counter",
+             "Cache hits answered from the reply memo after a stat "
+             "check, without reading the entry.",
+             [(None, self.reply_memo_hits)]),
             ("repro_serve_in_flight", "gauge",
              "Cold keys currently being filled.",
              [(None, len(self.singleflight))]),

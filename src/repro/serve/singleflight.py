@@ -61,8 +61,12 @@ class SingleFlight:
         """Await a flight without being able to cancel it for others."""
         return await asyncio.shield(flight)
 
-    def resolve(self, key: str, record: dict) -> None:
-        """Land ``key``'s flight with its simulated record."""
+    def resolve(self, key: str, record) -> None:
+        """Land ``key``'s flight; every waiter receives ``record``.
+
+        The service passes the simulated record's JSON bytes, encoded
+        once per flight however many followers splice them.
+        """
         flight = self._flights.pop(key, None)
         if flight is not None and not flight.done():
             flight.set_result(record)

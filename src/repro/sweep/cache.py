@@ -301,15 +301,26 @@ class ResultCache:
 
     def __init__(self, cache_dir: Optional[os.PathLike] = None) -> None:
         self.root = Path(cache_dir) if cache_dir else default_cache_dir()
-        #: ``root`` plus a separator: :meth:`_path` joins entry paths
-        #: as strings, keeping pathlib off every warm read.
+        #: ``root`` plus a separator: :meth:`entry_path` joins entry
+        #: paths as strings, keeping pathlib off every warm read.
         self._prefix = os.path.join(self.root, "")
         self.hits = 0
         self.misses = 0
         self._counter_lock = threading.Lock()
 
-    def _path(self, key: str) -> str:
+    def entry_path(self, key: str) -> str:
+        """Where the entry for ``key`` lives (whether or not it exists)."""
         return f"{self._prefix}{key}.json"
+
+    def count_hit(self) -> None:
+        """Count one hit served from a caller's own copy of an entry.
+
+        The result server answers repeat queries from record bytes it
+        read earlier, after checking the entry's ``stat`` still matches;
+        those are hits on this cache in every sense but the read.
+        """
+        with self._counter_lock:
+            self.hits += 1
 
     def _entry_paths(self):
         """Every *committed* entry file, sorted; temp files excluded."""
@@ -323,7 +334,7 @@ class ResultCache:
     def get(self, key: str) -> Optional[dict]:
         """The stored record for ``key``, or None (counted as a miss)."""
         try:
-            with open(self._path(key), "rb") as handle:
+            with open(self.entry_path(key), "rb") as handle:
                 record = json.loads(handle.read())["record"]
         except (OSError, ValueError, KeyError, TypeError):
             # Unreadable, non-UTF-8, non-JSON, or wrong-shape entries
@@ -337,7 +348,7 @@ class ResultCache:
 
     def put(self, key: str, record: dict, meta: Optional[dict] = None) -> None:
         """Atomically persist ``record`` under ``key``."""
-        atomic_write_json(self._path(key),
+        atomic_write_json(self.entry_path(key),
                          {"record": record, "meta": meta or {}}, indent=1)
 
     def __len__(self) -> int:

@@ -13,6 +13,7 @@ import os
 import random
 import signal
 import subprocess
+import threading
 import time
 from pathlib import Path
 
@@ -217,6 +218,39 @@ class TestLeases:
         # worker-b's ledger entry was not clobbered by worker-a.
         final = read_lease(tmp_path, 1)
         assert final.owner == "worker-b" and final.attempt == 2
+
+    def test_expiry_inside_a_beat_waits_for_its_write(self, tmp_path):
+        """Force the interleaving the lease lock exists for: a
+        reassignment started between a beat's ownership check and its
+        write must not let the stale attempt-1 write land last."""
+        write_lease(tmp_path, ShardLease(index=1, total=1))
+        mine = read_lease(tmp_path, 1)
+        assert try_claim(tmp_path, mine, "worker-a")
+
+        def reassign() -> None:
+            expire_lease(tmp_path, read_lease(tmp_path, 1))
+            try_claim(tmp_path, read_lease(tmp_path, 1), "worker-b")
+
+        racers = []
+
+        class RacedHeartbeat(Heartbeat):
+            def _still_ours(self) -> bool:
+                ours = super()._still_ours()
+                if not racers:
+                    # The dispatcher acts right after the check; give
+                    # it time to finish unless a lock holds it back.
+                    racers.append(threading.Thread(target=reassign))
+                    racers[0].start()
+                    racers[0].join(timeout=0.5)
+                return ours
+
+        beat = RacedHeartbeat(tmp_path, mine, interval=60.0)
+        assert beat._beat()
+        racers[0].join(timeout=10.0)
+        assert not racers[0].is_alive()
+        final = read_lease(tmp_path, 1)
+        assert (final.owner, final.attempt) == ("worker-b", 2), final
+        assert not beat._beat() and beat.lost
 
 
 # ----------------------------------------------------------------------

@@ -15,11 +15,18 @@ Covers:
   from the pinned one, while cached queries keep serving; a digest
   check that raises fails its batch with a 500 and the fill loop lives,
 * the request parser: strict ``Content-Length`` and a hypothesis fuzz,
-* cache-prune hammer: concurrent prunes never corrupt in-flight fills.
+* cache-prune hammer: concurrent prunes never corrupt in-flight fills,
+* the reply encoder against the sorted ``json.dumps`` oracle, and the
+  reply memo: deleted, rewritten and replaced entries, its bound, its
+  hit accounting,
+* malformed bodies over a live socket, and a live-socket fuzz: every
+  request gets a reply and the server stays up.
 """
 
 import asyncio
 import json
+import os
+import socket
 import threading
 import time
 import http.client
@@ -529,3 +536,296 @@ class TestHttpParser:
         assert length.isascii() and length.isdigit(), length
         # int() refuses over 4300 digits; leading zeros are legal.
         assert len(body) == int(length.lstrip("0") or "0")
+
+
+# ----------------------------------------------------------------------
+# Reply encoding and the reply memo
+# ----------------------------------------------------------------------
+def _oracle(sweep, key, key_hash, record, cached, coalesced) -> bytes:
+    """The reply bytes as the whole object's sorted ``json.dumps``."""
+    return json.dumps({"sweep": sweep, "key": key, "key_hash": key_hash,
+                       "cached": cached, "coalesced": coalesced,
+                       "record": record}, sort_keys=True).encode("utf-8")
+
+
+_FLAGS = [(cached, coalesced) for cached in (False, True)
+          for coalesced in (False, True)]
+
+
+class TestReplyEncoding:
+    @pytest.mark.parametrize("sweep", ["packet-size", "access-modes"])
+    def test_spliced_reply_equals_sorted_dumps_for_every_point(
+        self, sweep, tmp_path
+    ):
+        from repro.serve.service import reply_body
+        from repro.sweep import build_sweep
+
+        report = run_sweep(build_sweep(sweep, size=16), workers=1,
+                           cache_dir=tmp_path)
+        for outcome in report.outcomes:
+            record_json = json.dumps(outcome.record,
+                                     sort_keys=True).encode()
+            for cached, coalesced in _FLAGS:
+                assert reply_body(
+                    sweep, repr(outcome.key), outcome.key_hash,
+                    record_json, cached=cached, coalesced=coalesced,
+                ) == _oracle(sweep, repr(outcome.key), outcome.key_hash,
+                             outcome.record, cached, coalesced)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sweep=st.text(), key=st.one_of(
+        st.text(), st.sampled_from(["'DC'", '"q"', "('a', \"b\")",
+                                    "ключ", " \x00\\"])))
+    def test_spliced_reply_escapes_like_dumps(self, sweep, key):
+        from repro.serve.service import reply_body
+
+        record = {"label": key, "ticks": 7, "nested": {"b": 1, "a": [2.5]}}
+        record_json = json.dumps(record, sort_keys=True).encode()
+        for cached, coalesced in _FLAGS:
+            assert reply_body(sweep, key, "ab" * 32, record_json,
+                              cached=cached, coalesced=coalesced) == _oracle(
+                sweep, key, "ab" * 32, record, cached, coalesced)
+
+    def test_served_bytes_are_the_sorted_dumps_of_the_reply(self, server):
+        key = keys()[0]
+        for expect_cached in (False, True, True):
+            status, data = request(server, "POST", "/query",
+                                   {"sweep": SWEEP, "key": key})
+            assert status == 200
+            payload = json.loads(data)
+            assert payload["cached"] is expect_cached
+            assert data == json.dumps(payload, sort_keys=True).encode()
+
+
+class TestReplyMemo:
+    def test_repeat_hits_come_from_the_memo(self, server):
+        key = keys()[0]
+        assert query(server, key)[1]["cached"] is False
+        for _ in range(3):
+            status, payload = query(server, key)
+            assert status == 200 and payload["cached"] is True
+        health = server.service.healthz()
+        # The first warm hit reads the entry; the next two are memo hits.
+        assert health["reply_memo_entries"] == 1
+        assert health["reply_memo_hits"] == 2
+        metrics = request(server, "GET", "/metrics")[1].decode()
+        assert "repro_serve_reply_memo_entries 1\n" in metrics
+        assert "repro_serve_reply_memo_hits_total 2\n" in metrics
+
+    def test_deleted_entry_is_not_served_from_memory(self, server):
+        key = keys()[0]
+        status, cold = query(server, key)
+        query(server, key)
+        query(server, key)  # memo hit
+        os.remove(server.service.cache.entry_path(cold["key_hash"]))
+        status, again = query(server, key)
+        assert status == 200 and again["cached"] is False
+        assert again["record"] == cold["record"]
+        assert server.service.fill_points == 2
+
+    def test_garbage_written_in_place_is_a_miss_then_refilled(self, server):
+        key = keys()[0]
+        status, cold = query(server, key)
+        query(server, key)
+        assert query(server, key)[1]["cached"] is True  # memo hit
+        path = server.service.cache.entry_path(cold["key_hash"])
+        with open(path, "r+b") as handle:  # same inode, new bytes
+            handle.write(b"{not json")
+            handle.truncate()
+        misses = server.service.cache.misses
+        status, refill = query(server, key)
+        assert status == 200 and refill["cached"] is False
+        assert refill["record"] == cold["record"]
+        assert server.service.cache.misses == misses + 2
+        status, warm = query(server, key)
+        assert warm["cached"] is True and warm["record"] == cold["record"]
+
+    def test_atomically_replaced_entry_is_reread(self, server):
+        key = keys()[0]
+        status, cold = query(server, key)
+        query(server, key)
+        assert query(server, key)[1]["cached"] is True  # memo hit
+        other = dict(cold["record"], ticks=cold["record"]["ticks"] + 1)
+        ResultCache(server.service.cache_dir).put(cold["key_hash"], other)
+        status, reread = query(server, key)
+        assert status == 200 and reread["cached"] is True
+        assert reread["record"] == other
+
+    def test_memo_bound_evicts_oldest_first(self, server, monkeypatch):
+        import repro.serve.service as service_mod
+
+        monkeypatch.setattr(service_mod, "REPLY_MEMO_ENTRIES", 2)
+        first, *rest = keys()[:3]
+        for key in (first, *rest):
+            query(server, key)  # cold fill
+            query(server, key)  # read, remembered
+        health = server.service.healthz()
+        assert health["reply_memo_entries"] == 2
+        assert health["reply_memo_hits"] == 0
+        query(server, rest[-1])  # still held
+        query(server, first)     # evicted: read again
+        health = server.service.healthz()
+        assert health["reply_memo_entries"] == 2
+        assert health["reply_memo_hits"] == 1
+
+    def test_cache_counters_keep_their_accounting(self, server):
+        """Memo hits count as cache hits: the totals are what a server
+        reading every warm entry from disk reports."""
+        k0, k1 = keys()[:2]
+        for key in (k0, k0, k0, k0, k1, k1, k1, k0):
+            assert query(server, key)[0] == 200
+        # Two flights (2 misses each: query probe + fill engine) and
+        # six warm queries.
+        health = server.service.healthz()
+        assert (health["cache_hits"], health["cache_misses"]) == (6, 4)
+        assert (health["query_hits"], health["query_misses"]) == (6, 2)
+
+
+# ----------------------------------------------------------------------
+# Malformed bodies over a live socket
+# ----------------------------------------------------------------------
+class TestMalformedBodies:
+    def test_factory_attribute_error_is_400(self, server):
+        status, data = request(server, "POST", "/query", {
+            "sweep": "packet-size", "key": "'64'", "args": {"base": 5}})
+        assert status == 400
+        assert "AttributeError" in json.loads(data)["error"]
+
+    def test_oversized_integer_literal_is_400(self, server):
+        body = (b'{"sweep": "packet-size", "key": "64", "args": {"size": '
+                + b"9" * 5000 + b"}}")
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=60)
+        try:
+            conn.request("POST", "/query", body=body)
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "not JSON" in json.loads(response.read())["error"]
+        finally:
+            conn.close()
+
+    def test_unexpected_exception_is_a_json_500(self, server, monkeypatch):
+        def broken():
+            raise RuntimeError("/some/absolute/path")
+
+        monkeypatch.setattr(server.service, "healthz", broken)
+        status, data = request(server, "GET", "/healthz")
+        assert status == 500
+        error = json.loads(data)["error"]
+        assert "RuntimeError" in error and "/some" not in error
+
+    def test_fill_failure_replies_with_its_first_line(self, server):
+        status, data = request(server, "POST", "/query", {
+            "sweep": "packet-size", "key": "64", "args": {"size": 0}})
+        assert status == 500
+        error = json.loads(data)["error"]
+        assert error.startswith("fill run failed: ")
+        assert "GEMM dims must be positive" in error
+        assert "\n" not in error and "Traceback" not in error
+
+
+# ----------------------------------------------------------------------
+# Live-socket fuzz: every request gets a reply, the server stays up
+# ----------------------------------------------------------------------
+def _exchange(st, data: bytes, cuts) -> bytes:
+    """Send ``data`` split at ``cuts``, half-close, read to EOF."""
+    bounds = sorted({cut for cut in cuts if 0 < cut < len(data)})
+    with socket.create_connection((st.host, st.port), timeout=60) as sock:
+        try:
+            for a, b in zip([0, *bounds], [*bounds, len(data)]):
+                sock.sendall(data[a:b])
+                time.sleep(0.001)  # separate segments, separate reads
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            # The server answered an early error and closed before
+            # reading the rest; its reply is already queued here.
+            pass
+        received = b""
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                return received
+            if not chunk:
+                return received
+            received += chunk
+
+
+def _assert_alive(st) -> None:
+    status, data = request(st, "GET", "/healthz", timeout=30)
+    assert status == 200 and json.loads(data)["status"] == "ok"
+    assert not st.service._fill_task.done()
+
+
+def _status_of(reply: bytes) -> int:
+    assert reply.startswith(b"HTTP/1.1 "), reply[:80]
+    return int(reply[9:12])
+
+
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(),
+              st.integers(min_value=-10**6, max_value=10**6),
+              st.floats(allow_nan=False, allow_infinity=False),
+              st.text(max_size=8)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=6), inner,
+                                            max_size=3)),
+    max_leaves=8,
+)
+#: Factory overrides by name (the packet-size factory takes the first
+#: three), with values of any JSON type.
+_OVERRIDES = st.dictionaries(
+    st.one_of(st.sampled_from(["base", "size", "packets", "dim_scale"]),
+              st.text(max_size=6)),
+    _JSON_VALUES, min_size=1, max_size=3)
+#: Keys never matching a packet-size point: arbitrary args there could
+#: ask for an arbitrarily large fill.
+_PACKET_KEYS = st.text(max_size=10).filter(
+    lambda key: not key.lstrip("-").isdigit())
+
+
+@st.composite
+def _query_bodies(draw):
+    if draw(st.booleans()):
+        body = {"sweep": SWEEP, "key": draw(st.one_of(
+            st.sampled_from(keys()), st.text(max_size=10)))}
+        if draw(st.booleans()):
+            body["args"] = draw(st.one_of(st.none(), st.just({}),
+                                          _JSON_VALUES, _OVERRIDES))
+    else:
+        body = {"sweep": draw(st.sampled_from(["packet-size", "nope"])),
+                "key": draw(_PACKET_KEYS), "args": draw(_OVERRIDES)}
+    return json.dumps(body).encode()
+
+
+@pytest.fixture(scope="class")
+def fuzz_server(tmp_path_factory):
+    cache = tmp_path_factory.mktemp("fuzz") / "cache"
+    with ServerThread(ServeSettings(port=0, cache_dir=str(cache))) as st:
+        yield st
+
+
+class TestLiveFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(body=_query_bodies(),
+           cuts=st.lists(st.integers(min_value=0, max_value=200),
+                         max_size=3))
+    def test_query_bodies_always_get_a_json_reply(self, fuzz_server, body,
+                                                  cuts):
+        head = (b"POST /query HTTP/1.1\r\nContent-Length: "
+                + str(len(body)).encode() + b"\r\n\r\n")
+        reply = _exchange(fuzz_server, head + body, cuts)
+        assert _status_of(reply) in (200, 400, 404), reply[:300]
+        json.loads(reply.partition(b"\r\n\r\n")[2])
+        _assert_alive(fuzz_server)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.one_of(st.binary(min_size=1, max_size=200),
+                          _requests()),
+           cuts=st.lists(st.integers(min_value=0, max_value=300),
+                         max_size=4))
+    def test_raw_bytes_always_get_an_http_reply(self, fuzz_server, data,
+                                                cuts):
+        reply = _exchange(fuzz_server, data, cuts)
+        assert _status_of(reply) < 500, reply[:300]
+        _assert_alive(fuzz_server)

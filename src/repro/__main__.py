@@ -7,8 +7,6 @@ Commands:
 * ``sweep``    -- run any registered experiment sweep (all paper figures),
 * ``surrogate`` -- score a sweep's grid analytically, or cross-validate
   the analytical model against simulation (docs/SURROGATE.md),
-* ``orchestrate`` -- run sweeps as shard work units across a local pool,
-  ssh hosts or slurm (docs/ORCHESTRATION.md),
 * ``cache``    -- inspect or maintain the on-disk sweep result cache,
 * ``systems``  -- list the named system configurations,
 * ``faults``   -- list or describe fault-injection presets
@@ -165,8 +163,8 @@ def _require_sweeps(names) -> None:
             )
 
 
-#: The sweep-factory overrides ``sweep``, ``surrogate`` and
-#: ``orchestrate`` share: (factory parameter, CLI flag, type, subject).
+#: The sweep-factory overrides ``sweep`` and ``surrogate`` share:
+#: (factory parameter, CLI flag, type, subject).
 _OVERRIDES = (
     ("base", "--system", None, "base system"),
     ("size", "--size", int, "GEMM size"),
@@ -175,22 +173,20 @@ _OVERRIDES = (
 )
 
 
-def _plain_overrides(name: str, args) -> dict:
-    """CLI overrides the named factory accepts, as *plain JSON values*.
+def _factory_kwargs(name: str, args) -> dict:
+    """CLI overrides the named factory accepts, as factory kwargs.
 
     Flags the factory does not take are reported on stderr rather than
-    silently dropped.  The system override stays a *name* string
-    (``base``) so the result can ride a machine-portable orchestration
-    manifest; use :func:`_factory_kwargs` when building a spec in this
-    process.
+    silently dropped; a ``--system`` name resolves to its config.
     """
     offered = []
     for param, flag, _type, _subject in _OVERRIDES:
         value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None:
-            offered.append((param, flag, value))
-    if args.system is not None:
-        _system_by_name(args.system)  # validate early, keep the name
+        if value is None:
+            continue
+        if param == "base":
+            value = _system_by_name(value)  # validate even if dropped
+        offered.append((param, flag, value))
     accepted = inspect.signature(SWEEPS[name]).parameters
     kwargs = {param: value for param, _flag, value in offered
               if param in accepted}
@@ -199,14 +195,6 @@ def _plain_overrides(name: str, args) -> dict:
     if dropped:
         print(f"note: sweep {name!r} ignores {', '.join(dropped)}",
               file=sys.stderr)
-    return kwargs
-
-
-def _factory_kwargs(name: str, args) -> dict:
-    """Like :func:`_plain_overrides` but with live objects resolved."""
-    kwargs = _plain_overrides(name, args)
-    if isinstance(kwargs.get("base"), str):
-        kwargs["base"] = _system_by_name(kwargs["base"])
     return kwargs
 
 
@@ -539,141 +527,6 @@ def cmd_surrogate(args) -> int:
         ["point", "est us", "wire MB", "uplink"], rows,
         title=f"surrogate estimates: {spec.name} (best first)",
     ))
-    return 0
-
-
-# ----------------------------------------------------------------------
-# orchestrate
-# ----------------------------------------------------------------------
-def _orchestrate_backend(args):
-    """Build the requested worker backend from CLI arguments."""
-    from repro.orchestrate import LocalBackend, SlurmBackend, SSHBackend
-
-    if args.backend == "local":
-        return LocalBackend(workers=args.workers,
-                            inner_workers=args.inner_workers)
-    if args.backend == "ssh":
-        hosts = [h.strip() for h in (args.hosts or "").split(",")
-                 if h.strip()]
-        if not hosts:
-            raise SystemExit("--backend ssh requires --hosts a,b,c")
-        return SSHBackend(
-            hosts=hosts,
-            workers_per_host=args.workers_per_host,
-            remote_python=args.remote_python,
-            remote_prelude=args.remote_prelude,
-            inner_workers=args.inner_workers,
-        )
-    return SlurmBackend(
-        workers=args.workers,
-        partition=args.slurm_partition,
-        time_limit=args.slurm_time,
-        remote_python=args.remote_python,
-        remote_prelude=args.remote_prelude,
-        submit=args.submit,
-        inner_workers=args.inner_workers,
-    )
-
-
-def _backend_slots(args) -> int:
-    if args.backend == "ssh":
-        hosts = [h for h in (args.hosts or "").split(",") if h.strip()]
-        return max(1, len(hosts)) * max(1, args.workers_per_host)
-    return max(1, args.workers)
-
-
-def cmd_orchestrate(args) -> int:
-    from repro.orchestrate import (
-        OrchestrationError,
-        VersionMismatchError,
-        orchestrate_run,
-        prepare_run,
-        resume_run,
-        run_worker,
-    )
-    from repro.sweep import default_cache_dir
-
-    # ------------------------------------------------------------------
-    # Worker role (spawned by a backend; not typed by hand).
-    # ------------------------------------------------------------------
-    if args.worker:
-        return run_worker(args.worker, worker_id=args.worker_id,
-                          inner_workers=args.inner_workers)
-
-    backend = _orchestrate_backend(args)
-    try:
-        if args.resume:
-            payload = resume_run(
-                args.resume, backend,
-                poll_interval=args.poll_interval,
-                max_attempts=args.max_attempts,
-                timeout=args.timeout,
-            )
-        else:
-            names = args.name or []
-            if not names:
-                raise SystemExit(
-                    "orchestrate requires --name <sweep> "
-                    "(repeatable; see python -m repro sweep --list), "
-                    "or --resume <run-dir>"
-                )
-            _require_sweeps(names)
-            sweeps = []
-            for name in names:
-                overrides = _plain_overrides(name, args)
-                sweeps.append({"name": name, "overrides": overrides})
-            cache_dir = (args.cache_dir if args.cache_dir
-                         else default_cache_dir())
-            if args.run_dir:
-                run_dir = args.run_dir
-            else:
-                import time as _time
-                from pathlib import Path as _Path
-
-                stamp = _time.strftime("%Y%m%d-%H%M%S")
-                run_dir = (_Path(cache_dir) / "runs"
-                           / f"orch-{stamp}-{os.getpid()}")
-            shards = (args.shards if args.shards
-                      else max(2, 2 * _backend_slots(args)))
-            prepare_run(
-                run_dir, sweeps, cache_dir, shards,
-                lease_ttl=args.lease_ttl,
-                extra_imports=args.extra_import,
-            )
-            print(f"run dir: {run_dir}", file=sys.stderr)
-            if args.backend == "slurm" and not args.submit:
-                # Script-only mode: hand the batch file to the user's
-                # submission wrapper, then --resume polls it home.
-                backend.launch(run_dir)
-                print(
-                    f"wrote {run_dir}/sbatch.sh -- submit it "
-                    f"(sbatch {run_dir}/sbatch.sh), then run\n"
-                    f"  python -m repro orchestrate --resume {run_dir} "
-                    f"--backend slurm"
-                )
-                return 0
-            payload = orchestrate_run(
-                run_dir, backend,
-                poll_interval=args.poll_interval,
-                max_attempts=args.max_attempts,
-                timeout=args.timeout,
-            )
-    except (OrchestrationError, VersionMismatchError,
-            FileExistsError, FileNotFoundError) as exc:
-        # FileExistsError: --run-dir already holds a run (use --resume).
-        # FileNotFoundError: --resume on a directory without a manifest.
-        raise SystemExit(f"orchestrate: {exc}") from None
-
-    for record in payload["sweeps"]:
-        print(
-            f"sweep {record['spec']!r}: {len(record['points'])} points "
-            f"merged across {payload['shards']} shard(s)"
-        )
-    print(
-        f"fleet simulated {payload['simulated_points']} point(s), "
-        f"replayed {payload['replayed_points']} from cache; "
-        f"report: {payload['run_dir']}/report.json"
-    )
     return 0
 
 
@@ -1026,71 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sur.add_argument("--top", type=int, default=None,
                        help="estimate: show only the N best points")
     p_sur.set_defaults(func=cmd_surrogate)
-
-    p_orch = sub.add_parser(
-        "orchestrate",
-        help="run a sweep as shard work units across many workers "
-             "(local pool, ssh hosts, or slurm); see docs/ORCHESTRATION.md",
-        parents=[overrides, cache_dir],
-    )
-    p_orch.add_argument("--name", action="append", default=None,
-                        help="registered experiment to orchestrate "
-                             "(repeatable; see sweep --list)")
-    p_orch.add_argument("--backend", choices=["local", "ssh", "slurm"],
-                        default="local",
-                        help="where shard workers run (default: local)")
-    p_orch.add_argument("--workers", type=int, default=2,
-                        help="worker count (local pool size / slurm "
-                             "array width; default 2)")
-    p_orch.add_argument("--hosts", default=None,
-                        help="ssh backend: comma-separated host list "
-                             "(shared filesystem + same tree required)")
-    p_orch.add_argument("--workers-per-host", type=int, default=1,
-                        help="ssh backend: workers per host (default 1)")
-    p_orch.add_argument("--remote-python", default="python3",
-                        help="ssh/slurm: interpreter on the remote side")
-    p_orch.add_argument("--remote-prelude", default="",
-                        help="ssh/slurm: shell fragment run before the "
-                             "worker (e.g. 'cd /repo && export "
-                             "PYTHONPATH=src')")
-    p_orch.add_argument("--slurm-partition", default="",
-                        help="slurm: partition for the array job")
-    p_orch.add_argument("--slurm-time", default="04:00:00",
-                        help="slurm: per-task time limit")
-    p_orch.add_argument("--submit", action="store_true",
-                        help="slurm: sbatch the generated script and "
-                             "poll it (default: write script and exit)")
-    p_orch.add_argument("--shards", type=int, default=None,
-                        help="work-unit count N (default: 2x worker "
-                             "slots)")
-    p_orch.add_argument("--run-dir", default=None,
-                        help="run directory (manifest, leases, report; "
-                             "default: <cache-dir>/runs/orch-<stamp>)")
-    p_orch.add_argument("--lease-ttl", type=float, default=60.0,
-                        help="seconds of heartbeat silence before a "
-                             "shard is reassigned (default 60)")
-    p_orch.add_argument("--poll-interval", type=float, default=0.5,
-                        help="dispatcher poll period in seconds")
-    p_orch.add_argument("--max-attempts", type=int, default=3,
-                        help="attempts per shard per invocation before "
-                             "the run fails (default 3)")
-    p_orch.add_argument("--timeout", type=float, default=None,
-                        help="abort the dispatcher after this many "
-                             "seconds (default: none)")
-    p_orch.add_argument("--resume", default=None, metavar="RUN_DIR",
-                        help="continue an interrupted run; cached "
-                             "points are never recomputed")
-    p_orch.add_argument("--extra-import", action="append", default=None,
-                        help="module imported on workers before specs "
-                             "are rebuilt (for user-registered sweeps)")
-    p_orch.add_argument("--worker", default=None, metavar="RUN_DIR",
-                        help=argparse.SUPPRESS)  # spawned by backends
-    p_orch.add_argument("--worker-id", default=None,
-                        help=argparse.SUPPRESS)
-    p_orch.add_argument("--inner-workers", type=int, default=1,
-                        help="process-pool width inside each worker "
-                             "(default 1: parallelism comes from shards)")
-    p_orch.set_defaults(func=cmd_orchestrate)
 
     p_faults = sub.add_parser(
         "faults",

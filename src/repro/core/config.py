@@ -224,7 +224,7 @@ class SystemConfig:
     def named_systems(cls) -> dict:
         """Every named configuration: paper systems, the Table II
         baseline, and the CXL presets.  One registry shared by the CLI
-        and the orchestrator, so a system name in a run manifest means
+        and the result server's query ``args``, so a system name means
         the same hardware on every machine."""
         systems = cls.paper_systems()
         systems["Table2"] = cls.table2_baseline()

@@ -10,7 +10,7 @@ per-fault-class totals gathered from the link and engine counters.
 
 The runner registers as ``"resilience"`` in the sweep registry, so the
 ``resilience-*`` grids flow through the existing cache / shard /
-orchestrate / fidelity-ladder machinery unchanged -- the
+fidelity-ladder machinery unchanged -- the
 :class:`~repro.faults.spec.FaultSpec` rides the config hash, keeping
 cached fault-free results honest.
 

@@ -19,8 +19,8 @@ three layers:
    optional ``batch_window`` makes it wait for companions instead.
 3. **Bit-identity**: fills run through the unmodified sweep engine
    against the same cache directory, so served records are the very
-   records a direct ``run_sweep`` produces (the golden-identity rig
-   from the sweep/orchestrate layers gates this in CI).
+   records a direct ``run_sweep`` produces (the serve record
+   byte-identity tests gate this in CI).
 
 A long-running server must not let its identity drift under it, so the
 service *pins* at construction what batch runs re-derive per process:
@@ -69,7 +69,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.sweep import SWEEPS
+from repro.sweep import SWEEPS, apply_overrides
 from repro.sweep.cache import (
     ResultCache,
     code_version,
@@ -87,6 +87,7 @@ __all__ = [
     "BadRequestError",
     "FillError",
     "REPLY_MEMO_ENTRIES",
+    "SPEC_INDEX_ENTRIES",
     "ServeSettings",
     "StaleCodeError",
     "SweepService",
@@ -97,6 +98,11 @@ __all__ = [
 
 #: Most points whose record bytes the reply memo keeps (FIFO eviction).
 REPLY_MEMO_ENTRIES = 4096
+
+#: Most (sweep, args) identities whose spec and point index the service
+#: keeps (FIFO eviction).  Clients choose ``args`` freely, and each
+#: distinct one builds an index, even when its query then 404s.
+SPEC_INDEX_ENTRIES = 256
 
 _JSON_BOOL = {True: b"true", False: b"false"}
 
@@ -265,8 +271,11 @@ class SweepService:
         """The (spec, key-index) pair for one (sweep, args) identity.
 
         Built once per identity and cached: every later query is pure
-        dict lookups.  ``args`` uses the orchestration manifests'
-        JSON-safe override vocabulary (``base`` is a system *name*).
+        dict lookups.  ``args`` are JSON-safe sweep-factory overrides,
+        decoded by :func:`repro.sweep.apply_overrides` (``base`` is a
+        system *name*).
+        At most :data:`SPEC_INDEX_ENTRIES` identities are kept, oldest
+        evicted first; an evicted identity is rebuilt on its next query.
         """
         if args is not None and not isinstance(args, dict):
             raise BadRequestError(
@@ -286,8 +295,6 @@ class SweepService:
                 f"unknown sweep {sweep!r}; GET /sweeps lists the "
                 f"{len(SWEEPS)} registered names"
             )
-        from repro.orchestrate.manifest import apply_overrides
-
         try:
             spec = apply_overrides(sweep, args)
             runner = resolve_runner(spec.runner)
@@ -307,7 +314,10 @@ class SweepService:
                 f"cannot build sweep {sweep!r} with args {args!r}: "
                 f"{type(exc).__name__}: {exc}"
             ) from None
-        self._indices[cache_key] = (spec, index)
+        indices = self._indices
+        if len(indices) >= SPEC_INDEX_ENTRIES:
+            del indices[next(iter(indices))]
+        indices[cache_key] = (spec, index)
         return spec, index
 
     def _lookup(

@@ -4,8 +4,7 @@ A :class:`LadderSpec` wraps any sweep spec.  :func:`run_ladder` scores
 the full grid analytically (microseconds per point), prunes it with
 top-K or Pareto selection, and feeds only the surviving points through
 the normal :func:`repro.sweep.run_sweep` path -- so the content-addressed
-result cache, ``--shard`` slicing and ``repro.orchestrate`` all apply to
-the survivors unchanged.  Cache keys depend only on (runner, config,
+result cache and ``--shard`` slicing apply to the survivors unchanged.  Cache keys depend only on (runner, config,
 params), never on the spec or the ladder, so a survivor's simulated
 record is bit-identical to running the same point without the ladder.
 
@@ -131,7 +130,6 @@ def run_ladder(
     cache_dir=None,
     shard=None,
     progress=None,
-    on_outcome=None,
 ) -> LadderReport:
     """Score, prune, and simulate one wrapped sweep.
 
@@ -167,7 +165,6 @@ def run_ladder(
         cache_dir=cache_dir,
         shard=shard,
         progress=progress,
-        on_outcome=on_outcome,
     )
     return LadderReport(
         spec_name=spec.name,

@@ -32,7 +32,6 @@ from repro.sweep.engine import (
     SweepOutcome,
     SweepReport,
     iter_sweep,
-    merge_report_records,
     parse_shard,
     point_params,
     resolve_workers,
@@ -55,8 +54,9 @@ from repro.sweep.spec import (
 )
 
 # Importing the experiments module registers every named figure/table
-# sweep in SWEEPS as a side effect.
-import repro.sweep.experiments  # noqa: E402,F401  (registration import)
+# sweep in SWEEPS as a side effect; it also holds the JSON-override
+# decoder the result server's queries use.
+from repro.sweep.experiments import apply_overrides  # noqa: E402
 
 __all__ = [
     "SweepPoint",
@@ -69,13 +69,13 @@ __all__ = [
     "iter_sweep",
     "point_params",
     "build_sweep",
+    "apply_overrides",
     "register_sweep",
     "register_runner",
     "resolve_runner",
     "resolve_workers",
     "parse_shard",
     "shard_points",
-    "merge_report_records",
     "gemm_points",
     "derive_seed",
     "ResultCache",

@@ -89,8 +89,8 @@ class SweepOutcome:
         """JSON-safe summary of this outcome (key repr + raw record).
 
         The point key is stored as ``repr`` -- keys are tuples/strings
-        chosen to label reports, and their repr is what shard workers
-        and the orchestrator compare across process boundaries.
+        chosen to label reports, and their repr is what shard records
+        and the result server compare across process boundaries.
         Telemetry and diagnostics, when captured, ride as optional
         sibling keys -- absent on untraced runs, so untraced record
         dicts are byte-for-byte what they were before telemetry existed.
@@ -148,12 +148,7 @@ class SweepReport:
         )
 
     def to_record(self) -> dict:
-        """JSON-safe report summary: what a shard worker ships home.
-
-        The orchestrator merges these per-shard records
-        (:func:`merge_report_records`) into one full-grid record and
-        checks it bit-identical against a cached replay of the sweep.
-        """
+        """JSON-safe report summary (the ladder report embeds it)."""
         return {
             "spec": self.spec_name,
             "shard": list(self.shard) if self.shard else None,
@@ -163,79 +158,6 @@ class SweepReport:
             "misses": self.misses,
             "points": [outcome.to_record() for outcome in self.outcomes],
         }
-
-
-#: Fields every shard report record must carry to be mergeable.  A
-#: record missing any of them is malformed (or written by an older,
-#: incompatible tree) and is refused rather than silently merged as
-#: zero -- ``misses`` in particular feeds the orchestrator's
-#: no-recompute assertion, and a defaulted 0 there produces a
-#: wrong-but-plausible fleet total.
-REQUIRED_REPORT_FIELDS = ("spec", "points", "hits", "misses")
-
-
-def merge_report_records(records: Sequence[dict]) -> dict:
-    """Merge per-shard report records into one full-grid record.
-
-    All records must describe the same spec.  Point keys must be
-    pairwise disjoint across shards (the sharder guarantees this;
-    a violation here means mixed-up shard files) -- except that a
-    reassigned shard may legitimately appear twice, in which case the
-    duplicate must carry a bit-identical ``record`` payload or the
-    merge refuses.  Hit/miss counters are summed across shards, so the
-    merged record's ``misses`` says how many points were *actually
-    simulated* across the whole run -- the orchestrator's
-    no-recompute assertion reads it directly.
-
-    Shape mismatches are refused with provenance: a record missing any
-    of :data:`REQUIRED_REPORT_FIELDS` raises, naming the record's
-    position and (when present) its spec, instead of contributing
-    zeroed counters to the fleet total.
-    """
-    if not records:
-        raise ValueError("nothing to merge: no shard report records")
-    for index, record in enumerate(records):
-        if not isinstance(record, dict):
-            raise ValueError(
-                f"shard report #{index} is not a report record "
-                f"(got {type(record).__name__}); refusing to merge"
-            )
-        missing = [name for name in REQUIRED_REPORT_FIELDS
-                   if name not in record]
-        if missing:
-            raise ValueError(
-                f"shard report #{index} "
-                f"(spec {record.get('spec', '<unknown>')!r}) is missing "
-                f"field(s) {missing}: malformed or written by an "
-                f"incompatible tree; refusing to merge it into a "
-                f"wrong-but-plausible fleet total"
-            )
-    spec_names = {record["spec"] for record in records}
-    if len(spec_names) != 1:
-        raise ValueError(
-            f"cannot merge reports from different sweeps: {sorted(spec_names)}"
-        )
-    merged_points: Dict[str, dict] = {}
-    hits = misses = 0
-    for record in records:
-        hits += record["hits"]
-        misses += record["misses"]
-        for point in record["points"]:
-            prior = merged_points.get(point["key"])
-            if prior is not None and prior["record"] != point["record"]:
-                raise ValueError(
-                    f"shard reports disagree on point {point['key']}: "
-                    f"{prior['record']!r} != {point['record']!r}"
-                )
-            if prior is None:
-                merged_points[point["key"]] = point
-    return {
-        "spec": spec_names.pop(),
-        "shard": None,
-        "hits": hits,
-        "misses": misses,
-        "points": list(merged_points.values()),
-    }
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -652,10 +574,9 @@ def _execute(
 #: Progress callback: (finished points, total points, newest outcome).
 ProgressFn = Callable[[int, int, SweepOutcome], None]
 
-#: Outcome-merge hook: called with every outcome as it lands (cached
-#: replays included), before it is delivered to the caller.  Shard
-#: workers use it to stream per-point state (heartbeats, counters,
-#: partial outcome records) into their lease files while a sweep runs.
+#: Outcome hook: called with every outcome as it lands (cached replays
+#: included).  The result server's fill path uses it to answer each
+#: waiting query as soon as its point finishes.
 OutcomeFn = Callable[[SweepOutcome], None]
 
 
@@ -665,7 +586,6 @@ def iter_sweep(
     cache: Union[bool, ResultCache, NullCache] = True,
     cache_dir: Optional[os.PathLike] = None,
     shard: Optional[Tuple[int, int]] = None,
-    on_outcome: Optional[OutcomeFn] = None,
 ) -> Iterator[SweepOutcome]:
     """Yield :class:`SweepOutcome`\\ s as points finish.
 
@@ -674,9 +594,9 @@ def iter_sweep(
     that is whatever order the workers finish in.  This is the streaming
     face of :func:`run_sweep`: consume it for live progress bars or to
     start plotting a grid before its slowest point lands.  Arguments
-    match :func:`run_sweep`; ``on_outcome`` additionally observes each
-    outcome *before* it is yielded (even if the consumer abandons the
-    generator early).
+    match :func:`run_sweep`.  A consumer that abandons the generator
+    keeps every outcome it received: each is cached before it is
+    yielded, so rerunning the sweep resumes after them.
     """
     store = _resolve_store(cache, cache_dir)
     state = _EngineState(workers=resolve_workers(workers))
@@ -684,8 +604,6 @@ def iter_sweep(
     for _si, _pi, outcome in _execute(
         [spec], [points], state.workers, store, state
     ):
-        if on_outcome is not None:
-            on_outcome(outcome)
         yield outcome
 
 
@@ -696,7 +614,6 @@ def run_sweep(
     cache_dir: Optional[os.PathLike] = None,
     shard: Optional[Tuple[int, int]] = None,
     progress: Optional[ProgressFn] = None,
-    on_outcome: Optional[OutcomeFn] = None,
 ) -> SweepReport:
     """Execute every point of ``spec``; replay cached points instantly.
 
@@ -719,14 +636,10 @@ def run_sweep(
         Optional callback invoked as each point finishes with
         ``(finished, total, outcome)``; see :func:`iter_sweep` for a
         generator interface instead.
-    on_outcome:
-        Optional per-outcome hook (cached replays included), called as
-        each outcome lands -- the merge surface shard workers use to
-        stream state while the sweep runs.
     """
     return run_sweeps(
         [spec], workers=workers, cache=cache, cache_dir=cache_dir,
-        shard=shard, progress=progress, on_outcome=on_outcome,
+        shard=shard, progress=progress,
     )[0]
 
 
@@ -737,7 +650,6 @@ def run_sweeps(
     cache_dir: Optional[os.PathLike] = None,
     shard: Optional[Tuple[int, int]] = None,
     progress: Optional[ProgressFn] = None,
-    on_outcome: Optional[OutcomeFn] = None,
 ) -> List[SweepReport]:
     """Execute several sweeps against **one** worker-pool invocation.
 
@@ -762,8 +674,6 @@ def run_sweeps(
     for si, pi, outcome in _execute(specs, sharded, workers, store, state):
         slots[si][pi] = outcome
         finished += 1
-        if on_outcome is not None:
-            on_outcome(outcome)
         if progress is not None:
             progress(finished, total, outcome)
     return [
@@ -795,7 +705,7 @@ def run_points(
     identical cache keys (coalesced misses that raced past the server's
     in-flight registry, or duplicates within the batch) simulate once.
     Returns one outcome per job, in job order; ``on_outcome`` observes
-    each outcome as it lands, exactly as in :func:`run_sweeps`.
+    each outcome as it lands.
     """
     specs = [
         SweepSpec(
@@ -807,8 +717,10 @@ def run_points(
         )
         for spec, point in jobs
     ]
+    progress = (None if on_outcome is None
+                else lambda _done, _total, outcome: on_outcome(outcome))
     reports = run_sweeps(
         specs, workers=workers, cache=cache, cache_dir=cache_dir,
-        on_outcome=on_outcome,
+        progress=progress,
     )
     return [report.outcomes[0] for report in reports]

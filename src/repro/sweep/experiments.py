@@ -51,6 +51,7 @@ from repro.smmu.smmu import SMMUConfig
 from repro.sweep.spec import (
     SweepPoint,
     SweepSpec,
+    build_sweep,
     gemm_points,
     register_sweep,
 )
@@ -495,7 +496,7 @@ def roofline_reg_sweep(
     """Fig. 2: per-tile compute-time sweep at fixed link bandwidth.
 
     The same grid :func:`repro.core.roofline.roofline_sweep` wraps --
-    registering it here buys caching, ``--shard`` and orchestration.
+    registering it here buys caching and ``--shard``.
     """
     from repro.core.roofline import DEFAULT_COMPUTE_TICKS, roofline_points
 
@@ -674,8 +675,31 @@ def surrogate_xval_sweep(
     with the full sweep, so the sample pre-warms a later ladder run.
     """
     from repro.surrogate.xval import stratified_sample
-    from repro.sweep.spec import build_sweep
 
     kwargs = {} if size is None else {"size": size}
     sample = stratified_sample(build_sweep(target, **kwargs), fraction)
     return dataclasses.replace(sample, name="surrogate-xval")
+
+
+# ----------------------------------------------------------------------
+# JSON-safe overrides
+# ----------------------------------------------------------------------
+def apply_overrides(name: str, overrides: dict) -> SweepSpec:
+    """Rebuild one named sweep from JSON-safe override values.
+
+    ``base`` maps a system *name* through :meth:`SystemConfig.by_name`;
+    lists revert to tuples (JSON has no tuple type, the factories take
+    tuples); everything else passes through.
+
+    This is the decoder of the result server's ``{"args": {...}}``
+    query field (docs/SERVING.md) and of the benchmark's pinned sweep
+    arguments, so both name a system the same way.
+    """
+    kwargs = {}
+    for param, value in (overrides or {}).items():
+        if param == "base" and isinstance(value, str):
+            value = SystemConfig.by_name(value)
+        elif isinstance(value, list):
+            value = tuple(value)
+        kwargs[param] = value
+    return build_sweep(name, **kwargs)

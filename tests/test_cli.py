@@ -41,13 +41,13 @@ class TestParserContract:
     """The options several subcommands share keep one meaning."""
 
     COMMANDS = ("systems", "gemm", "vit", "sweep", "surrogate",
-                "orchestrate", "faults", "telemetry", "serve", "cache")
+                "faults", "telemetry", "serve", "cache")
 
     def test_sweep_overrides_identical_across_commands(self):
         expected = {"--system": ("system", None), "--size": ("size", int),
                     "--model": ("model", None),
                     "--dim-scale": ("dim_scale", float)}
-        for command in ("sweep", "surrogate", "orchestrate"):
+        for command in ("sweep", "surrogate"):
             actions = _actions(command)
             for flag, (dest, type_) in expected.items():
                 action = actions[flag]
@@ -57,8 +57,7 @@ class TestParserContract:
     def test_cache_dir_defaults_to_none_everywhere(self):
         takers = [command for command in self.COMMANDS
                   if "--cache-dir" in _actions(command)]
-        assert takers == ["sweep", "surrogate", "orchestrate", "serve",
-                          "cache"]
+        assert takers == ["sweep", "surrogate", "serve", "cache"]
         for command in takers:
             assert _actions(command)["--cache-dir"].default is None
 
@@ -66,10 +65,8 @@ class TestParserContract:
         # sweep and surrogate share one --workers action; a default set
         # on it through any one subparser would show up in both.
         defaults = {command: _actions(command)["--workers"].default
-                    for command in ("sweep", "surrogate", "orchestrate",
-                                    "serve")}
-        assert defaults == {"sweep": None, "surrogate": None,
-                            "orchestrate": 2, "serve": 1}
+                    for command in ("sweep", "surrogate", "serve")}
+        assert defaults == {"sweep": None, "surrogate": None, "serve": 1}
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_help_renders(self, command, capsys):

@@ -7,8 +7,8 @@ or routing cannot silently change observable behaviour.
 ``TestGoldenTopologySweeps`` extends that anchor to the two ``topo-*``
 sweeps that previously had no pinned oracle -- ``topo-p2p`` and
 ``topo-switch-depth`` at their registered default scales -- giving
-orchestrated (sharded, multi-machine) runs of every topology sweep a
-bit-identity reference.  The rest covers endpoint scaling,
+sharded, multi-machine runs of every topology sweep a bit-identity
+reference.  The rest covers endpoint scaling,
 peer-to-peer vs host-bounce transfers, switch-tier depth, reset
 identity across every topology component, and the sweep codecs for the
 new result types.
@@ -156,7 +156,7 @@ class TestGoldenTwoDevice:
         assert second.ticks == first.ticks
 
 
-#: Captured from the tree that introduced repro.orchestrate: the full
+#: Captured when multi-machine sharding was first pinned: the full
 #: ``topo-p2p`` sweep grid (pcie_2gb x2; sizes 64/256/512 KiB).
 GOLDEN_TOPO_P2P = {
     ("p2p", 65536): (38514000, 0),
@@ -178,7 +178,7 @@ GOLDEN_TOPO_SWITCH_DEPTH = {
 
 class TestGoldenTopologySweeps:
     """Pinned oracles for the topo sweeps that lacked them, at the
-    registered default scales -- the grids an orchestrated run
+    registered default scales -- the grids a sharded run
     executes.  Shard workers on other machines must reproduce these
     values bit-for-bit or their cache entries are wrong."""
 

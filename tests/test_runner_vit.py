@@ -4,7 +4,7 @@ import pytest
 
 from repro import SystemConfig, run_vit
 from repro.core.runner import _resolve_model
-from repro.orchestrate.manifest import apply_overrides
+from repro.sweep import apply_overrides
 from repro.workloads import ViTConfig
 
 #: A miniature model that keeps test runtimes small but exercises every

@@ -18,7 +18,7 @@ Covers:
 * cache-prune hammer: concurrent prunes never corrupt in-flight fills,
 * the reply encoder against the sorted ``json.dumps`` oracle, and the
   reply memo: deleted, rewritten and replaced entries, its bound, its
-  hit accounting,
+  hit accounting, and the bound on per-``args`` spec indices,
 * malformed bodies over a live socket, and a live-socket fuzz: every
   request gets a reply and the server stays up.
 """
@@ -47,10 +47,10 @@ PACKETS = (64, 128, 256, 512)
 SWEEP = "serve-test"
 
 
-def _spec() -> SweepSpec:
+def _spec(size: int = SIZE) -> SweepSpec:
     base = SystemConfig.table2_baseline()
     configs = {packet: base.with_packet_size(packet) for packet in PACKETS}
-    return SweepSpec(name=SWEEP, points=gemm_points(configs, SIZE))
+    return SweepSpec(name=SWEEP, points=gemm_points(configs, size))
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -679,6 +679,31 @@ class TestReplyMemo:
         health = server.service.healthz()
         assert (health["cache_hits"], health["cache_misses"]) == (6, 4)
         assert (health["query_hits"], health["query_misses"]) == (6, 2)
+
+
+class TestSpecIndexBound:
+    def test_distinct_args_stay_bounded_and_evicted_rebuilds(self, server):
+        from repro.serve.service import SPEC_INDEX_ENTRIES
+
+        key = keys()[0]
+        body = {"sweep": SWEEP, "key": key, "args": {"size": SIZE}}
+        identity = (SWEEP, json.dumps(body["args"], sort_keys=True))
+        assert request(server, "POST", "/query", body)[0] == 200  # fill
+        status, warm = request(server, "POST", "/query", body)
+        assert status == 200 and json.loads(warm)["cached"] is True
+        # Every distinct args object builds an index, even one whose
+        # query then 404s on the key.
+        for size in range(SIZE + 1, SIZE + 1 + 2 * SPEC_INDEX_ENTRIES):
+            status, _ = request(server, "POST", "/query", {
+                "sweep": SWEEP, "key": "'no-such-point'",
+                "args": {"size": size}})
+            assert status == 404
+        indices = server.service._indices
+        assert len(indices) == SPEC_INDEX_ENTRIES
+        assert identity not in indices
+        status, again = request(server, "POST", "/query", body)
+        assert status == 200 and again == warm
+        assert identity in server.service._indices
 
 
 # ----------------------------------------------------------------------

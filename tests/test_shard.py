@@ -19,6 +19,7 @@ from repro.sweep import (
     SweepSpec,
     build_sweep,
     gemm_points,
+    iter_sweep,
     parse_shard,
     run_sweep,
     shard_points,
@@ -79,8 +80,8 @@ def registry_spec(name: str) -> SweepSpec:
 class TestShardPropertiesAcrossRegistry:
     """Property-style guarantees over every *registered* sweep: for
     randomized (spec, N), the N shard slices are pairwise-disjoint,
-    exhaustive, order-preserving, and stable -- the invariants the
-    orchestrator's work units are built on."""
+    exhaustive, order-preserving, and stable -- the invariants that let
+    hand-run shards on many machines compose one grid."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -112,8 +113,8 @@ class TestShardPropertiesAcrossRegistry:
         assert [p.key for p in again] == [p.key for p in shards[index - 1]]
 
     def test_shard_slices_stable_across_processes(self):
-        """The orchestrator's core assumption: a worker on another
-        machine slices a named sweep exactly as the dispatcher did."""
+        """Sharding's core assumption: a process on another machine
+        slices a named sweep exactly as this one does."""
         cases = [
             ("pcie-bandwidth", 1, 3),
             ("fig7-transformer", 2, 2),
@@ -196,3 +197,48 @@ class TestShardedExecution:
                                shard=(index, 3))
             keys.extend(o.key for o in report.outcomes)
         assert sorted(keys) == [16, 24, 32]
+
+
+def _records(report):
+    return [(repr(o.key), o.record) for o in report.outcomes]
+
+
+class TestShardResume:
+    """Hand-run shards over one cache resume after a crash, and a shard
+    run by different code costs recomputation, never wrong results."""
+
+    def test_interrupted_shard_resumes_from_cache(self, tmp_path):
+        spec = grid_spec(n=6)
+        stream = iter_sweep(spec, workers=1, cache_dir=tmp_path,
+                            shard=(1, 2))
+        finished = next(stream)
+        stream.close()  # the shard dies after its first point
+        assert not finished.cached
+        rerun = run_sweep(spec, workers=1, cache_dir=tmp_path, shard=(1, 2))
+        assert [o.key for o in rerun.outcomes if o.cached] == [finished.key]
+        assert rerun.misses == len(rerun.outcomes) - 1 > 0
+        other = run_sweep(spec, workers=1, cache_dir=tmp_path, shard=(2, 2))
+        assert other.hits == 0
+        replay = run_sweep(spec, workers=1, cache_dir=tmp_path)
+        assert replay.fully_cached
+        assert _records(replay) == _records(
+            run_sweep(spec, workers=1, cache=False))
+
+    def test_foreign_code_version_entries_are_never_read(self, tmp_path,
+                                                         monkeypatch):
+        from repro.sweep import cache as cache_mod
+
+        spec = grid_spec(n=4)
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_mod, "code_version", lambda: "0" * 64)
+            foreign = run_sweep(spec, workers=1, cache_dir=tmp_path,
+                                shard=(1, 2))
+        run_sweep(spec, workers=1, cache_dir=tmp_path, shard=(2, 2))
+        replay = run_sweep(spec, workers=1, cache_dir=tmp_path)
+        # The foreign shard's entries sit under other keys: the replay
+        # simulates its points again instead of reading them.
+        assert sorted(o.key for o in replay.outcomes if not o.cached) == (
+            sorted(o.key for o in foreign.outcomes))
+        assert len(ResultCache(tmp_path)) == len(spec) + len(foreign.outcomes)
+        assert _records(replay) == _records(
+            run_sweep(spec, workers=1, cache=False))

@@ -13,7 +13,9 @@ Covers:
 
 import dataclasses
 import json
+import multiprocessing
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -768,3 +770,113 @@ class TestSourceDigest:
         after = source.digest()
         assert after != before
         assert after == _full_hash(tree)
+
+
+# ----------------------------------------------------------------------
+# ResultCache under concurrent writers + maintenance
+# ----------------------------------------------------------------------
+def _put_worker(cache_dir, start, count):
+    cache = ResultCache(cache_dir)
+    for i in range(start, start + count):
+        cache.put(f"{i:064x}", {"value": i}, meta={"sweep": "writer"})
+
+
+class TestResultCacheConcurrency:
+    def test_concurrent_writers_survive_prune_and_summarize(self, tmp_path):
+        """Two writer processes vs. a maintenance loop: nothing dropped,
+        stats never corrupted.  Before the ``.part`` fix, prune/clear
+        could delete a writer's in-flight temp file between write and
+        rename, making ``os.replace`` fail and silently dropping the
+        finished record."""
+        cache_dir = tmp_path / "cache"
+        cache = ResultCache(cache_dir)
+        cache.put("seed" * 16, {"value": -1}, meta={"sweep": "other"})
+        per_writer = 120
+        ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
+        writers = [
+            ctx.Process(target=_put_worker,
+                        args=(str(cache_dir), w * per_writer, per_writer))
+            for w in range(2)
+        ]
+        for writer in writers:
+            writer.start()
+        # Maintenance hammering the same directory the whole time.
+        while any(writer.is_alive() for writer in writers):
+            cache.prune("no-such-sweep")
+            summary = cache.summarize()
+            assert summary["entries"] >= 0
+            len(cache)
+        for writer in writers:
+            writer.join(timeout=60)
+            assert writer.exitcode == 0
+        assert len(cache) == 2 * per_writer + 1
+        for i in range(2 * per_writer):
+            assert cache.get(f"{i:064x}") == {"value": i}
+        summary = cache.summarize()
+        assert summary["sweeps"]["writer"] == 2 * per_writer
+
+    def test_inflight_temp_files_invisible_to_maintenance(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        cache.put("a" * 64, {"value": 1}, meta={"sweep": "s"})
+        # A writer parked between write and rename: complete JSON, temp
+        # name.  Maintenance must neither count nor delete it.
+        parked = cache.root / ".tmp-parked.part"
+        parked.write_text(json.dumps(
+            {"record": {"value": 2}, "meta": {"sweep": "s"}}
+        ))
+        assert len(cache) == 1
+        assert [p.name for p, _ in cache.entries()] == [f"{'a' * 64}.json"]
+        assert cache.summarize()["entries"] == 1
+        assert cache.prune("s") == 1          # the real entry only
+        assert parked.exists()                # in-flight file untouched
+        # clear() leaves a *young* temp alone (its writer may be alive)
+        # but sweeps one old enough to be abandoned.
+        assert cache.clear() == 0
+        assert parked.exists()
+        ancient = time.time() - 7200.0
+        os.utime(parked, (ancient, ancient))
+        assert cache.clear() == 0
+        assert not parked.exists()
+
+    def test_atomic_write_json_fsyncs_data_before_rename(self, tmp_path,
+                                                         monkeypatch):
+        """The durability contract: flush + fsync the temp file *before*
+        ``os.replace`` (else a crash can leave the final name pointing
+        at zero-length data), plus a best-effort directory fsync after."""
+        from repro.sweep.cache import atomic_write_json
+
+        synced = []
+        real_fsync = os.fsync
+
+        def spy_fsync(fd):
+            synced.append(fd)
+            return real_fsync(fd)
+
+        real_replace = os.replace
+
+        def spy_replace(src, dst):
+            assert synced, "temp file must be fsynced before the rename"
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        target = tmp_path / "entry.json"
+        atomic_write_json(target, {"value": 1})
+        assert json.loads(target.read_text()) == {"value": 1}
+        # One data-file fsync pre-rename, one directory fsync post-rename.
+        assert len(synced) == 2
+
+    def test_prune_tolerates_vanishing_files(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        for i in range(5):
+            cache.put(f"{i:064x}", {"value": i}, meta={"sweep": "s"})
+        # Simulate a racing pruner deleting files mid-walk.
+        victims = list(cache._entry_paths())
+        for victim in victims[::2]:
+            victim.unlink()
+        removed = cache.prune("s")
+        assert removed == len(victims) - len(victims[::2])
+        assert len(cache) == 0

@@ -301,12 +301,12 @@ def bench_warm_replay(passes: int) -> float:
 def bench_tracer_off_overhead(size: int) -> float:
     """Fractional cost of the *disabled* telemetry layer on a warm point.
 
-    With telemetry merely importable (module loaded, session inactive)
-    every component hook is ``None`` and the only telemetry work left on
-    a point is the system factory consulting the session on each
-    acquisition.  This bench times a warm GEMM point on that normal
-    path, then again with the per-acquisition consultation
-    short-circuited, and reports the median of paired fractional
+    Outside a collected point every component hook is ``None`` and the
+    only telemetry work left on a point is the system factory's call to
+    :func:`repro.telemetry.state.on_system_acquired` on each
+    acquisition (a collector ``None`` check).  This bench times a warm
+    GEMM point on that normal path, then again with ``system_for``'s
+    hook short-circuited, and reports the median of paired fractional
     differences (pairing cancels transient machine noise).  The event
     loop carries no telemetry test at all (profiling wraps a whole point
     in the sweep engine, outside ``Simulator.run``); the remaining
@@ -317,10 +317,9 @@ def bench_tracer_off_overhead(size: int) -> float:
     ``ABSOLUTE_GATES``) -- a relative tolerance is useless on a number
     that should sit at zero.
     """
-    from repro.telemetry import state as telemetry_state
+    import repro.core.runner as core_runner
 
     config = SystemConfig.pcie_8gb()
-    telemetry_state.deactivate()
     run_gemm(config, size, size, size)  # warm the system memo
 
     def timed_points() -> float:
@@ -329,18 +328,18 @@ def bench_tracer_off_overhead(size: int) -> float:
             run_gemm(config, size, size, size)
         return time.perf_counter() - t0
 
-    real_hook = telemetry_state.on_system_acquired
+    real_hook = core_runner.on_system_acquired
 
     def noop_hook(system) -> None:
         return None
 
     def one_side(short_circuit: bool) -> float:
         if short_circuit:
-            telemetry_state.on_system_acquired = noop_hook
+            core_runner.on_system_acquired = noop_hook
         try:
             return timed_points()
         finally:
-            telemetry_state.on_system_acquired = real_hook
+            core_runner.on_system_acquired = real_hook
 
     diffs = []
     for pair in range(9):

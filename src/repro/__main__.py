@@ -308,7 +308,7 @@ def _progress_printer():
 
 
 def _telemetry_settings(args):
-    """Session settings from the sweep telemetry flags, or None."""
+    """Per-point telemetry settings from the sweep flags, or None."""
     if not (args.trace or args.metrics_every is not None
             or args.profile or args.diagnostics):
         if args.telemetry_dir is not None:
@@ -363,24 +363,8 @@ def cmd_sweep(args) -> int:
         print("note: --fault-seed applies with --faults only",
               file=sys.stderr)
     settings = _telemetry_settings(args)
-    if settings is None:
-        return _run_sweep_specs(args, specs, shard)
-    # Process-global session; pool workers inherit it through the
-    # environment channel.  Ended on the way out, so an in-process
-    # caller of ``main`` does not keep collecting on later runs.
-    from repro.telemetry.state import activate, deactivate
-
-    activate(settings)
-    try:
-        return _run_sweep_specs(args, specs, shard, settings)
-    finally:
-        deactivate()
-
-
-def _run_sweep_specs(args, specs, shard, settings=None) -> int:
-    """The body of ``sweep`` once the specs (and telemetry) are set."""
     if args.ladder:
-        return _run_ladders(args, specs, shard)
+        return _run_ladders(args, specs, shard, settings)
     for flag in ("top_k", "pareto", "margin", "objective", "calibration"):
         # By identity: a numeric 0 (``--margin 0``) equals False.
         value = getattr(args, flag)
@@ -397,6 +381,7 @@ def _run_sweep_specs(args, specs, shard, settings=None) -> int:
             cache_dir=args.cache_dir,
             shard=shard,
             progress=progress,
+            telemetry=settings,
         )
     finally:
         progress_done()
@@ -419,7 +404,7 @@ def _run_sweep_specs(args, specs, shard, settings=None) -> int:
     return 0
 
 
-def _run_ladders(args, specs, shard) -> int:
+def _run_ladders(args, specs, shard, settings) -> int:
     """``sweep --ladder``: surrogate-score, prune, simulate survivors."""
     from repro.surrogate import CalibrationError, LadderSpec, run_ladder
 
@@ -449,6 +434,7 @@ def _run_ladders(args, specs, shard) -> int:
                     cache_dir=args.cache_dir,
                     shard=shard,
                     progress=progress,
+                    telemetry=settings,
                 )
             except (CalibrationError, ValueError) as exc:
                 raise SystemExit(f"ladder: {exc}") from None
@@ -563,10 +549,11 @@ def cmd_faults(args) -> int:
 # ----------------------------------------------------------------------
 def _telemetry_keys(directory: str) -> list:
     """Point key hashes with artifacts in ``directory``, sorted."""
-    suffixes = (".trace.json", ".metrics.json", ".profile.json", ".prom")
+    from repro.telemetry.runtime import ARTIFACT_SUFFIXES
+
     keys = set()
     for entry in os.listdir(directory):
-        for suffix in suffixes:
+        for suffix in ARTIFACT_SUFFIXES.values():
             if entry.endswith(suffix):
                 keys.add(entry[:-len(suffix)])
                 break
@@ -576,6 +563,7 @@ def _telemetry_keys(directory: str) -> list:
 def cmd_telemetry(args) -> int:
     """``telemetry summarize`` / ``telemetry export``."""
     from repro.telemetry import validate_chrome_trace
+    from repro.telemetry.runtime import artifact_path
 
     directory = args.dir
     if not os.path.isdir(directory):
@@ -593,7 +581,7 @@ def cmd_telemetry(args) -> int:
         for key in keys:
             spans = instants = "-"
             valid = "-"
-            trace_path = os.path.join(directory, f"{key}.trace.json")
+            trace_path = artifact_path(directory, key, "trace")
             if os.path.exists(trace_path):
                 with open(trace_path, encoding="utf-8") as handle:
                     document = json.load(handle)
@@ -603,14 +591,14 @@ def cmd_telemetry(args) -> int:
                 problems = validate_chrome_trace(document)
                 valid = "ok" if not problems else f"{len(problems)} bad"
             samples = series = "-"
-            metrics_path = os.path.join(directory, f"{key}.metrics.json")
+            metrics_path = artifact_path(directory, key, "metrics")
             if os.path.exists(metrics_path):
                 with open(metrics_path, encoding="utf-8") as handle:
                     metrics = json.load(handle)
                 samples = metrics.get("samples", "-")
                 series = metrics.get("series", "-")
             hotspot = "-"
-            profile_path = os.path.join(directory, f"{key}.profile.json")
+            profile_path = artifact_path(directory, key, "profile")
             if os.path.exists(profile_path):
                 with open(profile_path, encoding="utf-8") as handle:
                     profile = json.load(handle)
@@ -639,8 +627,7 @@ def cmd_telemetry(args) -> int:
 
     # export: one validated Chrome trace document to --out.
     traces = [key for key in keys
-              if os.path.exists(os.path.join(directory,
-                                             f"{key}.trace.json"))]
+              if os.path.exists(artifact_path(directory, key, "trace"))]
     if not traces:
         raise SystemExit(f"telemetry: no trace artifacts in {directory!r}")
     if args.key:
@@ -662,7 +649,7 @@ def cmd_telemetry(args) -> int:
             f"telemetry: {len(traces)} traces in {directory!r}; pick one "
             f"with --key <prefix> (see 'telemetry summarize')"
         )
-    source = os.path.join(directory, f"{chosen}.trace.json")
+    source = artifact_path(directory, chosen, "trace")
     with open(source, encoding="utf-8") as handle:
         document = json.load(handle)
     problems = validate_chrome_trace(document)

@@ -40,6 +40,7 @@ from repro.core.config import SystemConfig
 from repro.core.system import AcceSysSystem
 from repro.cpu.nongemm import kernel_for_op
 from repro.sim.ticks import ticks_to_seconds
+from repro.telemetry.state import on_system_acquired
 from repro.workloads.gemm import GemmWorkload, pack_a_panels, pack_b_panels
 from repro.workloads.ops import GemmOp, NonGemmOp, OpGraph
 from repro.workloads.vit import VIT_VARIANTS, ViTConfig, build_vit_graph
@@ -177,15 +178,13 @@ def system_for(config: SystemConfig) -> AcceSysSystem:
     fresh build (asserted by ``tests/test_system_reset.py``).  Keyed on
     the canonical config hash, so any field change builds a new system.
 
-    Every acquisition passes through the telemetry layer: when a
-    session is active (:func:`repro.telemetry.state.active`) the system
-    gets its observation hooks attached here -- the single chokepoint
-    that covers fresh builds and memoized reuse alike.  ``activate`` /
-    ``deactivate`` clear the memo, so a session never inherits a
-    hookless (or stale-hooked) system.
+    Every acquisition passes through the telemetry hook: inside a point
+    that collects telemetry (:func:`repro.telemetry.runtime.collect_point`)
+    the system gets its observation hooks attached here -- the single
+    chokepoint that covers fresh builds and memoized reuse alike -- and
+    loses them again when that point ends, so the memo only ever holds
+    hookless systems.
     """
-    from repro.telemetry.state import on_system_acquired
-
     key = config.stable_hash()
     system = _system_memo.get(key)
     if system is not None:

@@ -130,6 +130,7 @@ def run_ladder(
     cache_dir=None,
     shard=None,
     progress=None,
+    telemetry=None,
 ) -> LadderReport:
     """Score, prune, and simulate one wrapped sweep.
 
@@ -165,6 +166,7 @@ def run_ladder(
         cache_dir=cache_dir,
         shard=shard,
         progress=progress,
+        telemetry=telemetry,
     )
     return LadderReport(
         spec_name=spec.name,

@@ -47,12 +47,7 @@ from typing import (
     Union,
 )
 
-from repro.sweep.cache import (
-    NullCache,
-    ResultCache,
-    atomic_write_json,
-    point_key,
-)
+from repro.sweep.cache import NullCache, ResultCache, point_key
 from repro.sweep.spec import (
     Runner,
     SweepPoint,
@@ -60,6 +55,7 @@ from repro.sweep.spec import (
     derive_seed,
     resolve_runner,
 )
+from repro.telemetry import TelemetrySettings, collect_point
 
 #: Environment override for the default worker count.
 WORKERS_ENV = "REPRO_SWEEP_WORKERS"
@@ -75,10 +71,10 @@ class SweepOutcome:
     cached: bool
     key_hash: str
     #: Per-point telemetry summary (artifact paths, sampler counts,
-    #: diagnostics) when a telemetry session was active while the point
-    #: simulated; None for cached replays and untraced runs.  Lives
-    #: *beside* ``record``, never inside it: the record payload stays
-    #: bit-identical with telemetry on and off.
+    #: diagnostics) when the sweep was given telemetry settings and
+    #: simulated the point; None for cached replays and untraced runs.
+    #: Lives *beside* ``record``, never inside it: the record payload
+    #: stays bit-identical with telemetry on and off.
     telemetry: Optional[dict] = None
 
     @property
@@ -236,84 +232,30 @@ def point_params(spec: SweepSpec, point: SweepPoint) -> dict:
     return params
 
 
-def _drain_telemetry(settings, key_hash: str, profile) -> Optional[dict]:
-    """Collect one simulated point's telemetry; write its artifacts.
-
-    Runs in whichever process simulated the point (pool workers inherit
-    the session through the environment channel), so artifacts land on
-    disk exactly once, next to the worker that produced them.  Artifact
-    names are ``<key_hash>.<kind>``, so rerunning the same point
-    overwrites them (byte-identically, except the wall-clock profile).
-    Returns the JSON-safe summary carried on
-    :attr:`SweepOutcome.telemetry`, or None when no session is active.
-    The profile's numbers go only into their artifact file, never the
-    summary: everything shipped between processes must be deterministic.
-    """
-    if settings is None or not settings.enabled:
-        return None
-    from repro.telemetry.state import drain_point
-
-    data = drain_point() or {}
-    directory = settings.trace_dir
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    out: Dict[str, Any] = {}
-    trace = data.get("trace")
-    if trace is not None:
-        entry: Dict[str, Any] = {"events": trace["events"]}
-        if directory:
-            path = os.path.join(directory, f"{key_hash}.trace.json")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(trace["chrome_json"])
-            entry["path"] = path
-        out["trace"] = entry
-    metrics = data.get("metrics")
-    if metrics is not None:
-        entry = {"summary": metrics["summary"]}
-        if directory:
-            path = os.path.join(directory, f"{key_hash}.metrics.json")
-            atomic_write_json(path, metrics["record"])
-            prom_path = os.path.join(directory, f"{key_hash}.prom")
-            with open(prom_path, "w", encoding="utf-8") as handle:
-                handle.write(metrics["prometheus"])
-            entry["path"] = path
-            entry["prometheus_path"] = prom_path
-        out["metrics"] = entry
-    if profile is not None and directory:
-        path = os.path.join(directory, f"{key_hash}.profile.json")
-        atomic_write_json(path, profile)
-        out["profile"] = {"path": path}
-    if "diagnostics" in data:
-        out["diagnostics"] = data["diagnostics"]
-    return out or None
-
-
 def _point_record(runner: Runner, config, params: dict) -> dict:
     """Acquire, drive and snapshot one point, then encode its record."""
     return runner.encode(runner.run(config, **params))
 
 
 def _simulate(
-    runner: Runner, point: SweepPoint, params: dict, key_hash: str
+    runner: Runner,
+    point: SweepPoint,
+    params: dict,
+    key_hash: str,
+    telemetry: Optional[TelemetrySettings],
 ) -> tuple:
     """Run one point and encode its result (this is the worker body).
 
     Returns ``(record, telemetry)``: the runner-encoded record, plus the
-    per-point telemetry summary (None on ordinary untraced runs).  A
-    session with ``profile`` on and an artifact directory to write the
-    profile to runs the whole point under cProfile.
+    per-point telemetry summary (None on ordinary untraced runs).  With
+    telemetry settings the point runs inside
+    :func:`~repro.telemetry.runtime.collect_point`, which collects,
+    profiles and writes artifacts for this point alone.
     """
-    from repro.telemetry.state import active
-
-    settings = active()
-    if settings is not None and settings.profile and settings.trace_dir:
-        from repro.telemetry.profiler import profile_call
-
-        record, profile = profile_call(_point_record, runner,
-                                       point.config, params)
-    else:
-        record, profile = _point_record(runner, point.config, params), None
-    return record, _drain_telemetry(settings, key_hash, profile)
+    if telemetry is None or not telemetry.enabled:
+        return _point_record(runner, point.config, params), None
+    return collect_point(telemetry, key_hash, _point_record, runner,
+                         point.config, params)
 
 
 @dataclass
@@ -336,10 +278,10 @@ class _WorkerFailure:
 
 def _pool_entry(payload) -> tuple:
     """Module-level trampoline so the pool can pickle the work unit."""
-    index, runner_ref, point, params, key_hash = payload
+    index, runner_ref, point, params, key_hash, telemetry = payload
     runner = resolve_runner(runner_ref)
     try:
-        return index, _simulate(runner, point, params, key_hash)
+        return index, _simulate(runner, point, params, key_hash, telemetry)
     except Exception as exc:  # noqa: BLE001 - re-raised by the parent
         return index, _WorkerFailure.capture(point, exc)
 
@@ -400,6 +342,7 @@ def _execute(
     workers: int,
     store,
     state: _EngineState,
+    telemetry: Optional[TelemetrySettings] = None,
 ) -> Iterator[Tuple[int, int, SweepOutcome]]:
     """Core streaming engine shared by every entry point.
 
@@ -465,7 +408,7 @@ def _execute(
         if isinstance(payload, _WorkerFailure):
             state.failures.append(payload)
             return None
-        record, telemetry = payload
+        record, summary = payload
         try:
             store.put(
                 key_hash,
@@ -493,7 +436,7 @@ def _execute(
             record=record,
             cached=False,
             key_hash=key_hash,
-            telemetry=telemetry,
+            telemetry=summary,
         )
 
     def emit(entry, payload):
@@ -516,8 +459,9 @@ def _execute(
 
     stream = None
     if workers > 1 and len(pending) > 1:
-        # runner refs (names or module-level callables) pickle to workers
-        jobs = [(gi, specs[si].runner, point, params, key_hash)
+        # runner refs (names or module-level callables) and the frozen
+        # telemetry settings pickle to workers
+        jobs = [(gi, specs[si].runner, point, params, key_hash, telemetry)
                 for gi, si, pi, point, params, key_hash in pending]
         stream = _run_parallel(jobs, min(workers, len(jobs)))
 
@@ -554,7 +498,8 @@ def _execute(
             if gi in done:
                 continue
             try:
-                payload = _simulate(runners[si], point, params, key_hash)
+                payload = _simulate(runners[si], point, params, key_hash,
+                                    telemetry)
             except Exception as exc:  # noqa: BLE001 - re-raised below
                 state.failures.append(_WorkerFailure.capture(point, exc))
                 break
@@ -614,6 +559,7 @@ def run_sweep(
     cache_dir: Optional[os.PathLike] = None,
     shard: Optional[Tuple[int, int]] = None,
     progress: Optional[ProgressFn] = None,
+    telemetry: Optional[TelemetrySettings] = None,
 ) -> SweepReport:
     """Execute every point of ``spec``; replay cached points instantly.
 
@@ -636,10 +582,14 @@ def run_sweep(
         Optional callback invoked as each point finishes with
         ``(finished, total, outcome)``; see :func:`iter_sweep` for a
         generator interface instead.
+    telemetry:
+        What to collect for each point this call simulates (traces,
+        metrics, profiles, diagnostics; see docs/OBSERVABILITY.md).
+        Cached points replay without simulating and collect nothing.
     """
     return run_sweeps(
         [spec], workers=workers, cache=cache, cache_dir=cache_dir,
-        shard=shard, progress=progress,
+        shard=shard, progress=progress, telemetry=telemetry,
     )[0]
 
 
@@ -650,6 +600,7 @@ def run_sweeps(
     cache_dir: Optional[os.PathLike] = None,
     shard: Optional[Tuple[int, int]] = None,
     progress: Optional[ProgressFn] = None,
+    telemetry: Optional[TelemetrySettings] = None,
 ) -> List[SweepReport]:
     """Execute several sweeps against **one** worker-pool invocation.
 
@@ -660,7 +611,7 @@ def run_sweeps(
     :class:`SweepReport` per spec, each identical to what a separate
     :func:`run_sweep` call would produce (points keep their per-spec
     order; cache keys are unchanged).  ``progress`` counts points across
-    the whole batch.
+    the whole batch; ``telemetry`` is as for :func:`run_sweep`.
     """
     store = _resolve_store(cache, cache_dir)
     workers = resolve_workers(workers)
@@ -671,7 +622,8 @@ def run_sweeps(
         [None] * len(points) for points in sharded
     ]
     finished = 0
-    for si, pi, outcome in _execute(specs, sharded, workers, store, state):
+    for si, pi, outcome in _execute(specs, sharded, workers, store, state,
+                                    telemetry):
         slots[si][pi] = outcome
         finished += 1
         if progress is not None:

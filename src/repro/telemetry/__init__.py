@@ -13,48 +13,29 @@ Three observability primitives for the simulator (docs/OBSERVABILITY.md):
   package (layer) that defines each function.  It loads ``cProfile``
   only when a point is profiled.
 
-Sessions are process-global (:func:`activate` / :func:`deactivate`,
-inherited by sweep pool workers through an environment variable) and
-never touch cache keys or result records: telemetry observes a
-simulation, it does not participate in one.  Disabled -- the default --
-every hook is ``None`` and the golden-value tests pin bit-identical
-results; the per-acquisition session check is gated below 2% of a warm
-point by ``benchmarks/bench_perf_core.py``'s ``tracer_off_overhead``
-metric.
+Telemetry is an explicit argument, scoped to one simulated point: the
+sweep entry points take ``telemetry=TelemetrySettings(...)`` and hand
+the settings to every point they simulate (inside each pool job), where
+:func:`~repro.telemetry.runtime.collect_point` attaches the hooks,
+writes the artifacts and detaches them again.  Telemetry never touches
+cache keys or result records: it observes a simulation, it does not
+participate in one.  Disabled -- the default -- every hook is ``None``
+and the golden-value tests pin bit-identical results; the
+per-acquisition collector check is gated below 2% of a warm point by
+``benchmarks/bench_perf_core.py``'s ``tracer_off_overhead`` metric.
 """
 
 from repro.telemetry.metrics import MetricsSampler, render_prometheus
-from repro.telemetry.runtime import TelemetryRuntime
-from repro.telemetry.state import (
-    TELEMETRY_ENV,
-    TelemetrySettings,
-    activate,
-    active,
-    current_runtime,
-    deactivate,
-    drain_point,
-    on_system_acquired,
-)
-from repro.telemetry.tracer import (
-    TRACER,
-    NullTracer,
-    SpanTracer,
-    validate_chrome_trace,
-)
+from repro.telemetry.runtime import TelemetryRuntime, collect_point
+from repro.telemetry.state import TelemetrySettings, on_system_acquired
+from repro.telemetry.tracer import SpanTracer, validate_chrome_trace
 
 __all__ = [
-    "TELEMETRY_ENV",
     "MetricsSampler",
-    "NullTracer",
     "SpanTracer",
-    "TRACER",
     "TelemetryRuntime",
     "TelemetrySettings",
-    "activate",
-    "active",
-    "current_runtime",
-    "deactivate",
-    "drain_point",
+    "collect_point",
     "on_system_acquired",
     "render_prometheus",
     "validate_chrome_trace",

@@ -17,11 +17,10 @@ telemetry acceptance bar, pinned by ``tests/test_telemetry.py``.
 
 Zero overhead when off
 ----------------------
-:data:`TRACER` is a module-level no-op singleton for ad-hoc use, but
-the instrumented components do not even pay a call to it: their hook
-attributes (``link.trace``, ``dma.trace``) default to ``None`` exactly
-like the fault layer's ``link.faults``, so the disabled path costs one
-``is None`` test co-located with an existing branch.
+The instrumented components pay no call when tracing is off: their
+hook attributes (``link.trace``, ``dma.trace``) default to ``None``
+exactly like the fault layer's ``link.faults``, so the disabled path
+costs one ``is None`` test co-located with an existing branch.
 """
 
 from __future__ import annotations
@@ -34,34 +33,10 @@ from repro.sim.ticks import TICKS_PER_US
 __all__ = [
     "DmaTrace",
     "LinkTrace",
-    "NullTracer",
     "SpanTracer",
-    "TRACER",
     "validate_chrome_trace",
 ]
 
-
-class NullTracer:
-    """Tracer that records nothing (the disabled singleton)."""
-
-    __slots__ = ()
-    enabled = False
-
-    def complete(self, pid: int, tid_name: str, name: str, cat: str,
-                 start_tick: int, dur_ticks: int,
-                 args: Optional[dict] = None) -> None:
-        pass
-
-    def instant(self, pid: int, tid_name: str, name: str, cat: str,
-                tick: int, args: Optional[dict] = None) -> None:
-        pass
-
-    def clear(self) -> None:
-        pass
-
-
-#: The module-level no-op singleton.
-TRACER = NullTracer()
 
 #: Chrome "process" of every simulator hook below; the export names it
 #: ``domain0``.
@@ -76,8 +51,6 @@ class SpanTracer:
     id in first-appearance order (deterministic, because attachment and
     event execution order are).
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         #: Recorded events: ("X"|"i", pid, tid, name, cat, ts, dur, args).

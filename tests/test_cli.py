@@ -311,10 +311,8 @@ class TestCommands:
     @pytest.mark.parametrize("ladder", [False, True])
     def test_sweep_ends_its_telemetry_session(self, capsys, tmp_path,
                                               ladder):
-        import os
-
         from repro.sweep import build_sweep, run_sweep
-        from repro.telemetry.state import TELEMETRY_ENV, active
+        from repro.telemetry.state import COLLECTOR
 
         argv = ["sweep", "--name", "access-modes", "--size", "16",
                 "--diagnostics", "--no-cache",
@@ -322,8 +320,7 @@ class TestCommands:
         assert main(argv + (["--ladder", "--top-k", "1"] if ladder
                             else ["--shard", "1/3"])) == 0
         capsys.readouterr()
-        assert active() is None
-        assert TELEMETRY_ENV not in os.environ
+        assert COLLECTOR.get() is None
         report = run_sweep(build_sweep("access-modes", size=16), workers=1,
                            cache=False, shard=(1, 3))
         assert [outcome.telemetry for outcome in report.outcomes] == [None]

@@ -2,14 +2,16 @@
 
 Covers the acceptance bars of docs/OBSERVABILITY.md:
 
-* disabled defaults: every component hook is None, the null tracer is
-  inert, and an inactive session reports None;
+* disabled defaults: every component hook is None, and nothing
+  collects outside one point's :func:`collect_point`;
 * Chrome trace export: schema-valid, metadata-first, deterministic
   (byte-identical across reruns and --shard slices);
 * record bit-identity: a traced sweep produces the very records an
   untraced sweep does, with telemetry/diagnostics only as siblings;
-* the metrics ring buffer, the Prometheus exposition, the
-  per-package cProfile fold, and the env-var session channel.
+* pool workers write the artifacts a serial run writes, and a traced
+  point hands its memoized system back without hooks;
+* the metrics ring buffer, the Prometheus exposition and the
+  per-package cProfile fold.
 """
 
 import cProfile
@@ -22,24 +24,22 @@ import pytest
 
 import repro
 from repro import SystemConfig
-from repro.core.runner import run_gemm, system_for
+from repro.core.runner import clear_system_memo, run_gemm, system_for
+from repro.faults.runner import apply_faults
+from repro.faults.spec import fault_preset
 from repro.sim.eventq import Simulator
 from repro.sim.statistics import StatGroup
 from repro.sweep import SweepSpec, gemm_points, run_sweep
 from repro.sweep.engine import _point_record, point_params
 from repro.sweep.spec import resolve_runner
 from repro.telemetry import (
-    TELEMETRY_ENV,
-    TRACER,
     MetricsSampler,
-    NullTracer,
     SpanTracer,
     TelemetrySettings,
-    activate,
-    active,
-    deactivate,
+    collect_point,
     validate_chrome_trace,
 )
+from repro.telemetry.state import COLLECTOR
 from repro.telemetry.profiler import fold_stats, layer_of, merge_layers
 
 SIZE = 32
@@ -47,10 +47,10 @@ SIZE = 32
 
 @pytest.fixture(autouse=True)
 def clean_session():
-    """Every test starts and ends with no telemetry session."""
-    deactivate()
+    """Every test starts and ends with no point collecting telemetry."""
+    assert COLLECTOR.get() is None
     yield
-    deactivate()
+    assert COLLECTOR.get() is None
 
 
 def small_spec(name="telemetry-sweep", packets=(64, 256)):
@@ -59,28 +59,23 @@ def small_spec(name="telemetry-sweep", packets=(64, 256)):
     return SweepSpec(name=name, points=gemm_points(configs, SIZE))
 
 
-def run_traced(tmp_path, subdir, **settings_kw):
+def run_traced(tmp_path, subdir, spec=None, **settings_kw):
     settings = TelemetrySettings(
         trace=True, trace_dir=str(tmp_path / subdir), **settings_kw
     )
-    activate(settings)
-    try:
-        return run_sweep(small_spec(), workers=1, cache=False)
-    finally:
-        deactivate()
+    return run_sweep(spec or small_spec(), workers=1, cache=False,
+                     telemetry=settings)
+
+
+def artifact_bytes(directory):
+    """File name -> bytes of every artifact in ``directory``."""
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
 
 
 # ----------------------------------------------------------------------
 # Disabled defaults
 # ----------------------------------------------------------------------
 class TestDisabledDefaults:
-    def test_null_tracer_is_inert(self):
-        assert isinstance(TRACER, NullTracer)
-        assert TRACER.enabled is False
-        TRACER.complete(0, "x", "span", "cat", 0, 10)
-        TRACER.instant(0, "x", "mark", "cat", 5)
-        TRACER.clear()  # all no-ops, nothing to assert beyond not raising
-
     def test_component_hooks_default_none(self):
         system = system_for(SystemConfig.table2_baseline())
         assert system.wrapper.dma.trace is None
@@ -88,11 +83,21 @@ class TestDisabledDefaults:
         assert system.fabric.down.trace is None
 
     def test_inactive_session(self):
-        assert active() is None
-        from repro.telemetry import current_runtime, drain_point
+        # The collector is set for one point's body and for nothing else,
+        # also when that body raises.
+        assert COLLECTOR.get() is None
+        runtime, summary = collect_point(
+            TelemetrySettings(diagnostics=True), "k", COLLECTOR.get)
+        assert runtime is not None
+        assert summary is None  # no system acquired, nothing to report
+        assert COLLECTOR.get() is None
 
-        assert current_runtime() is None
-        assert drain_point() is None
+        def broken():
+            raise ValueError("point failed")
+
+        with pytest.raises(ValueError):
+            collect_point(TelemetrySettings(trace=True), "k", broken)
+        assert COLLECTOR.get() is None
 
     def test_settings_disabled_by_default(self):
         settings = TelemetrySettings()
@@ -158,45 +163,6 @@ class TestSpanTracer:
 
 
 # ----------------------------------------------------------------------
-# Session settings and the env channel
-# ----------------------------------------------------------------------
-class TestSessionChannel:
-    def test_json_round_trip(self):
-        settings = TelemetrySettings(
-            trace=True, trace_dir="/tmp/t", metrics_every=1000,
-            profile=True, diagnostics=True,
-        )
-        assert TelemetrySettings.from_json(settings.to_json()) == settings
-
-    def test_activate_exports_env(self):
-        settings = TelemetrySettings(trace=True, trace_dir="/tmp/t")
-        activate(settings)
-        assert active() == settings
-        raw = os.environ[TELEMETRY_ENV]
-        assert TelemetrySettings.from_json(json.loads(raw)) == settings
-        deactivate()
-        assert TELEMETRY_ENV not in os.environ
-        assert active() is None
-
-    def test_env_channel_alone_activates(self):
-        # What a pool worker sees: no in-process activate() call, only
-        # the inherited environment variable.
-        settings = TelemetrySettings(diagnostics=True)
-        os.environ[TELEMETRY_ENV] = json.dumps(settings.to_json())
-        try:
-            assert active() == settings
-        finally:
-            del os.environ[TELEMETRY_ENV]
-
-    def test_malformed_env_is_ignored(self):
-        os.environ[TELEMETRY_ENV] = "{not json"
-        try:
-            assert active() is None
-        finally:
-            del os.environ[TELEMETRY_ENV]
-
-
-# ----------------------------------------------------------------------
 # Traced sweeps: bit-identity and deterministic artifacts
 # ----------------------------------------------------------------------
 class TestTracedSweep:
@@ -247,11 +213,8 @@ class TestTracedSweep:
             trace_dir=str(tmp_path / "m"), metrics_every=1_000_000,
             profile=True,
         )
-        activate(settings)
-        try:
-            report = run_sweep(small_spec(), workers=1, cache=False)
-        finally:
-            deactivate()
+        report = run_sweep(small_spec(), workers=1, cache=False,
+                           telemetry=settings)
         for outcome in report.outcomes:
             summary = outcome.telemetry
             assert summary["metrics"]["summary"]["samples"] > 0
@@ -269,11 +232,8 @@ class TestTracedSweep:
 
     def test_diagnostics_only_session(self, tmp_path):
         settings = TelemetrySettings(diagnostics=True)
-        activate(settings)
-        try:
-            report = run_sweep(small_spec(), workers=1, cache=False)
-        finally:
-            deactivate()
+        report = run_sweep(small_spec(), workers=1, cache=False,
+                           telemetry=settings)
         for outcome in report.outcomes:
             record = outcome.to_record()
             assert "diagnostics" in record
@@ -285,14 +245,61 @@ class TestTracedSweep:
         settings = TelemetrySettings(
             trace=True, trace_dir=str(tmp_path / "cached-t")
         )
-        activate(settings)
-        try:
-            replay = run_sweep(spec, workers=1, cache_dir=tmp_path / "cache")
-        finally:
-            deactivate()
+        replay = run_sweep(spec, workers=1, cache_dir=tmp_path / "cache",
+                           telemetry=settings)
         assert replay.fully_cached
         assert all(o.telemetry is None for o in replay.outcomes)
         assert not (tmp_path / "cached-t").exists()
+
+    def test_pool_workers_write_the_serial_artifacts(self, tmp_path):
+        settings = TelemetrySettings(
+            trace=True, trace_dir=str(tmp_path), metrics_every=1_000_000,
+            diagnostics=True,
+        )
+        serial = run_sweep(small_spec(), workers=1, cache=False,
+                           telemetry=settings)
+        serial_bytes = artifact_bytes(tmp_path)
+        for path in tmp_path.iterdir():
+            path.unlink()
+        pooled = run_sweep(small_spec(), workers=2, cache=False,
+                           telemetry=settings)
+        assert pooled.parallel
+        assert sorted(name.split(".", 1)[1] for name in serial_bytes) == [
+            "metrics.json", "metrics.json", "prom", "prom",
+            "trace.json", "trace.json"]
+        assert artifact_bytes(tmp_path) == serial_bytes
+        assert ([o.telemetry for o in pooled.outcomes]
+                == [o.telemetry for o in serial.outcomes])
+
+
+# ----------------------------------------------------------------------
+# Memoized systems: hooks come off when a point ends
+# ----------------------------------------------------------------------
+class TestMemoizedSystems:
+    def test_traced_point_leaves_its_system_clean(self, tmp_path):
+        spec = apply_faults(small_spec(packets=(64,)),
+                            fault_preset("retrain-storm"))
+        config = spec.points[0].config
+        system = system_for(config)
+        report = run_traced(tmp_path, "t", spec=spec)
+        assert report.outcomes[0].telemetry["trace"]["events"] > 0
+        assert system_for(config) is system
+        assert system.wrapper.dma.trace is None
+        assert system.fabric.up.trace is None
+        assert system.fabric.down.trace is None
+        states = system.fault_model.link_states
+        assert states and all(state.trace is None
+                              for state in states.values())
+
+    def test_memoized_system_traces_like_a_fresh_build(self, tmp_path):
+        kw = dict(metrics_every=1_000_000)
+        run_traced(tmp_path, "first", **kw)
+        run_traced(tmp_path, "memoized", **kw)
+        clear_system_memo()
+        run_traced(tmp_path, "fresh", **kw)
+        memoized = artifact_bytes(tmp_path / "memoized")
+        assert len(memoized) == 6
+        assert memoized == artifact_bytes(tmp_path / "fresh")
 
 
 # ----------------------------------------------------------------------
@@ -446,10 +453,11 @@ class TestLayerFold:
     def test_warm_point_calls_match_a_hand_fold(self, tmp_path):
         spec = SweepSpec(name="profiled-gemm", points=gemm_points(
             {"pcie_8gb": SystemConfig.pcie_8gb()}, 64))
-        activate(TelemetrySettings(profile=True, trace_dir=str(tmp_path)))
+        settings = TelemetrySettings(profile=True, trace_dir=str(tmp_path))
         for _warm in range(2):
-            run_sweep(spec, workers=1, cache=False)
-        outcome = run_sweep(spec, workers=1, cache=False).outcomes[0]
+            run_sweep(spec, workers=1, cache=False, telemetry=settings)
+        outcome = run_sweep(spec, workers=1, cache=False,
+                            telemetry=settings).outcomes[0]
         document = json.loads(
             open(outcome.telemetry["profile"]["path"]).read()
         )
@@ -460,11 +468,20 @@ class TestLayerFold:
             "path": str(tmp_path / f"{outcome.key_hash}.profile.json")}}
 
         # The reference: the same point body profiled by hand, folded
-        # by pstats entry with a package map written out here.
+        # by pstats entry with a package map written out here.  It runs
+        # as a collected point too (profiling, no artifact directory),
+        # so the system hook does the same work in both profiles.
         point = spec.points[0]
-        profile = cProfile.Profile()
-        profile.runcall(_point_record, resolve_runner(spec.runner),
-                        point.config, point_params(spec, point))
+
+        def hand_profiled(*args):
+            profile = cProfile.Profile()
+            profile.runcall(_point_record, *args)
+            return profile
+
+        profile, _summary = collect_point(
+            TelemetrySettings(profile=True), outcome.key_hash,
+            hand_profiled, resolve_runner(spec.runner), point.config,
+            point_params(spec, point))
         reference = {}
         root = REPRO_DIR + os.sep
         for (filename, _line, _name), entry in (
@@ -487,16 +504,17 @@ class TestLayerFold:
             raise AssertionError("profiled a point it cannot write out")
 
         monkeypatch.setattr(profiler, "profile_call", refuse)
-        activate(TelemetrySettings(profile=True))
-        report = run_sweep(small_spec(), workers=1, cache=False)
+        report = run_sweep(small_spec(), workers=1, cache=False,
+                           telemetry=TelemetrySettings(profile=True))
         assert [outcome.telemetry for outcome in report.outcomes] == [
             None, None]
 
     def test_records_identical_with_profile(self, tmp_path):
         plain = run_sweep(small_spec(), workers=1, cache=False)
-        activate(TelemetrySettings(profile=True, trace_dir=str(tmp_path)))
-        profiled = run_sweep(small_spec(), workers=1, cache=False)
-        deactivate()
+        profiled = run_sweep(
+            small_spec(), workers=1, cache=False,
+            telemetry=TelemetrySettings(profile=True,
+                                        trace_dir=str(tmp_path)))
         assert ([outcome.record for outcome in plain.outcomes]
                 == [outcome.record for outcome in profiled.outcomes])
         assert len(list(tmp_path.glob("*.profile.json"))) == 2
@@ -524,9 +542,7 @@ class TestDiagnostics:
             trace=True, trace_dir=str(tmp_path / "g"),
             metrics_every=1_000_000, profile=True, diagnostics=True,
         )
-        activate(settings)
-        try:
-            traced = run_gemm(config, SIZE, SIZE, SIZE)
-        finally:
-            deactivate()
+        traced, summary = collect_point(settings, "gemm", run_gemm, config,
+                                        SIZE, SIZE, SIZE)
         assert plain == traced
+        assert summary["trace"]["events"] > 0

@@ -15,9 +15,10 @@ policy gem5 users get from functional accesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
 from collections import deque
+from dataclasses import dataclass
+from functools import partial
+from typing import Deque, List, Optional
 
 from repro.cache.tags import TagStore
 from repro.memory.physmem import PhysicalMemory
@@ -53,6 +54,10 @@ class CacheParams:
             raise ValueError("need at least one MSHR")
 
 
+def _discard(_txn: Transaction) -> None:
+    """Completion sink for writebacks: nothing waits on them."""
+
+
 class Cache(TargetPort):
     """One cache level in front of a downstream target."""
 
@@ -72,7 +77,8 @@ class Cache(TargetPort):
             params.size, params.assoc, params.line_size, params.policy
         )
         self._mshrs_free = params.mshrs
-        self._mshr_queue: Deque[tuple] = deque()
+        self._mshr_queue: Deque[_Fetch] = deque()
+        self._wb_source = f"{name}.wb"
 
         self._hits = self.stats.scalar("hits", "demand line hits")
         self._misses = self.stats.scalar("misses", "demand line misses")
@@ -93,110 +99,66 @@ class Cache(TargetPort):
     def send(self, txn: Transaction, on_complete: CompletionFn) -> None:
         params = self.params
         line_size = params.line_size
-        self._accesses.inc()
+        is_write = txn.is_write
 
         first_line = txn.addr // line_size
-        last_line = (txn.end_addr - 1) // line_size
-        missing: List[int] = []
-        hit_lines = 0
-        for line in range(first_line, last_line + 1):
-            if self.tags.access(line):
-                hit_lines += 1
-                if txn.is_write:
-                    self.tags.mark_dirty(line)
-            else:
-                missing.append(line)
-        self._hits.inc(hit_lines)
-        self._misses.inc(len(missing))
+        last_line = (txn.addr + txn.size - 1) // line_size
+        hit_lines, runs = self.tags.access_range(first_line, last_line, is_write)
+        # Batched stat update (equivalent to inc() per counter).
+        self._accesses.value += 1
+        self._hits.value += hit_lines
+        self._misses.value += last_line - first_line + 1 - hit_lines
+        self.stats.dirty = True
 
         if self.functional_store is not None:
             self._functional_access(txn)
 
-        hit_time = params.hit_latency + hit_lines * params.line_access
-
-        if not missing or (txn.is_write and not params.write_allocate):
-            if missing and txn.is_write:
+        if not runs or (is_write and not params.write_allocate):
+            if runs:
                 # Write-no-allocate: forward the whole write downstream.
                 self.downstream.send(
                     Transaction.write(txn.addr, txn.size, source=txn.source),
-                    lambda _t: None,
+                    _discard,
                 )
-            self.schedule(hit_time, lambda: on_complete(txn))
+            hit_time = params.hit_latency + hit_lines * params.line_access
+            self.schedule(hit_time, partial(on_complete, txn))
             return
 
-        # Coalesce missing lines into contiguous runs.
-        runs = self._coalesce(missing)
-        state = {"remaining": len(runs)}
-        fill_dirty = txn.is_write
-
-        def fetch_done(_fetch_txn: Transaction) -> None:
-            state["remaining"] -= 1
-            if state["remaining"] == 0:
-                self.schedule(self.params.miss_latency, lambda: on_complete(txn))
-
+        # One MSHR per contiguous run of missing lines.
+        miss = _Miss(self, txn, on_complete, len(runs))
         for run_start, run_len in runs:
             fetch = Transaction.read(
                 run_start * line_size, run_len * line_size, source=self.name
             )
-            fetch.for_ownership = fill_dirty
-            self._issue_miss(fetch, run_start, run_len, fill_dirty, fetch_done)
+            fetch.for_ownership = is_write
+            self._issue_miss(_Fetch(miss, fetch, run_start, run_len))
 
     # ------------------------------------------------------------------
     # Miss path
     # ------------------------------------------------------------------
-    def _issue_miss(
-        self,
-        fetch: Transaction,
-        run_start: int,
-        run_len: int,
-        fill_dirty: bool,
-        fetch_done: CompletionFn,
-    ) -> None:
+    def _issue_miss(self, fetch: _Fetch) -> None:
         if self._mshrs_free == 0:
-            self._mshr_queue.append((fetch, run_start, run_len, fill_dirty, fetch_done))
+            self._mshr_queue.append(fetch)
             return
         self._mshrs_free -= 1
-
-        def on_fill(fetch_txn: Transaction) -> None:
-            self._fill_lines(run_start, run_len, fill_dirty)
-            self._mshrs_free += 1
-            if self._mshr_queue:
-                queued = self._mshr_queue.popleft()
-                self._issue_miss(*queued)
-            fetch_done(fetch_txn)
-
-        self.downstream.send(fetch, on_fill)
+        self.downstream.send(fetch.txn, fetch.filled)
 
     def _fill_lines(self, run_start: int, run_len: int, dirty: bool) -> None:
-        line_size = self.params.line_size
-        writeback_runs: List[int] = []
-        for line in range(run_start, run_start + run_len):
-            victim = self.tags.fill(line, dirty)
-            if victim is not None:
-                self._evictions.inc()
-                victim_line, was_dirty = victim
-                if was_dirty:
-                    writeback_runs.append(victim_line)
-        for victim_line in writeback_runs:
-            self._writebacks.inc()
-            wb = Transaction.write(
-                victim_line * line_size, line_size, source=f"{self.name}.wb"
-            )
-            self.downstream.send(wb, lambda _t: None)
+        evictions, dirty_victims = self.tags.fill_range(run_start, run_len, dirty)
+        if not evictions:
+            return
+        self._evictions.inc(evictions)
+        if dirty_victims:
+            self._write_back(dirty_victims, self._wb_source)
 
-    @staticmethod
-    def _coalesce(lines: List[int]) -> List[Tuple[int, int]]:
-        """Merge sorted line numbers into (start, length) runs."""
-        runs: List[Tuple[int, int]] = []
-        start = prev = lines[0]
-        for line in lines[1:]:
-            if line == prev + 1:
-                prev = line
-                continue
-            runs.append((start, prev - start + 1))
-            start = prev = line
-        runs.append((start, prev - start + 1))
-        return runs
+    def _write_back(self, lines: List[int], source: str) -> None:
+        """Send one downstream line write per dirty line (timing only)."""
+        self._writebacks.inc(len(lines))
+        line_size = self.params.line_size
+        send = self.downstream.send
+        for line in lines:
+            send(Transaction.write(line * line_size, line_size, source=source),
+                 _discard)
 
     # ------------------------------------------------------------------
     # Functional data and coherence
@@ -214,23 +176,14 @@ class Cache(TargetPort):
         number of lines invalidated.  Used by the MemBus snoop path when
         another master writes, and by the driver for explicit flushes.
         """
-        if not self.tags.resident_lines:
-            return 0  # nothing cached: skip probing every snooped line
         line_size = self.params.line_size
-        first = addr // line_size
-        last = (addr + size - 1) // line_size
-        dropped = 0
-        for line in range(first, last + 1):
-            if line in self.tags:
-                was_dirty = self.tags.invalidate(line)
-                dropped += 1
-                self._invalidations.inc()
-                if was_dirty:
-                    self._writebacks.inc()
-                    wb = Transaction.write(
-                        line * line_size, line_size, source=f"{self.name}.snoopwb"
-                    )
-                    self.downstream.send(wb, lambda _t: None)
+        dropped, dirty_lines = self.tags.invalidate_range(
+            addr // line_size, (addr + size - 1) // line_size
+        )
+        if dropped:
+            self._invalidations.inc(dropped)
+            if dirty_lines:
+                self._write_back(dirty_lines, f"{self.name}.snoopwb")
         return dropped
 
     # ------------------------------------------------------------------
@@ -245,3 +198,50 @@ class Cache(TargetPort):
     @property
     def mshrs_in_use(self) -> int:
         return self.params.mshrs - self._mshrs_free
+
+
+class _Miss:
+    """One demand transaction waiting on its missing runs.
+
+    Like the DMA path's step objects, it holds no reference back to the
+    fetches that call it, so it is freed by reference counting once the
+    last run lands (docs/PERFORMANCE.md, "Garbage collection").
+    """
+
+    __slots__ = ("cache", "txn", "on_complete", "remaining")
+
+    def __init__(self, cache: Cache, txn: Transaction,
+                 on_complete: CompletionFn, runs: int) -> None:
+        self.cache = cache
+        self.txn = txn
+        self.on_complete = on_complete
+        self.remaining = runs
+
+    def run_done(self) -> None:
+        self.remaining -= 1
+        if self.remaining == 0:
+            cache = self.cache
+            cache.schedule(cache.params.miss_latency,
+                           partial(self.on_complete, self.txn))
+
+
+class _Fetch:
+    """One MSHR's downstream read of a run of missing lines."""
+
+    __slots__ = ("miss", "txn", "start", "count")
+
+    def __init__(self, miss: _Miss, txn: Transaction,
+                 start: int, count: int) -> None:
+        self.miss = miss
+        self.txn = txn
+        self.start = start
+        self.count = count
+
+    def filled(self, _fetch_txn: Transaction) -> None:
+        miss = self.miss
+        cache = miss.cache
+        cache._fill_lines(self.start, self.count, miss.txn.is_write)
+        cache._mshrs_free += 1
+        if cache._mshr_queue:
+            cache._issue_miss(cache._mshr_queue.popleft())
+        miss.run_done()

@@ -1,76 +1,58 @@
 """Replacement policies for set-associative tag stores.
 
-A policy tracks access order *per set* and nominates a victim way when the
-set is full.  Policies are deliberately stateless across sets: the tag store
-calls ``touch``/``insert``/``evict`` with the set index and way.
+A policy is the recency state of one tag store plus the rule for when it
+changes.  The :class:`~repro.cache.tags.TagStore` range loops read and
+write that state inline (one attribute fetch per range, not one method
+call per line), so a policy exposes data rather than per-way hooks:
+
+``stamps``
+    One stamp per slot (way ``w`` of set ``s`` is slot ``s * assoc +
+    w``), or ``None`` when victims ignore order.  A full set evicts its
+    oldest stamp; ties go to the lowest way.
+``clock``
+    The last stamp handed out.
+``stamp_on_touch``
+    An access to (or refill of) a resident line restamps its way (LRU).
+    Every policy with stamps stamps on insert.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List
+from typing import List, Optional
 
 
 class ReplacementPolicy:
-    """Interface: track touches and choose victims within one set."""
+    """Recency state shared by a tag store's range loops."""
+
+    stamp_on_touch = False
 
     def __init__(self, num_sets: int, assoc: int) -> None:
-        self.num_sets = num_sets
-        self.assoc = assoc
+        self.clock = 0
+        self.stamps: Optional[List[int]] = [0] * (num_sets * assoc)
 
-    def touch(self, set_index: int, way: int) -> None:
-        """Record an access to ``way`` of ``set_index``."""
-
-    def insert(self, set_index: int, way: int) -> None:
-        """Record a fill into ``way`` of ``set_index``."""
-        self.touch(set_index, way)
-
-    def victim(self, set_index: int, occupied: List[int]) -> int:
-        """Choose a way to evict among ``occupied`` ways (ascending)."""
+    def choose(self, ways: List[int]) -> int:
+        """Victim way of a full set when ``stamps`` is None."""
         raise NotImplementedError
 
     def reset(self) -> None:
-        """Forget all recency/ordering state (back to construction)."""
+        """Forget all recency/ordering state, for an emptied tag store.
+
+        Only the clock rewinds.  Stale stamps are never compared: a set
+        is consulted for a victim only when full, and every way of a
+        full set was stamped by its insert after the reset.
+        """
+        self.clock = 0
 
 
-class _StampPolicy(ReplacementPolicy):
-    """Evict the way with the oldest stamp; subclasses choose when to stamp.
-
-    Stamps live in one flat list: way ``w`` of set ``s`` is slot
-    ``s * assoc + w``.  Ties go to the lowest way.
-    """
-
-    def __init__(self, num_sets: int, assoc: int) -> None:
-        super().__init__(num_sets, assoc)
-        self._stamp = 0
-        self._stamps: List[int] = [0] * (num_sets * assoc)
-
-    def _stamp_way(self, set_index: int, way: int) -> None:
-        self._stamp += 1
-        self._stamps[set_index * self.assoc + way] = self._stamp
-
-    def victim(self, set_index: int, occupied: List[int]) -> int:
-        base = set_index * self.assoc
-        stamps = self._stamps[base:base + self.assoc]
-        return min(occupied, key=stamps.__getitem__)
-
-    def reset(self) -> None:
-        if self._stamp == 0:
-            return  # untouched since construction/reset
-        self._stamp = 0
-        self._stamps = [0] * (self.num_sets * self.assoc)
-
-
-class LRUPolicy(_StampPolicy):
+class LRUPolicy(ReplacementPolicy):
     """Least-recently-used: evict the way touched longest ago."""
 
-    touch = _StampPolicy._stamp_way
+    stamp_on_touch = True
 
 
-class FIFOPolicy(_StampPolicy):
+class FIFOPolicy(ReplacementPolicy):
     """First-in-first-out: evict the way filled longest ago."""
-
-    insert = _StampPolicy._stamp_way
 
 
 class RandomPolicy(ReplacementPolicy):
@@ -78,11 +60,12 @@ class RandomPolicy(ReplacementPolicy):
 
     def __init__(self, num_sets: int, assoc: int, seed: int = 1) -> None:
         super().__init__(num_sets, assoc)
+        self.stamps = None
         self._seed = seed
         self._rng = random.Random(seed)
 
-    def victim(self, set_index: int, occupied: List[int]) -> int:
-        return self._rng.choice(occupied)
+    def choose(self, ways: List[int]) -> int:
+        return self._rng.choice(ways)
 
     def reset(self) -> None:
         self._rng = random.Random(self._seed)

@@ -18,8 +18,10 @@ class TagStore:
 
     Way ``w`` of set ``s`` is slot ``s * assoc + w`` of two flat arrays:
     ``_lines`` (the resident line, or ``None``) and ``_dirty`` (one byte
-    per slot).  Both are allocated in one C-level call, so building even
-    a multi-megabyte cache costs no Python object per line.
+    per slot, meaningful only while the slot holds a line: every insert
+    overwrites it).  Both are allocated in one C-level call, so building
+    even a multi-megabyte cache costs no Python object per line.
+    ``_where`` maps each resident line to its slot.
 
     Parameters
     ----------
@@ -55,91 +57,154 @@ class TagStore:
         slots = self.num_sets * assoc
         self._lines: List[Optional[int]] = [None] * slots
         self._dirty = bytearray(slots)
-        # line -> (set_index, way_index) for O(1) lookup.
-        self._where: Dict[int, Tuple[int, int]] = {}
+        self._where: Dict[int, int] = {}
         self._occupancy: List[int] = [0] * self.num_sets
         self._all_ways = list(range(assoc))
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def set_index_of(self, line: int) -> int:
-        return line % self.num_sets
-
     def probe(self, line: int) -> bool:
         """True if ``line`` is resident; does not update recency."""
         return line in self._where
 
-    def access(self, line: int) -> bool:
-        """Lookup with recency update; True on hit."""
-        loc = self._where.get(line)
-        if loc is None:
-            return False
-        self.policy.touch(*loc)
-        return True
-
     def is_dirty(self, line: int) -> bool:
-        loc = self._where.get(line)
-        if loc is None:
-            return False
-        return bool(self._dirty[loc[0] * self.assoc + loc[1]])
+        slot = self._where.get(line)
+        return slot is not None and bool(self._dirty[slot])
 
     # ------------------------------------------------------------------
-    # Mutation
+    # Range operations
+    #
+    # Each walks lines ``first..last`` (inclusive) in ascending order with
+    # the dict lookup, the stamp list and the stamp clock bound to locals
+    # once per range; the result is exactly that of visiting the lines
+    # one at a time.
     # ------------------------------------------------------------------
-    def fill(self, line: int, dirty: bool = False) -> Optional[Tuple[int, bool]]:
-        """Insert ``line``; return evicted ``(line, was_dirty)`` if any.
+    def access_range(
+        self, first: int, last: int, write: bool
+    ) -> Tuple[int, List[Tuple[int, int]]]:
+        """Look up lines ``first..last``; return ``(hits, missing runs)``.
 
-        Filling a line that is already resident just updates its dirty bit
-        (logical OR) and recency.  A new line takes the lowest free way of
-        its set, or the policy's victim when the set is full.
+        Hits update recency (LRU) and, for a write, set the dirty bit.
+        Missing lines come back coalesced into ascending ``(start,
+        count)`` runs of contiguous lines.
         """
+        where_get = self._where.get
+        dirty = self._dirty
+        policy = self.policy
+        stamps = policy.stamps if policy.stamp_on_touch else None
+        clock = policy.clock
+        hits = 0
+        runs: List[Tuple[int, int]] = []
+        run_start = -1
+        for line in range(first, last + 1):
+            slot = where_get(line)
+            if slot is None:
+                if run_start < 0:
+                    run_start = line
+                continue
+            hits += 1
+            if run_start >= 0:
+                runs.append((run_start, line - run_start))
+                run_start = -1
+            if stamps is not None:
+                clock += 1
+                stamps[slot] = clock
+            if write:
+                dirty[slot] = 1
+        if run_start >= 0:
+            runs.append((run_start, last + 1 - run_start))
+        policy.clock = clock
+        return hits, runs
+
+    def fill_range(
+        self, start: int, count: int, dirty: bool
+    ) -> Tuple[int, List[int]]:
+        """Insert ``count`` lines from ``start``; return ``(evictions,
+        dirty victim lines)``.
+
+        Filling a line that is already resident just ORs in its dirty bit
+        and updates recency.  A new line takes the lowest free way of its
+        set, or the policy's victim when the set is full.
+        """
+        where = self._where
+        where_get = where.get
+        lines = self._lines
+        dirty_bits = self._dirty
+        occupancy = self._occupancy
         assoc = self.assoc
-        loc = self._where.get(line)
-        if loc is not None:
-            if dirty:
-                self._dirty[loc[0] * assoc + loc[1]] = 1
-            self.policy.touch(*loc)
-            return None
+        num_sets = self.num_sets
+        policy = self.policy
+        stamps = policy.stamps
+        touch_stamps = stamps if policy.stamp_on_touch else None
+        clock = policy.clock
+        choose = policy.choose
+        all_ways = self._all_ways
+        bit = 1 if dirty else 0
+        evictions = 0
+        victims: List[int] = []
+        for line in range(start, start + count):
+            slot = where_get(line)
+            if slot is not None:
+                if dirty:
+                    dirty_bits[slot] = 1
+                if touch_stamps is not None:
+                    clock += 1
+                    touch_stamps[slot] = clock
+                continue
+            set_index = line % num_sets
+            base = set_index * assoc
+            if occupancy[set_index] < assoc:
+                slot = lines.index(None, base, base + assoc)
+                occupancy[set_index] += 1
+            else:
+                if stamps is None:
+                    slot = base + choose(all_ways)
+                else:
+                    ways = stamps[base:base + assoc]
+                    slot = base + ways.index(min(ways))
+                victim = lines[slot]
+                del where[victim]
+                evictions += 1
+                if dirty_bits[slot]:
+                    victims.append(victim)
+            lines[slot] = line
+            dirty_bits[slot] = bit
+            where[line] = slot
+            if stamps is not None:
+                clock += 1
+                stamps[slot] = clock
+        policy.clock = clock
+        return evictions, victims
 
-        set_index = self.set_index_of(line)
-        base = set_index * assoc
-        victim_info: Optional[Tuple[int, bool]] = None
+    def invalidate_range(self, first: int, last: int) -> Tuple[int, List[int]]:
+        """Drop every resident line of ``first..last``; return
+        ``(dropped, dirty dropped lines)``.
 
-        if self._occupancy[set_index] < assoc:
-            slot = self._lines.index(None, base, base + assoc)
-            self._occupancy[set_index] += 1
-        else:
-            slot = base + self.policy.victim(set_index, self._all_ways)
-            victim_line = self._lines[slot]
-            victim_info = (victim_line, bool(self._dirty[slot]))
-            del self._where[victim_line]
-
-        way = slot - base
-        self._lines[slot] = line
-        self._dirty[slot] = 1 if dirty else 0
-        self._where[line] = (set_index, way)
-        self.policy.insert(set_index, way)
-        return victim_info
-
-    def mark_dirty(self, line: int) -> None:
-        """Set the dirty bit of a resident line."""
-        loc = self._where.get(line)
-        if loc is None:
-            raise KeyError(f"line {line:#x} not resident")
-        self._dirty[loc[0] * self.assoc + loc[1]] = 1
-
-    def invalidate(self, line: int) -> bool:
-        """Drop ``line`` if resident; returns True if it was dirty."""
-        loc = self._where.pop(line, None)
-        if loc is None:
-            return False
-        slot = loc[0] * self.assoc + loc[1]
-        dirty = bool(self._dirty[slot])
-        self._lines[slot] = None
-        self._dirty[slot] = 0
-        self._occupancy[loc[0]] -= 1
-        return dirty
+        A range with no resident line returns at once, after one
+        C-level membership scan.
+        """
+        where = self._where
+        span = range(first, last + 1)
+        if where.keys().isdisjoint(span):
+            return 0, []
+        where_pop = where.pop
+        lines = self._lines
+        dirty = self._dirty
+        occupancy = self._occupancy
+        assoc = self.assoc
+        dropped = 0
+        victims: List[int] = []
+        for line in span:
+            slot = where_pop(line, None)
+            if slot is None:
+                continue
+            dropped += 1
+            if dirty[slot]:
+                victims.append(line)
+            lines[slot] = None
+            occupancy[slot // assoc] -= 1
+        return dropped, victims
 
     def reset(self) -> None:
         """Empty every set and rewind the replacement policy.
@@ -150,11 +215,9 @@ class TagStore:
         O(resident lines) rather than O(capacity).
         """
         if self._where:
-            lines, dirty, assoc = self._lines, self._dirty, self.assoc
-            for set_index, way_index in self._where.values():
-                slot = set_index * assoc + way_index
+            lines = self._lines
+            for slot in self._where.values():
                 lines[slot] = None
-                dirty[slot] = 0
             self._where.clear()
             self._occupancy = [0] * self.num_sets
         self.policy.reset()
@@ -165,6 +228,3 @@ class TagStore:
     @property
     def resident_lines(self) -> int:
         return len(self._where)
-
-    def __contains__(self, line: int) -> bool:
-        return line in self._where

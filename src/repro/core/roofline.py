@@ -47,7 +47,7 @@ def roofline_points(
     Keys are the per-tile compute-tick overrides, so cached results are
     shared between the wrapper and the registered ``roofline`` sweep.
     """
-    from repro.sweep.spec import SweepPoint
+    from repro.sweep.spec import SweepPoint, square_gemm
 
     if not compute_ticks_values:
         raise ValueError("need at least one compute-time sample")
@@ -55,7 +55,7 @@ def roofline_points(
         SweepPoint(
             key=int(compute_ticks),
             config=config.with_(compute_ticks_override=int(compute_ticks)),
-            params={"m": matrix_size, "k": matrix_size, "n": matrix_size},
+            params=square_gemm(matrix_size),
         )
         for compute_ticks in compute_ticks_values
     ]

@@ -29,14 +29,6 @@ class MemCmd(enum.Enum):
     READ = "read"
     WRITE = "write"
 
-    @property
-    def is_read(self) -> bool:
-        return self is MemCmd.READ
-
-    @property
-    def is_write(self) -> bool:
-        return self is MemCmd.WRITE
-
 
 class Transaction:
     """One contiguous memory read or write.
@@ -63,6 +55,8 @@ class Transaction:
     __slots__ = (
         "id",
         "cmd",
+        "is_read",
+        "is_write",
         "addr",
         "size",
         "data",
@@ -95,6 +89,9 @@ class Transaction:
             )
         self.id = next(_txn_ids)
         self.cmd = cmd
+        #: Command flags, fixed at construction (``cmd`` never changes).
+        self.is_read = cmd is MemCmd.READ
+        self.is_write = cmd is MemCmd.WRITE
         self.addr = addr
         self.size = size
         self.data = data
@@ -115,14 +112,6 @@ class Transaction:
     # ------------------------------------------------------------------
     # Convenience predicates and constructors
     # ------------------------------------------------------------------
-    @property
-    def is_read(self) -> bool:
-        return self.cmd.is_read
-
-    @property
-    def is_write(self) -> bool:
-        return self.cmd.is_write
-
     @property
     def end_addr(self) -> int:
         """One past the last byte touched."""
@@ -154,6 +143,8 @@ class Transaction:
         txn = Transaction.__new__(Transaction)
         txn.id = next(_txn_ids)
         txn.cmd = self.cmd
+        txn.is_read = self.is_read
+        txn.is_write = self.is_write
         txn.addr = addr
         txn.size = size
         txn.data = None

@@ -246,6 +246,10 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
+def _mkstemp(directory: Path):
+    return tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=TMP_SUFFIX)
+
+
 def atomic_write_json(path: os.PathLike, payload, *,
                       indent: Optional[int] = None,
                       sort_keys: bool = True) -> None:
@@ -263,15 +267,21 @@ def atomic_write_json(path: os.PathLike, payload, *,
     pointing at zero-length data, which readers would see as a corrupt
     cache entry rather than a missing one.  The directory fsync after
     the rename is best-effort (see :func:`_fsync_dir`).
+
+    The payload is encoded in one ``json.dumps`` call and written in one
+    ``write``; the parent directory is created only when the temp file
+    cannot be, so the common case (directory present) costs no ``mkdir``.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=".tmp-", suffix=TMP_SUFFIX
-    )
+    data = json.dumps(payload, indent=indent, sort_keys=sort_keys).encode()
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=indent, sort_keys=sort_keys)
+        fd, tmp_name = _mkstemp(path.parent)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = _mkstemp(path.parent)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)

@@ -54,6 +54,7 @@ from repro.sweep.spec import (
     build_sweep,
     gemm_points,
     register_sweep,
+    square_gemm,
 )
 from repro.topology import tiered_topology
 from repro.workloads.vit import ViTConfig
@@ -281,7 +282,7 @@ def tab4_translation_sweep(
     base = SystemConfig.table2_baseline()
     points = [
         SweepPoint(key=size, config=base,
-                   params={"m": size, "k": size, "n": size})
+                   params=square_gemm(size))
         for size in sizes
     ]
     return SweepSpec(name="tab4-translation", points=points)
@@ -368,7 +369,7 @@ def topo_endpoint_scaling_sweep(
             config=SystemConfig.pcie_2gb().with_topology(
                 flat_topology(count)
             ),
-            params={"m": size, "k": size, "n": size},
+            params=square_gemm(size),
         )
         for count in counts
     ]
@@ -389,7 +390,7 @@ def topo_contention_sweep(size: int = 96, cluster: int = 4) -> SweepSpec:
         SweepPoint(
             key=active,
             config=base,
-            params={"m": size, "k": size, "n": size, "devices": active},
+            params={**square_gemm(size), "devices": active},
         )
         for active in range(1, cluster + 1)
     ]
@@ -437,7 +438,7 @@ def topo_switch_depth_sweep(
             config=SystemConfig.pcie_2gb().with_topology(
                 tiered_topology(2, depth)
             ),
-            params={"m": size, "k": size, "n": size},
+            params=square_gemm(size),
         )
         for depth in depths
     ]

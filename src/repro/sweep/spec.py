@@ -24,6 +24,7 @@ there instead of hand-rolling loops.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
@@ -241,12 +242,25 @@ def build_sweep(name: str, **kwargs) -> SweepSpec:
     return factory(**kwargs)
 
 
+def square_gemm(size: int) -> Dict[str, int]:
+    """The params of one ``size``-cubed GEMM point.
+
+    Anything but a positive integer (``bool`` included) is refused here,
+    where the points are built, so a bad factory override fails while
+    its spec is built rather than inside the run.
+    """
+    if (isinstance(size, bool) or not isinstance(size, numbers.Integral)
+            or size <= 0):
+        raise ValueError(f"GEMM dims must be positive integers, got {size!r}")
+    return {"m": size, "k": size, "n": size}
+
+
 def gemm_points(
     configs: Mapping[Any, SystemConfig], size: int
 ) -> List[SweepPoint]:
     """Points for a square-GEMM sweep over labelled configurations."""
+    params = square_gemm(size)
     return [
-        SweepPoint(key=key, config=config,
-                   params={"m": size, "k": size, "n": size})
+        SweepPoint(key=key, config=config, params=dict(params))
         for key, config in configs.items()
     ]

@@ -1,5 +1,6 @@
 """Unit and property tests for the cache hierarchy."""
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import Cache, CacheParams, RandomPolicy, TagStore, make_policy
+from repro.cache import Cache, CacheParams, TagStore, make_policy
 from repro.memory.addr_range import AddrRange
 from repro.memory.physmem import PhysicalMemory
 from repro.memory.simple import SimpleMemory
@@ -39,36 +40,48 @@ def do_access(sim, cache, addr, size, write=False):
 
 class TestReplacementPolicies:
     def test_lru_evicts_least_recent(self):
-        policy = make_policy("lru", num_sets=1, assoc=4)
-        for way in range(4):
-            policy.insert(0, way)
-        policy.touch(0, 0)  # way 0 is now most recent
-        assert policy.victim(0, [0, 1, 2, 3]) == 1
+        tags = TagStore(size=4 * 64, assoc=4, line_size=64, policy="lru")
+        tags.fill_range(0, 4, False)
+        tags.access_range(0, 0, False)  # line 0 is now most recent
+        assert tags.fill_range(4, 1, False) == (1, [])
+        assert tags.probe(0) and not tags.probe(1)
 
     def test_fifo_ignores_touches(self):
-        policy = make_policy("fifo", num_sets=1, assoc=4)
-        for way in range(4):
-            policy.insert(0, way)
-        policy.touch(0, 0)
-        assert policy.victim(0, [0, 1, 2, 3]) == 0
+        tags = TagStore(size=4 * 64, assoc=4, line_size=64, policy="fifo")
+        tags.fill_range(0, 4, False)
+        tags.access_range(0, 0, False)
+        assert tags.fill_range(4, 1, False) == (1, [])
+        assert not tags.probe(0) and tags.probe(1)
 
     @pytest.mark.parametrize("name", ["lru", "fifo"])
     def test_victim_among_occupied_subset(self, name):
-        policy = make_policy(name, num_sets=2, assoc=4)
-        assert policy.victim(1, [0, 1, 2, 3]) == 0  # all unstamped: lowest
-        assert policy.victim(1, [2, 3]) == 2
-        for way in (3, 1, 2, 0):
-            policy.insert(1, way)
-        assert policy.victim(1, [0, 1, 2, 3]) == 3
-        assert policy.victim(1, [0, 1, 2]) == 1
-        assert policy.victim(0, [0, 1, 2, 3]) == 0  # other set untouched
+        tags = TagStore(size=8 * 64, assoc=4, line_size=64, policy=name)
+        # Odd lines map to set 1: lines 1, 3, 5, 7 take ways 0..3.
+        for line in (1, 3, 5, 7):
+            tags.fill_range(line, 1, False)
+        assert tags.invalidate_range(3, 3) == (1, [])
+        # A set with a free way fills it instead of evicting.
+        assert tags.fill_range(9, 1, False) == (0, [])
+        # Full again: the oldest occupied way goes first (line 1, way
+        # 0), then way 2 (line 5), not the refilled way 1 (line 9).
+        assert tags.fill_range(11, 1, False) == (1, [])
+        assert not tags.probe(1) and tags.probe(9)
+        assert tags.fill_range(13, 1, False) == (1, [])
+        assert not tags.probe(5) and tags.probe(9)
+        assert tags.resident_lines == 4  # set 0 untouched
 
     def test_random_is_seeded(self):
-        a = make_policy("random", 1, 8)
-        b = make_policy("random", 1, 8)
-        picks_a = [a.victim(0, list(range(8))) for _ in range(10)]
-        picks_b = [b.victim(0, list(range(8))) for _ in range(10)]
-        assert picks_a == picks_b
+        def residents_after_fills(tags):
+            for line in range(0, 40, 3):
+                tags.fill_range(line, 2, False)
+            return sorted(tags._where)
+
+        a = TagStore(size=8 * 64, assoc=8, line_size=64, policy="random")
+        b = TagStore(size=8 * 64, assoc=8, line_size=64, policy="random")
+        first = residents_after_fills(a)
+        assert first == residents_after_fills(b)
+        a.reset()
+        assert residents_after_fills(a) == first
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
@@ -78,45 +91,54 @@ class TestReplacementPolicies:
 class TestTagStore:
     def test_fill_then_hit(self):
         tags = TagStore(size=1024, assoc=2, line_size=64)
-        assert not tags.access(5)
-        assert tags.fill(5) is None
-        assert tags.access(5)
+        assert tags.access_range(5, 5, False) == (0, [(5, 1)])
+        assert tags.fill_range(5, 1, False) == (0, [])
+        assert tags.access_range(5, 5, False) == (1, [])
 
     def test_eviction_on_full_set(self):
         tags = TagStore(size=256, assoc=2, line_size=64)  # 2 sets
         # Lines 0, 2, 4 all map to set 0.
-        tags.fill(0)
-        tags.fill(2)
-        victim = tags.fill(4)
-        assert victim == (0, False)
+        tags.fill_range(0, 1, False)
+        tags.fill_range(2, 1, False)
+        assert tags.fill_range(4, 1, False) == (1, [])
         assert not tags.probe(0)
         assert tags.probe(2) and tags.probe(4)
 
     def test_dirty_eviction_reported(self):
         tags = TagStore(size=256, assoc=2, line_size=64)
-        tags.fill(0)
-        tags.mark_dirty(0)
-        tags.fill(2)
-        victim = tags.fill(4)
-        assert victim == (0, True)
+        tags.fill_range(0, 1, False)
+        assert tags.access_range(0, 0, True) == (1, [])  # write hit
+        tags.fill_range(2, 1, False)
+        assert tags.fill_range(4, 1, False) == (1, [0])
 
     def test_refill_merges_dirty(self):
         tags = TagStore(size=256, assoc=2, line_size=64)
-        tags.fill(7, dirty=True)
-        assert tags.fill(7, dirty=False) is None
+        tags.fill_range(7, 1, True)
+        assert tags.fill_range(7, 1, False) == (0, [])
         assert tags.is_dirty(7)
 
     def test_invalidate(self):
         tags = TagStore(size=256, assoc=2, line_size=64)
-        tags.fill(3, dirty=True)
-        assert tags.invalidate(3) is True
+        tags.fill_range(3, 1, True)
+        assert tags.invalidate_range(3, 3) == (1, [3])
         assert not tags.probe(3)
-        assert tags.invalidate(3) is False
+        assert tags.invalidate_range(3, 3) == (0, [])
+        assert tags.invalidate_range(0, 1 << 20) == (0, [])
 
     def test_mark_dirty_missing_line(self):
+        """A write to a missing line reports it missing and marks
+        nothing dirty."""
         tags = TagStore(size=256, assoc=2, line_size=64)
-        with pytest.raises(KeyError):
-            tags.mark_dirty(99)
+        assert tags.access_range(99, 99, True) == (0, [(99, 1)])
+        assert not tags.probe(99) and not tags.is_dirty(99)
+
+    def test_access_range_coalesces_missing_runs(self):
+        tags = TagStore(size=1024, assoc=2, line_size=64)
+        tags.fill_range(2, 1, False)
+        tags.fill_range(5, 2, False)
+        assert tags.access_range(0, 9, True) == (3, [(0, 2), (3, 2), (7, 3)])
+        assert [tags.is_dirty(line) for line in (2, 5, 6)] == [True] * 3
+        assert tags.access_range(2, 2, False) == (1, [])
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
@@ -132,11 +154,11 @@ class TestTagStore:
 
     def test_lru_order_respected(self):
         tags = TagStore(size=256, assoc=2, line_size=64)  # 2 sets
-        tags.fill(0)
-        tags.fill(2)
-        tags.access(0)  # 0 most recent; victim should be 2
-        victim = tags.fill(4)
-        assert victim[0] == 2
+        tags.fill_range(0, 1, False)
+        tags.fill_range(2, 1, False)
+        tags.access_range(0, 0, False)  # 0 most recent; victim should be 2
+        assert tags.fill_range(4, 1, False) == (1, [])
+        assert tags.probe(0) and not tags.probe(2)
 
     def test_construction_allocates_no_object_per_line(self):
         """Flat per-slot arrays: a 2 MiB, 8-way LRU store costs a few
@@ -192,12 +214,29 @@ class _OracleFIFO(_OracleLRU):
         _OracleLRU.touch(self, set_index, way)
 
 
+class _OracleRandom:
+    def __init__(self, num_sets, assoc, seed=1):
+        self._seed = seed
+        self._rng = random.Random(seed)
+
+    def touch(self, set_index, way):
+        pass
+
+    insert = touch
+
+    def victim(self, set_index, occupied):
+        return self._rng.choice(occupied)
+
+    def reset(self):
+        self._rng = random.Random(self._seed)
+
+
 class _OracleTagStore:
     def __init__(self, size, assoc, line_size, policy):
         self.assoc = assoc
         self.num_sets = size // (assoc * line_size)
         self.policy = {"lru": _OracleLRU, "fifo": _OracleFIFO,
-                       "random": RandomPolicy}[policy](self.num_sets, assoc)
+                       "random": _OracleRandom}[policy](self.num_sets, assoc)
         self._sets = [[_OracleWay() for _ in range(assoc)]
                       for _ in range(self.num_sets)]
         self._where = {}
@@ -269,13 +308,60 @@ class _OracleTagStore:
         return len(self._where)
 
 
+    # Range calls, one line at a time, as the cache made them before
+    # the tag store grew range operations.
+    def access_range(self, first, last, write):
+        hits, missing = 0, []
+        for line in range(first, last + 1):
+            if self.access(line):
+                hits += 1
+                if write:
+                    self.mark_dirty(line)
+            else:
+                missing.append(line)
+        return hits, _coalesce(missing)
+
+    def fill_range(self, start, count, dirty):
+        evictions, victims = 0, []
+        for line in range(start, start + count):
+            victim = self.fill(line, dirty)
+            if victim is not None:
+                evictions += 1
+                if victim[1]:
+                    victims.append(victim[0])
+        return evictions, victims
+
+    def invalidate_range(self, first, last):
+        dropped, victims = 0, []
+        for line in range(first, last + 1):
+            if line in self._where:
+                dropped += 1
+                if self.invalidate(line):
+                    victims.append(line)
+        return dropped, victims
+
+
+def _coalesce(lines):
+    """Merge ascending line numbers into (start, length) runs."""
+    runs = []
+    for line in lines:
+        if runs and runs[-1][0] + runs[-1][1] == line:
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        else:
+            runs.append((line, 1))
+    return runs
+
+
 #: Lines 0..23 overflow even the largest (4 x 4) store; fills dominate
 #: so sets fill up and evict, and a rare reset rewinds everything.
+#: Each op covers ``count`` lines from ``first`` (clipped to the probed
+#: lines), so ranges span sets, hit and miss in runs, and invalidate
+#: ranges that are partly, wholly or not at all resident.
 _TAG_LINES = 24
 _TAG_OPS = st.tuples(
-    st.sampled_from(["fill"] * 4 + ["access"] * 2
-                    + ["mark_dirty", "invalidate", "reset"]),
+    st.sampled_from(["fill"] * 4 + ["access"] * 3 + ["invalidate", "reset"]),
     st.integers(min_value=0, max_value=_TAG_LINES - 1),
+    st.integers(min_value=1, max_value=6),
     st.booleans(),
 )
 
@@ -293,21 +379,22 @@ class TestTagStoreDifferential:
         tags = TagStore(size, assoc, 64, policy)
         oracle = _OracleTagStore(size, assoc, 64, policy)
 
-        def outcome(store, op, line, dirty):
-            try:
-                if op == "fill":
-                    return store.fill(line, dirty)
-                if op == "reset":
-                    return store.reset()
-                return getattr(store, op)(line)
-            except KeyError:
-                return KeyError
+        def outcome(store, op, first, last, write):
+            if op == "fill":
+                return store.fill_range(first, last - first + 1, write)
+            if op == "access":
+                return store.access_range(first, last, write)
+            if op == "invalidate":
+                return store.invalidate_range(first, last)
+            return store.reset()
 
-        for op, line, dirty in ops:
-            assert outcome(tags, op, line, dirty) == outcome(
-                oracle, op, line, dirty), (op, line, dirty)
+        for op, first, count, write in ops:
+            last = min(first + count, _TAG_LINES) - 1
+            assert outcome(tags, op, first, last, write) == outcome(
+                oracle, op, first, last, write), (op, first, last, write)
             assert tags.resident_lines == oracle.resident_lines
             for probe in range(_TAG_LINES):
+                assert tags.probe(probe) == (probe in oracle._where), probe
                 assert tags.is_dirty(probe) == oracle.is_dirty(probe), probe
 
 
@@ -349,6 +436,34 @@ class TestCacheTiming:
         do_access(sim, cache, 256, 64)                # line 4, set 0: evicts 0
         sim.run()
         assert cache.stats["writebacks"].value == 1
+
+    def test_partial_hit_write_dirties_hits_and_writes_back_victims(self):
+        sim, cache, mem = make_cache(size=256, assoc=2)  # 2 sets, 4 lines
+        sent = []
+        send = mem.send
+
+        def recording_send(txn, on_complete):
+            sent.append((txn.is_write, txn.addr, txn.size, txn.source))
+            send(txn, on_complete)
+
+        mem.send = recording_send
+        do_access(sim, cache, 0, 128)               # lines 0-1 miss, clean
+        do_access(sim, cache, 0, 192, write=True)   # 0-1 hit, 2 misses
+        assert cache.stats["hits"].value == 2
+        assert [cache.tags.is_dirty(line) for line in range(3)] == [True] * 3
+        del sent[:]
+        # Lines 4-7 are one run; filling it evicts dirty lines 0 (set 0),
+        # 2 (set 0) and 1 (set 1; line 5 took set 1's free way).
+        do_access(sim, cache, 256, 256)
+        sim.run()
+        assert sent == [
+            (False, 256, 256, "l1"),
+            (True, 0, 64, "l1.wb"),
+            (True, 128, 64, "l1.wb"),
+            (True, 64, 64, "l1.wb"),
+        ]
+        assert cache.stats["evictions"].value == 3
+        assert cache.stats["writebacks"].value == 3
 
     def test_write_no_allocate_forwards(self):
         sim, cache, mem = make_cache(write_allocate=False)
@@ -423,7 +538,7 @@ class TestCacheProperties:
     def test_resident_never_exceeds_capacity(self, addrs):
         tags = TagStore(size=1024, assoc=2, line_size=64)  # 16 lines
         for line in addrs:
-            tags.fill(line)
+            tags.fill_range(line, 1, False)
         assert tags.resident_lines <= 16
 
     @settings(max_examples=30, deadline=None)
@@ -436,8 +551,8 @@ class TestCacheProperties:
         """Filling then immediately accessing the same line always hits."""
         tags = TagStore(size=2048, assoc=4, line_size=64)
         for line in addrs:
-            tags.fill(line)
-            assert tags.access(line)
+            tags.fill_range(line, 1, False)
+            assert tags.access_range(line, line, False) == (1, [])
 
     @settings(max_examples=20, deadline=None)
     @given(

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cache.cache import _Fetch, _Miss
 from repro.dma.descriptor import DMADescriptor
 from repro.dma.engine import _SegmentState, _Work
 from repro.faults import FAULT_PRESETS, fault_preset
@@ -37,7 +38,8 @@ CASES = {
 
 #: Objects that live for one transaction, segment or event.  None of
 #: them may ever need the cycle collector.
-PER_TRANSACTION = (Transaction, DMADescriptor, _Work, _SegmentState, Event)
+PER_TRANSACTION = (Transaction, DMADescriptor, _Work, _SegmentState, Event,
+                   _Miss, _Fetch)
 
 #: Cyclic objects a warm point may leave, measured on CPython 3.11 with
 #: the points above under every preset: none.  (Per-segment closure

@@ -38,13 +38,15 @@ from hypothesis import strategies as st
 
 from repro import SystemConfig
 from repro.sweep import SWEEPS, ResultCache, register_sweep, run_sweep
-from repro.sweep.spec import SweepSpec, gemm_points
+from repro.sweep.spec import SweepPoint, SweepSpec, gemm_points
 from repro.serve import ServeSettings, ServerThread, SingleFlight
 from repro.serve.http import MAX_HEADER_BYTES, _HttpError, _read_request
 
 SIZE = 24
 PACKETS = (64, 128, 256, 512)
 SWEEP = "serve-test"
+#: A sweep whose one point builds and keys but fails inside its run.
+FAILING_SWEEP = "serve-test-failing"
 
 
 def _spec(size: int = SIZE) -> SweepSpec:
@@ -53,11 +55,20 @@ def _spec(size: int = SIZE) -> SweepSpec:
     return SweepSpec(name=SWEEP, points=gemm_points(configs, size))
 
 
+def _failing_spec() -> SweepSpec:
+    # Built by hand: the sweep factories refuse zero GEMM dims.
+    point = SweepPoint(key=64, config=SystemConfig.table2_baseline(),
+                       params={"m": 0, "k": 0, "n": 0})
+    return SweepSpec(name=FAILING_SWEEP, points=[point])
+
+
 @pytest.fixture(scope="module", autouse=True)
 def _registered_sweep():
     register_sweep(SWEEP)(_spec)
+    register_sweep(FAILING_SWEEP)(_failing_spec)
     yield
     SWEEPS.pop(SWEEP, None)
+    SWEEPS.pop(FAILING_SWEEP, None)
 
 
 @pytest.fixture
@@ -710,6 +721,15 @@ class TestSpecIndexBound:
 # Malformed bodies over a live socket
 # ----------------------------------------------------------------------
 class TestMalformedBodies:
+    @pytest.mark.parametrize("size", [None, False, True, 0, -5, 2.5, "x",
+                                      [1]])
+    @pytest.mark.parametrize("sweep", [SWEEP, "packet-size"])
+    def test_bad_gemm_size_is_400(self, server, sweep, size):
+        status, data = request(server, "POST", "/query", {
+            "sweep": sweep, "key": "64", "args": {"size": size}})
+        assert status == 400
+        assert "GEMM dims must be positive" in json.loads(data)["error"]
+
     def test_factory_attribute_error_is_400(self, server):
         status, data = request(server, "POST", "/query", {
             "sweep": "packet-size", "key": "'64'", "args": {"base": 5}})
@@ -741,7 +761,7 @@ class TestMalformedBodies:
 
     def test_fill_failure_replies_with_its_first_line(self, server):
         status, data = request(server, "POST", "/query", {
-            "sweep": "packet-size", "key": "64", "args": {"size": 0}})
+            "sweep": FAILING_SWEEP, "key": "64"})
         assert status == 500
         error = json.loads(data)["error"]
         assert error.startswith("fill run failed: ")

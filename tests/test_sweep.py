@@ -869,6 +869,35 @@ class TestResultCacheConcurrency:
         # One data-file fsync pre-rename, one directory fsync post-rename.
         assert len(synced) == 2
 
+    def test_cache_entry_bytes_are_one_sorted_indented_dump(self, tmp_path):
+        """Entries are ``json.dumps(entry, indent=1, sort_keys=True)``,
+        byte for byte, and a missing cache directory is created."""
+        from repro.sweep.cache import atomic_write_json
+
+        record = {"z": [1, 2.5, None], "a": {"y": "\u00e9", "b": True}}
+        cache = ResultCache(tmp_path / "not" / "yet")
+        cache.put("a" * 64, record, meta={"sweep": "s"})
+        expected = json.dumps({"record": record, "meta": {"sweep": "s"}},
+                              indent=1, sort_keys=True).encode()
+        assert Path(cache.entry_path("a" * 64)).read_bytes() == expected
+        target = tmp_path / "deeper" / "still" / "plain.json"
+        atomic_write_json(target, record)
+        assert target.read_bytes() == json.dumps(record,
+                                                 sort_keys=True).encode()
+
+    def test_atomic_write_json_leaves_no_temp_on_failure(self, tmp_path,
+                                                          monkeypatch):
+        """A failed write unlinks its ``.part`` temp file."""
+        from repro.sweep.cache import atomic_write_json
+
+        def broken_fsync(fd):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "fsync", broken_fsync)
+        with pytest.raises(OSError, match="disk gone"):
+            atomic_write_json(tmp_path / "entry.json", {"value": 1})
+        assert list(tmp_path.iterdir()) == []
+
     def test_prune_tolerates_vanishing_files(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         for i in range(5):

@@ -38,8 +38,15 @@ class TestConstruction:
             Transaction.write(0, 8, np.zeros(4, dtype=np.uint8))
 
     def test_cmd_predicates(self):
-        assert MemCmd.READ.is_read and not MemCmd.READ.is_write
-        assert MemCmd.WRITE.is_write and not MemCmd.WRITE.is_read
+        read = Transaction(MemCmd.READ, 0, 64)
+        write = Transaction(MemCmd.WRITE, 0, 64)
+        assert read.is_read and not read.is_write
+        assert write.is_write and not write.is_read
+        # Segments stamped out of a template carry its command flags.
+        for template in (read, write):
+            segment = template.clone_for_segment(64, 32, issue_tick=5)
+            assert (segment.is_read, segment.is_write) == (
+                template.is_read, template.is_write)
 
 
 class TestGranularity:

@@ -3,11 +3,11 @@
 
 Measures the hot paths the sweep engine leans on -- raw event-loop
 throughput, cancellation churn, quiesce-throttled idle loops, one GEMM
-point, one system build, a warm cached-grid replay, a stats snapshot, a
-small fig6 grid, and the result server's warm- and cold-query latency
-and miss-coalescing factor -- and records them in ``BENCH_core.json`` so
-every change can show its perf delta against the committed numbers (see
-docs/PERFORMANCE.md).
+point, one system build, a fresh process's start-up, a warm cached-grid
+replay, a stats snapshot, a small fig6 grid, and the result server's
+warm- and cold-query latency and miss-coalescing factor -- and records
+them in ``BENCH_core.json`` so every change can show its perf delta
+against the committed numbers (see docs/PERFORMANCE.md).
 
 It also prints an informational per-package host-time fold (cProfile,
 the table ``sweep --profile`` writes) of one warm gemm and one warm
@@ -264,6 +264,50 @@ def bench_system_build() -> float:
     best = _best_of(run)[0]
     clear_system_memo()  # pin no fig5 system for the later benches
     return best
+
+
+#: Child program of :func:`bench_cold_start`: what a first-time
+#: ``fig5-memory`` run does before its first point.
+COLD_START_CHILD = """
+from repro.core.runner import system_for
+from repro.sweep import build_sweep
+
+for point in build_sweep("fig5-memory", size=128).points:
+    system_for(point.config)
+print("ready", flush=True)
+"""
+
+
+def bench_cold_start(samples: int) -> float:
+    """Median seconds from spawning a fresh interpreter until the 12
+    ``fig5-memory`` systems (size 128) are built.
+
+    This is what perfbench's ``setup_s`` times: interpreter start,
+    importing ``repro`` and every system build of a first-time fig5
+    run.  The child imports the same ``repro`` tree as this process.
+    """
+    import os
+    import statistics
+    import subprocess
+
+    import repro
+
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    times = []
+    for _ in range(samples):
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-c", COLD_START_CHILD],
+                                stdout=subprocess.PIPE, text=True, env=env)
+        ready = proc.stdout.readline()
+        times.append(time.perf_counter() - t0)
+        proc.stdout.close()
+        if proc.wait() != 0 or ready.strip() != "ready":
+            raise RuntimeError("cold-start child failed")
+    return statistics.median(times)
 
 
 def bench_warm_replay(passes: int) -> float:
@@ -645,6 +689,7 @@ def collect_metrics(quick: bool) -> dict:
         bench_p2p_transfer(128 * 1024 if quick else 512 * 1024)
     )
     metrics["system_build_s"] = _sig4(bench_system_build())
+    metrics["cold_start_s"] = _sig4(bench_cold_start(5 if quick else 9))
     metrics["warm_replay_us"] = round(bench_warm_replay(
         100 if quick else 300), 1)
     metrics["snapshot_us"] = round(bench_snapshot(gemm_size, snap_iters), 2)

@@ -17,6 +17,11 @@ Subpackages expose the individual subsystems (``repro.sim``,
 ``repro.interconnect``, ``repro.memory``, ``repro.cache``, ``repro.smmu``,
 ``repro.dma``, ``repro.accel``, ``repro.cpu``, ``repro.workloads``); see
 DESIGN.md for the inventory and README.md for the tour.
+
+numpy is needed only for functional runs (``functional=True``,
+``gemm --verify``) and the surrogate model (``repro.surrogate``);
+timing-mode runs never import it (docs/PERFORMANCE.md, "Start-up
+without numpy").
 """
 
 from repro.core import (

@@ -44,8 +44,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from repro import (
     SystemConfig,
     format_table,
@@ -105,6 +103,8 @@ def cmd_gemm(args) -> int:
     print(f"traffic:    {result.traffic_bytes / 1e6:.2f} MB")
     print(f"delivered:  {result.delivered_bytes_per_sec / 1e9:.2f} GB/s")
     if args.verify:
+        import numpy as np
+
         workload = GemmWorkload(args.size, args.size, args.size,
                                 seed=args.seed)
         a, b = workload.generate()

@@ -17,15 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.accel.local_buffer import BufferFullError, LocalBuffer
 from repro.accel.systolic import SystolicArray
 from repro.dma import DMADescriptor, DMADirection, DMAEngine
 from repro.sim.eventq import Simulator
 from repro.sim.simobject import SimObject
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Called with (job, result_stats_dict) when a job retires.
 JobDoneFn = Callable[["GemmJob", Dict[str, float]], None]
@@ -128,6 +129,8 @@ class AcceleratorController(SimObject):
         self._busy = True
 
         if job.functional:
+            import numpy as np
+
             job.c_result = np.zeros((job.m, job.n), dtype=np.int32)
         _Launch(self, job, on_done).issue_prefetches()
 

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import struct
 from functools import partial
-from typing import Callable, Dict, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.accel.controller import GemmJob
 from repro.faults.spec import DeviceLostError
@@ -46,6 +44,9 @@ from repro.sim.eventq import Simulator
 from repro.sim.simobject import SimObject
 from repro.sim.transaction import Transaction
 from repro.smmu.page_table import PAGE_SIZE, PageTable
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class BumpAllocator:
@@ -299,9 +300,9 @@ class AccelDriver(SimObject):
             callback(job, stats)
 
     @staticmethod
-    def _u32(value: int) -> np.ndarray:
-        return np.frombuffer(struct.pack("<I", value), dtype=np.uint8).copy()
+    def _u32(value: int) -> bytes:
+        return struct.pack("<I", value)
 
     @staticmethod
-    def _u64(value: int) -> np.ndarray:
-        return np.frombuffer(struct.pack("<Q", value), dtype=np.uint8).copy()
+    def _u64(value: int) -> bytes:
+        return struct.pack("<Q", value)

@@ -15,12 +15,13 @@ accumulation, matching the integer datapath the paper describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.sim.eventq import Simulator
 from repro.sim.simobject import ClockedObject
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,8 @@ class SystolicArray(ClockedObject):
     @staticmethod
     def multiply(a_panel: np.ndarray, b_panel: np.ndarray) -> np.ndarray:
         """Exact int32 tile product with 64-bit accumulation."""
+        import numpy as np
+
         if a_panel.shape[1] != b_panel.shape[0]:
             raise ValueError(
                 f"inner dimensions differ: {a_panel.shape} x {b_panel.shape}"

@@ -11,9 +11,7 @@ callback.  The paper's RTL-or-C++ accelerator core corresponds to the
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.accel.controller import AcceleratorController, GemmJob
 from repro.accel.local_buffer import LocalBuffer
@@ -25,6 +23,10 @@ from repro.sim.ports import CompletionFn, TargetPort
 from repro.sim.simobject import SimObject
 from repro.sim.transaction import Transaction
 from repro.sim.ticks import ns
+
+if TYPE_CHECKING:
+    import numpy as np
+
 
 #: Identity of the simulated device (matches the driver's probe list).
 ACCESYS_VENDOR_ID = 0x1AB4
@@ -54,7 +56,7 @@ class RegisterFile(TargetPort):
     def __init__(self, sim: Simulator, name: str, size: int = 4096,
                  latency: int = ns(10)) -> None:
         super().__init__(sim, name)
-        self.backing = np.zeros(size, dtype=np.uint8)
+        self.backing = bytearray(size)
         self.latency = latency
         self._on_doorbell: Optional[Callable[[], None]] = None
         self._accesses = self.stats.scalar("accesses", "MMIO register accesses")
@@ -64,7 +66,7 @@ class RegisterFile(TargetPort):
 
     def reset_state(self) -> None:
         super().reset_state()
-        self.backing[:] = 0
+        self.backing[:] = bytes(len(self.backing))
 
     # Functional helpers (zero-time; used by the wrapper itself) ---------
     def read_u32(self, offset: int) -> int:
@@ -84,9 +86,12 @@ class RegisterFile(TargetPort):
         self._accesses.inc()
         offset = txn.addr % len(self.backing)
         if txn.is_write and txn.data is not None:
-            self.backing[offset : offset + txn.size] = txn.data
+            # Through a memoryview, which cannot be resized: a payload
+            # running off the end raises instead of growing the file.
+            memoryview(self.backing)[offset : offset + txn.size] = (
+                memoryview(txn.data).cast("B"))
         elif txn.is_read:
-            txn.data = self.backing[offset : offset + txn.size].copy()
+            txn.data = memoryview(self.backing[offset : offset + txn.size])
 
         def finish() -> None:
             if txn.is_write and offset == REG_DOORBELL and self._on_doorbell:

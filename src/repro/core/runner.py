@@ -32,9 +32,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.core.config import SystemConfig
 from repro.core.system import AcceSysSystem
@@ -44,6 +42,9 @@ from repro.telemetry.state import on_system_acquired
 from repro.workloads.gemm import GemmWorkload, pack_a_panels, pack_b_panels
 from repro.workloads.ops import GemmOp, NonGemmOp, OpGraph
 from repro.workloads.vit import VIT_VARIANTS, ViTConfig, build_vit_graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass

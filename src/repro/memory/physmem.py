@@ -9,11 +9,14 @@ memory device; timing-only runs never touch it.
 
 from __future__ import annotations
 
-from typing import Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from repro.memory.addr_range import AddrRange
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.sim.transaction import Payload
 
 #: Default sparse-allocation frame (2 MiB, like a huge page).
 DEFAULT_FRAME_SIZE = 2 * 1024 * 1024
@@ -36,6 +39,8 @@ class PhysicalMemory:
         index = addr // self.frame_size
         frame = self._frames.get(index)
         if frame is None and allocate:
+            import numpy as np
+
             frame = np.zeros(self.frame_size, dtype=np.uint8)
             self._frames[index] = frame
         return frame
@@ -52,6 +57,8 @@ class PhysicalMemory:
     # ------------------------------------------------------------------
     def read(self, addr: int, size: int) -> np.ndarray:
         """Read ``size`` bytes starting at ``addr`` (unwritten bytes are 0)."""
+        import numpy as np
+
         self._check(addr, size)
         out = np.empty(size, dtype=np.uint8)
         done = 0
@@ -67,9 +74,14 @@ class PhysicalMemory:
             done += chunk
         return out
 
-    def write(self, addr: int, data: np.ndarray) -> None:
-        """Write ``data`` (uint8 array) starting at ``addr``."""
-        flat = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+    def write(self, addr: int, data: Payload) -> None:
+        """Write ``data`` (an array or any bytes-like) starting at ``addr``."""
+        import numpy as np
+
+        if isinstance(data, np.ndarray):
+            flat = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+        else:
+            flat = np.frombuffer(data, dtype=np.uint8)
         self._check(addr, flat.nbytes)
         done = 0
         size = flat.nbytes
@@ -86,6 +98,8 @@ class PhysicalMemory:
     # ------------------------------------------------------------------
     def read_array(self, addr: int, shape: tuple, dtype) -> np.ndarray:
         """Read a typed array of the given shape starting at ``addr``."""
+        import numpy as np
+
         dtype = np.dtype(dtype)
         nbytes = int(np.prod(shape)) * dtype.itemsize
         raw = self.read(addr, nbytes)
@@ -93,7 +107,7 @@ class PhysicalMemory:
 
     def write_array(self, addr: int, array: np.ndarray) -> None:
         """Write a typed array starting at ``addr``."""
-        self.write(addr, np.ascontiguousarray(array))
+        self.write(addr, array)
 
     def clear(self) -> None:
         """Drop every frame; all bytes read as zero again (fresh store)."""

@@ -16,9 +16,13 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
+
+    #: A functional payload: any bytes-like object.
+    Payload = Union[bytes, bytearray, memoryview, np.ndarray]
 
 _txn_ids = itertools.count()
 
@@ -45,8 +49,9 @@ class Transaction:
     size:
         Length in bytes (must be positive).
     data:
-        Optional functional payload (numpy uint8 array of length ``size``).
-        Timing-only simulations leave it as None.
+        Optional functional payload: any bytes-like of ``size`` bytes
+        (numpy in functional mode).  Timing-only simulations leave it as
+        None.
     source:
         Free-form tag identifying the originator (used by stats and by the
         MemBus for response routing).
@@ -76,16 +81,17 @@ class Transaction:
         cmd: MemCmd,
         addr: int,
         size: int,
-        data: Optional[np.ndarray] = None,
+        data: Optional[Payload] = None,
         source: str = "",
     ) -> None:
         if size <= 0:
             raise ValueError(f"transaction size must be positive, got {size}")
         if addr < 0:
             raise ValueError(f"transaction address must be non-negative, got {addr}")
-        if data is not None and data.nbytes != size:
+        if data is not None and memoryview(data).nbytes != size:
             raise ValueError(
-                f"payload size {data.nbytes} does not match transaction size {size}"
+                f"payload size {memoryview(data).nbytes} does not match "
+                f"transaction size {size}"
             )
         self.id = next(_txn_ids)
         self.cmd = cmd
@@ -123,7 +129,7 @@ class Transaction:
 
     @classmethod
     def write(
-        cls, addr: int, size: int, data: Optional[np.ndarray] = None, source: str = ""
+        cls, addr: int, size: int, data: Optional[Payload] = None, source: str = ""
     ) -> "Transaction":
         return cls(MemCmd.WRITE, addr, size, data, source=source)
 

@@ -17,9 +17,10 @@ streams fixed-geometry tiles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _pad_to(value: int, multiple: int) -> int:
@@ -42,12 +43,16 @@ class GemmWorkload:
 
     def generate(self) -> Tuple[np.ndarray, np.ndarray]:
         """Random int32 operands in a small range (no accumulator overflow)."""
+        import numpy as np
+
         rng = np.random.default_rng(self.seed)
         a = rng.integers(-64, 64, size=(self.m, self.k), dtype=np.int32)
         b = rng.integers(-64, 64, size=(self.k, self.n), dtype=np.int32)
         return a, b
 
     def reference(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return (a.astype(np.int64) @ b.astype(np.int64)).astype(np.int32)
 
     @property
@@ -65,6 +70,8 @@ class GemmWorkload:
 
 def pack_a_panels(a: np.ndarray, tile: int = 16) -> np.ndarray:
     """Pack A into row-panel-major layout (flat uint8)."""
+    import numpy as np
+
     m, k = a.shape
     padded_m = _pad_to(m, tile)
     padded = np.zeros((padded_m, k), dtype=a.dtype)
@@ -75,6 +82,8 @@ def pack_a_panels(a: np.ndarray, tile: int = 16) -> np.ndarray:
 
 def pack_b_panels(b: np.ndarray, tile: int = 16) -> np.ndarray:
     """Pack B into column-panel-major layout (flat uint8)."""
+    import numpy as np
+
     k, n = b.shape
     padded_n = _pad_to(n, tile)
     padded = np.zeros((k, padded_n), dtype=b.dtype)
@@ -87,9 +96,11 @@ def pack_b_panels(b: np.ndarray, tile: int = 16) -> np.ndarray:
 
 
 def unpack_c_tiles(
-    raw: np.ndarray, m: int, n: int, tile: int = 16, dtype=np.int32
+    raw: np.ndarray, m: int, n: int, tile: int = 16, dtype="int32"
 ) -> np.ndarray:
     """Reassemble a tile-major C buffer into an (m, n) matrix."""
+    import numpy as np
+
     padded_m = _pad_to(m, tile)
     padded_n = _pad_to(n, tile)
     tiles_m = padded_m // tile

@@ -65,6 +65,28 @@ class TestRegisterFile:
         sim.run()
         assert len(rang) == 1
 
+    def test_mmio_write_accepts_bytes(self):
+        sim = Simulator()
+        regs = RegisterFile(sim, "regs")
+        regs.send(Transaction.write(REG_N, 4, (99).to_bytes(4, "little")),
+                  lambda t: None)
+        sim.run()
+        assert regs.read_u32(REG_N) == 99
+
+    def test_mmio_write_past_the_end_rejected(self):
+        sim = Simulator()
+        regs = RegisterFile(sim, "regs", size=64)
+        with pytest.raises(ValueError):
+            regs.send(Transaction.write(60, 8, bytes(8)), lambda t: None)
+        assert len(regs.backing) == 64
+
+    def test_reset_zeroes_registers(self):
+        sim = Simulator()
+        regs = RegisterFile(sim, "regs")
+        regs.write_u64(0x20, 2**64 - 1)
+        regs.reset_state()
+        assert regs.read_u64(0x20) == 0 and not any(regs.backing)
+
 
 class TestWrapper:
     def make_wrapper(self):

@@ -44,6 +44,13 @@ class TestBasics:
         with pytest.raises(ValueError):
             mem.write(4095, np.zeros(2, dtype=np.uint8))
 
+    def test_bytes_like_write(self):
+        mem = make_mem()
+        mem.write(100, b"\x01\x02")
+        mem.write(102, bytearray(b"\x03"))
+        mem.write(103, memoryview(b"\x04"))
+        assert mem.read(100, 4).tobytes() == b"\x01\x02\x03\x04"
+
     def test_sparse_allocation(self):
         mem = make_mem(size=1 << 30, frame=1 << 16)
         assert mem.allocated_bytes == 0

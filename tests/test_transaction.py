@@ -37,6 +37,26 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Transaction.write(0, 8, np.zeros(4, dtype=np.uint8))
 
+    @pytest.mark.parametrize("payload", [
+        b"\x01\x02\x03\x04",
+        bytearray(b"\x01\x02\x03\x04"),
+        memoryview(b"\x01\x02\x03\x04"),
+        np.array([1, 2, 3, 4], dtype=np.uint8),
+        np.array([0x04030201], dtype=np.int32),
+    ], ids=["bytes", "bytearray", "memoryview", "numpy-uint8", "numpy-int32"])
+    def test_bytes_like_payloads(self, payload):
+        txn = Transaction.write(0xA0, 4, payload)
+        assert txn.data is payload
+        assert bytes(memoryview(payload)) == b"\x01\x02\x03\x04"
+
+    @pytest.mark.parametrize("payload", [
+        b"\x00" * 3, bytearray(5), memoryview(b"\x00" * 8),
+        np.zeros(1, dtype=np.int64),
+    ], ids=["bytes", "bytearray", "memoryview", "numpy-int64"])
+    def test_bytes_like_size_mismatch_rejected(self, payload):
+        with pytest.raises(ValueError, match="does not match"):
+            Transaction.write(0, 4, payload)
+
     def test_cmd_predicates(self):
         read = Transaction(MemCmd.READ, 0, 64)
         write = Transaction(MemCmd.WRITE, 0, 64)

@@ -63,7 +63,6 @@ HIGHER_IS_BETTER = {
     "event_throughput_eps",
     "event_cancel_eps",
     "idle_loop_eps",
-    "surrogate_grid_eps",
     "serve_coalesce_x",
 }
 
@@ -438,39 +437,6 @@ def bench_fig6_grid(size: int) -> float:
     return _best_of(run, repeats=3)[0]
 
 
-def bench_surrogate_grid(quick: bool) -> float:
-    """Vectorized surrogate scoring throughput, points per second.
-
-    Scores a cross-product GEMM design grid (matrix size x packet size x
-    lane speed x lane count x memory bandwidth) through the analytical
-    tier's batch path -- the ``estimate_grid`` rate the fidelity ladder
-    leans on to make million-point grids browsable (docs/SURROGATE.md
-    gates this at >= 100k points/s).
-    """
-    from repro.surrogate import SurrogateGrid, estimate_grid
-
-    sizes = 20 if quick else 40
-    grid = SurrogateGrid(
-        base=SystemConfig.pcie_8gb(),
-        axes={
-            "size": [16 * (i + 1) for i in range(sizes)],
-            "packet_size": [64, 128, 256, 512, 1024, 2048, 4096],
-            "lane_gbps": [2.5, 5.0, 8.0, 16.0, 32.0, 64.0],
-            "lanes": [1, 2, 4, 8, 16],
-            "mem_gbps": [10, 20, 40, 80, 160, 320],
-        },
-    )
-
-    def run():
-        t0 = time.perf_counter()
-        estimates = estimate_grid(grid)
-        t1 = time.perf_counter()
-        assert estimates.num_points == grid.num_points
-        return grid.num_points / (t1 - t0), t1 - t0
-
-    return _best_of(run, repeats=3)[0]
-
-
 def bench_ladder_fig6(size: int) -> float:
     """Fidelity ladder on the fig6 grid: score, prune to 10%, simulate.
 
@@ -697,7 +663,6 @@ def collect_metrics(quick: bool) -> dict:
         bench_tracer_off_overhead(gemm_size), 4
     )
     metrics["fig6_grid_s"] = _sig4(bench_fig6_grid(grid_size))
-    metrics["surrogate_grid_eps"] = round(bench_surrogate_grid(quick), 1)
     metrics["ladder_fig6_s"] = _sig4(bench_ladder_fig6(grid_size))
     metrics["serve_query_lat_us"] = round(bench_serve_query_lat(quick), 1)
     metrics["serve_cold_query_ms"] = round(bench_serve_cold_query(quick), 3)

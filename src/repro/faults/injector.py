@@ -167,28 +167,16 @@ class FaultModel:
         (per-run counters rewind through each component's
         ``reset_state``).
         """
-        # Imports are local: this module must stay importable from the
-        # driver layer without pulling the fabric/system stack around in
-        # a cycle.
-        from repro.interconnect.pcie.fabric import PCIeFabric
-        from repro.topology.fabric import SwitchedPCIeFabric
-
         spec = self.spec
-        fabric = system.fabric
-        # CXLFabric subclasses PCIeFabric, so gate on the configured
-        # interconnect rather than isinstance alone.
-        if isinstance(fabric, SwitchedPCIeFabric):
-            links = fabric.links()
-        elif isinstance(fabric, PCIeFabric) \
-                and system.config.interconnect != "cxl":
-            links = [fabric.up, fabric.down]
-        else:
+        # CXLFabric inherits links() from PCIeFabric, so gate on the
+        # configured interconnect.
+        if system.config.interconnect == "cxl":
             raise ValueError(
                 "fault injection models the PCIe fabric; the CXL port has "
                 "no TLP trains to corrupt -- drop `faults` or use a PCIe "
                 "interconnect"
             )
-        for link in links:
+        for link in system.fabric.links():
             entry = spec.link_spec_for(link.name)
             if entry is not None and entry.active:
                 state = LinkFaultState(entry, spec.seed, link.name, link.stats)

@@ -19,7 +19,7 @@ bandwidth-delay behaviour discussed in DESIGN.md.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.interconnect.pcie.link import PCIeChannel, PCIeConfig
 from repro.sim.eventq import Simulator
@@ -150,5 +150,9 @@ class PCIeFabric(SimObject):
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+    def links(self) -> List[PCIeChannel]:
+        """Both directional links, upstream first."""
+        return [self.up, self.down]
+
     def describe(self) -> str:
         return self.config.describe()

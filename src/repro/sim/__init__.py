@@ -10,8 +10,8 @@ Gem5-AcceSys reproduction.  It provides:
   base classes with hierarchical naming and stats registration,
 * :mod:`repro.sim.transaction` -- the memory transaction type exchanged by
   every component (the analogue of gem5's ``Packet``),
-* :mod:`repro.sim.ports` -- lightweight TLM-style connection points and the
-  :class:`PipelinedLink` / :class:`QueueStation` building blocks,
+* :mod:`repro.sim.ports` -- lightweight TLM-style connection points
+  (:class:`TargetPort`),
 * :mod:`repro.sim.statistics` -- scalar/derived counters and histograms.
 
 Timing model style
@@ -42,7 +42,7 @@ from repro.sim.ticks import (
     us,
 )
 from repro.sim.transaction import MemCmd, Transaction
-from repro.sim.ports import PipelinedLink, QueueStation, TargetPort
+from repro.sim.ports import TargetPort
 from repro.sim.statistics import Histogram, Scalar, StatGroup
 from repro.sim.trace import Trace, TraceRecord, TraceReplayer, TracingPort
 
@@ -68,8 +68,6 @@ __all__ = [
     "MemCmd",
     "Transaction",
     "TargetPort",
-    "QueueStation",
-    "PipelinedLink",
     "Scalar",
     "Histogram",
     "StatGroup",

@@ -23,13 +23,9 @@ from repro.surrogate.ladder import (
     survivor_spec,
 )
 from repro.surrogate.model import (
-    GRID_AXES,
     OBJECTIVES,
-    GridEstimates,
     LinkFeatures,
     SurrogateEstimate,
-    SurrogateGrid,
-    estimate_grid,
     estimate_point,
     estimate_spec,
     features_for,
@@ -46,14 +42,10 @@ from repro.surrogate.xval import (
 
 __all__ = [
     "SurrogateEstimate",
-    "SurrogateGrid",
-    "GridEstimates",
     "LinkFeatures",
     "OBJECTIVES",
-    "GRID_AXES",
     "estimate_point",
     "estimate_spec",
-    "estimate_grid",
     "features_for",
     "memory_bandwidth",
     "top_k",

@@ -21,24 +21,16 @@ pass (:mod:`repro.surrogate.xval`) measures and absorbs into a
 per-runner calibration factor.  Absolute tick counts always come from
 the simulator.
 
-Two evaluation paths share the same formulas:
-
-* :func:`estimate_point` / :func:`estimate_spec` -- pure-Python scalars,
-  one :class:`SurrogateEstimate` per point;
-* :func:`estimate_grid` over a :class:`SurrogateGrid` -- vectorized
-  numpy over named axes, scoring the cross-product without ever
-  materializing per-point ``SystemConfig`` objects (features are derived
-  once from the base config, axis values applied as broadcast deltas).
+:func:`estimate_point` scores one point and :func:`estimate_spec` every
+point of a sweep, one :class:`SurrogateEstimate` each, in plain Python.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.access_modes import AccessMode
 from repro.core.analytical import TradeoffModel
@@ -105,32 +97,27 @@ class SurrogateEstimate:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class LinkFeatures:
-    """Scalar features extracted from one ``SystemConfig``.
+    """Scalar features extracted from one ``SystemConfig``."""
 
-    The vectorized grid path substitutes numpy arrays for individual
-    fields via :func:`dataclasses.replace`; the formulas are written so
-    both work.
-    """
-
-    bytes_per_sec: Any
-    header_bytes: Any
-    max_payload: Any
-    hop_buffer: Any
-    max_tags: Any
-    segment_bytes: Any
-    rc_latency: Any
-    switch_latency: Any
-    hop_latency: Any          # rc + deepest-path switch latencies
-    max_depth: Any            # switch hops on the deepest endpoint path
-    mem_bytes_per_sec: Any    # bandwidth serving accelerator traffic
-    host_bytes_per_sec: Any   # host DRAM aggregate (bounce buffers, CPU)
-    tile_period: Any          # ticks per systolic clock cycle
-    fill_drain: Any
-    rc_max: Any               # max(rows, cols)
-    ingest_elems: Any
-    compute_override: Any     # per-tile ticks override or None
+    bytes_per_sec: int
+    header_bytes: int
+    max_payload: int
+    hop_buffer: int
+    max_tags: int
+    segment_bytes: int
+    rc_latency: int
+    switch_latency: int
+    hop_latency: int              # rc + deepest-path switch latencies
+    max_depth: int                # switch hops on the deepest endpoint path
+    mem_bytes_per_sec: float      # bandwidth serving accelerator traffic
+    host_bytes_per_sec: float     # host DRAM aggregate (bounce buffers, CPU)
+    tile_period: int              # ticks per systolic clock cycle
+    fill_drain: int
+    rc_max: int                   # max(rows, cols)
+    ingest_elems: int
+    compute_override: Optional[int]  # per-tile ticks override or None
     reuse_a: bool
-    on_link: bool             # False when weights live in device memory
+    on_link: bool                 # False when weights live in device memory
 
 
 def memory_bandwidth(config: SystemConfig) -> float:
@@ -182,14 +169,10 @@ def features_for(
 
 
 # ----------------------------------------------------------------------
-# Shared formulas (scalar `max`/inline-if or `np.maximum`/`np.where`)
+# Shared formulas
 # ----------------------------------------------------------------------
-def _where_scalar(cond, a, b):
-    return a if cond else b
-
-
-def _gemm_parts(m, k, n, f: LinkFeatures, maximum=max, where=_where_scalar):
-    """Per-GEMM cost components; all inputs may be scalars or arrays.
+def _gemm_parts(m: int, k: int, n: int, f: LinkFeatures):
+    """Per-GEMM cost components.
 
     Returns ``(compute, mem, serialize, latency, wire_bytes)`` in ticks
     and bytes.  Traffic mirrors the controller's tiled dataflow: A
@@ -205,7 +188,7 @@ def _gemm_parts(m, k, n, f: LinkFeatures, maximum=max, where=_where_scalar):
     traffic = read + write
 
     if f.compute_override is None:
-        tile_ticks = maximum(
+        tile_ticks = max(
             k + f.fill_drain, f.rc_max * k // f.ingest_elems
         ) * f.tile_period
     else:
@@ -215,33 +198,28 @@ def _gemm_parts(m, k, n, f: LinkFeatures, maximum=max, where=_where_scalar):
     mem = traffic * (TICKS_PER_SEC / f.mem_bytes_per_sec)
 
     if not f.on_link:
-        zero = traffic * 0
-        return compute, mem, zero * 0.0, zero * 0.0, zero
+        return compute, mem, 0.0, 0.0, 0
 
     n_tlps = -(-traffic // f.max_payload)
     wire_bytes = traffic + n_tlps * f.header_bytes
     serialize = wire_bytes * (TICKS_PER_SEC / f.bytes_per_sec)
     # Store-and-forward stall for TLPs too large to overlap receive and
     # transmit in the hop buffer (Fig. 4's right branch).
-    stall = where(
-        2 * f.max_payload > f.hop_buffer, (2 * f.max_payload) // f.hop_buffer, 0
-    )
-    serialize = serialize * (1 + stall)
+    if 2 * f.max_payload > f.hop_buffer:
+        serialize = serialize * (1 + (2 * f.max_payload) // f.hop_buffer)
     # Request latency pipelines across max_tags outstanding segments.
     segments = -(-read // f.segment_bytes)
-    latency = f.hop_latency * (1.0 + maximum(segments - 1, 0) / f.max_tags)
+    latency = f.hop_latency * (1.0 + max(segments - 1, 0) / f.max_tags)
     return compute, mem, serialize, latency, wire_bytes
 
 
-def _compose(compute, mem, link, f: LinkFeatures, maximum=max):
+def _compose(compute, mem, link, f: LinkFeatures):
     """Roofline composition plus the fixed job-launch overhead."""
-    return LAUNCH_HOP_ROUNDTRIPS * f.hop_latency + maximum(
-        maximum(compute, mem), link
-    )
+    return LAUNCH_HOP_ROUNDTRIPS * f.hop_latency + max(compute, mem, link)
 
 
 # ----------------------------------------------------------------------
-# Per-runner estimators (scalar path)
+# Per-runner estimators
 # ----------------------------------------------------------------------
 def _estimate_gemm(
     config: SystemConfig,
@@ -446,180 +424,3 @@ def estimate_spec(
         estimates.append(est if scale == 1.0 else est.scaled(scale))
     return estimates
 
-
-# ----------------------------------------------------------------------
-# Vectorized grid path
-# ----------------------------------------------------------------------
-#: Axes the vectorized GEMM path understands.
-GRID_AXES = (
-    "size", "m", "k", "n",
-    "packet_size", "lanes", "lane_gbps", "mem_gbps", "compute_ticks",
-)
-
-
-@dataclass
-class SurrogateGrid:
-    """A cross-product design grid over a base configuration.
-
-    ``axes`` maps axis name -> value sequence; the grid is their full
-    cross product in declaration order.  The base config is canonicalized
-    into :class:`LinkFeatures` once; axis values are applied as broadcast
-    deltas, so a million-point grid never allocates a million
-    ``SystemConfig`` objects.  The vectorized path covers the ``gemm``
-    runner (the axis set above); score other runners per-point through
-    :func:`estimate_spec`.
-    """
-
-    base: SystemConfig
-    axes: Mapping[str, Sequence]
-    params: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.axes:
-            raise ValueError("a grid needs at least one axis")
-        for name, values in self.axes.items():
-            if name not in GRID_AXES:
-                raise ValueError(
-                    f"unknown grid axis {name!r}; known: {GRID_AXES}"
-                )
-            if len(values) == 0:
-                raise ValueError(f"axis {name!r} is empty")
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return tuple(len(values) for values in self.axes.values())
-
-    @property
-    def num_points(self) -> int:
-        total = 1
-        for extent in self.shape:
-            total *= extent
-        return total
-
-
-@dataclass
-class GridEstimates:
-    """Vectorized scores of a :class:`SurrogateGrid` (arrays, not lists)."""
-
-    names: Tuple[str, ...]
-    values: Tuple[Tuple[Any, ...], ...]
-    ticks: np.ndarray
-    bytes_on_wire: np.ndarray
-    uplink_busy: np.ndarray
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return self.ticks.shape
-
-    @property
-    def num_points(self) -> int:
-        return int(self.ticks.size)
-
-    def estimates(self) -> List[SurrogateEstimate]:
-        """Materialize per-point estimates (keys = axis value tuples)."""
-        flat_ticks = self.ticks.ravel()
-        flat_wire = self.bytes_on_wire.ravel()
-        flat_busy = self.uplink_busy.ravel()
-        out = []
-        for flat_index in range(flat_ticks.size):
-            idx = np.unravel_index(flat_index, self.shape)
-            key = tuple(self.values[axis][i] for axis, i in enumerate(idx))
-            out.append(
-                SurrogateEstimate(
-                    key, "gemm",
-                    float(flat_ticks[flat_index]),
-                    float(flat_wire[flat_index]),
-                    float(flat_busy[flat_index]),
-                )
-            )
-        return out
-
-
-def _axis_array(values: Sequence, axis: int, ndim: int) -> np.ndarray:
-    arr = np.asarray(values)
-    shape = [1] * ndim
-    shape[axis] = arr.shape[0]
-    return arr.reshape(shape)
-
-
-def estimate_grid(grid, calibration=None):
-    """Score a whole grid at once.
-
-    Accepts either a :class:`SweepSpec` (delegates to
-    :func:`estimate_spec`, returns a list) or a :class:`SurrogateGrid`
-    (vectorized numpy, returns :class:`GridEstimates`).  This is the
-    ``>= 100k points/s`` path the benchmarks gate.
-    """
-    if isinstance(grid, SweepSpec):
-        return estimate_spec(grid, calibration)
-    if not isinstance(grid, SurrogateGrid):
-        raise TypeError(
-            f"expected SweepSpec or SurrogateGrid, got {type(grid).__name__}"
-        )
-
-    base = grid.base
-    f = features_for(base)
-    names = tuple(grid.axes)
-    ndim = len(names)
-    ax = {
-        name: _axis_array(values, i, ndim)
-        for i, (name, values) in enumerate(grid.axes.items())
-    }
-    fixed = dict(grid.params)
-
-    def pick(*candidates, default=None):
-        for name in candidates:
-            if name in ax:
-                return ax[name]
-            if name in fixed:
-                return fixed[name]
-        return default
-
-    m = pick("m", "size", default=128)
-    k = pick("k", "size", default=128)
-    n = pick("n", "size", default=128)
-
-    lanes = pick("lanes")
-    lane_gbps = pick("lane_gbps")
-    if lanes is not None or lane_gbps is not None:
-        if lanes is None:
-            lanes = base.pcie.lanes
-        if lane_gbps is None:
-            lane_gbps = base.pcie.lane_gbps
-        num, den = base.pcie.encoding
-        bw = np.rint(lanes * lane_gbps * 1e9 / 8 * num / den)
-    else:
-        bw = f.bytes_per_sec
-
-    mem_gbps = pick("mem_gbps")
-    mem_bw = f.mem_bytes_per_sec if mem_gbps is None else mem_gbps * 1e9
-    payload = pick("packet_size", default=f.max_payload)
-    override = pick("compute_ticks", default=f.compute_override)
-
-    fa = dataclasses.replace(
-        f,
-        bytes_per_sec=bw,
-        mem_bytes_per_sec=mem_bw,
-        max_payload=payload,
-        compute_override=override,
-    )
-    compute, mem, serialize, latency, wire = _gemm_parts(
-        m, k, n, fa, maximum=np.maximum, where=np.where
-    )
-    ticks = _compose(compute, mem, serialize + latency, fa, maximum=np.maximum)
-    if calibration is not None:
-        ticks = ticks * calibration.scale_for("gemm")
-    busy = np.clip(serialize / ticks, 0.0, 1.0)  # ticks > 0: launch overhead
-
-    shape = grid.shape
-    return GridEstimates(
-        names=names,
-        values=tuple(tuple(values) for values in grid.axes.values()),
-        ticks=np.broadcast_to(np.asarray(ticks, dtype=float), shape).copy(),
-        bytes_on_wire=np.broadcast_to(
-            np.asarray(wire, dtype=float), shape
-        ).copy(),
-        uplink_busy=np.broadcast_to(
-            np.asarray(busy, dtype=float), shape
-        ).copy(),
-    )

@@ -44,18 +44,6 @@ def artifact_path(directory: str, key_hash: str, kind: str) -> str:
     return os.path.join(directory, key_hash + ARTIFACT_SUFFIXES[kind])
 
 
-def _fabric_links(system) -> list:
-    """Every directional link of the system's fabric, in stable order."""
-    from repro.topology.fabric import SwitchedPCIeFabric
-
-    fabric = system.fabric
-    if isinstance(fabric, SwitchedPCIeFabric):
-        return list(fabric.links())
-    up = getattr(fabric, "up", None)
-    down = getattr(fabric, "down", None)
-    return [link for link in (up, down) if link is not None]
-
-
 class TelemetryRuntime:
     """The collection pipeline for one simulated point."""
 
@@ -91,7 +79,7 @@ class TelemetryRuntime:
             return
         tracer = self.tracer
         hooks = {}
-        for link in _fabric_links(system):
+        for link in system.fabric.links():
             hook = LinkTrace(tracer, link.name)
             link.trace = hook
             hooks[link.name] = hook
@@ -108,7 +96,7 @@ class TelemetryRuntime:
         system = self.system
         if system is None:
             return
-        for link in _fabric_links(system):
+        for link in system.fabric.links():
             link.trace = None
         fault_model = getattr(system, "fault_model", None)
         if fault_model is not None:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dma import DMADescriptor, DMADirection, DMAEngine
 from repro.sim.eventq import Simulator
-from repro.sim.ports import FixedLatencyTarget, QueueStation
+from repro.sim.ports import FixedLatencyTarget
 from repro.sim.ticks import ns
 from repro.sim.transaction import Transaction
 

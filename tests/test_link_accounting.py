@@ -19,7 +19,6 @@ import pytest
 from repro.core.runner import GemmRunner, MultiGemmRunner
 from repro.core.system import AcceSysSystem
 from repro.sweep.spec import build_sweep
-from repro.topology import SwitchedPCIeFabric
 
 #: (sweep, factory kwargs, the runner's ``drive``).
 SWEEPS = {
@@ -35,12 +34,6 @@ CASES = [
 ]
 
 
-def _links(fabric):
-    if isinstance(fabric, SwitchedPCIeFabric):
-        return fabric.links()
-    return [fabric.up, fabric.down]
-
-
 @pytest.mark.parametrize(
     "sweep, point", CASES,
     ids=[f"{sweep}-{point.key}" for sweep, point in CASES],
@@ -52,7 +45,7 @@ def test_link_accounting(sweep, point):
     ticks = system.now
     assert ticks > 0
 
-    links = _links(system.fabric)
+    links = system.fabric.links()
     assert sum(link.stats["tlps"].value for link in links) > 0
     for link in links:
         value = {name: link.stats[name].value for name in

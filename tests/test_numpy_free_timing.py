@@ -1,11 +1,12 @@
-"""Timing-mode runs never import numpy.
+"""Timing-mode and surrogate runs never import numpy.
 
 numpy backs only the functional data path (``functional=True``,
-``gemm --verify``) and the surrogate model.  Importing it costs every
-sweep process, pool worker and result server a third of its start-up
-and about 12 MB of resident memory, so each timing path must stay
-free of it.  The check runs in a fresh interpreter: the test process
-itself has long since imported numpy.
+``gemm --verify``).  Importing it costs every sweep process, pool
+worker and result server a third of its start-up and about 12 MB of
+resident memory, so each timing path, the sweep listing and the
+surrogate scoring path must stay free of it.  The check runs in a
+fresh interpreter: the test process itself has long since imported
+numpy.
 """
 
 import os
@@ -19,9 +20,12 @@ import sys
 import repro
 import repro.__main__
 import repro.serve
+import repro.surrogate
 import repro.sweep
 from repro.core.config import SystemConfig
 from repro.core.runner import run_gemm
+from repro.serve.service import SweepService
+from repro.surrogate import estimate_spec
 from repro.sweep import build_sweep, run_points
 
 run_gemm(SystemConfig.by_name("PCIe-8GB"), 32, 32, 32)
@@ -31,8 +35,12 @@ topo = build_sweep("topo-contention", size=32)
 outcomes = run_points([(vit, vit.points[0]), (topo, topo.points[0])],
                       workers=1, cache=False)
 assert all(outcome.record for outcome in outcomes)
+assert SweepService().sweeps()
+assert build_sweep("surrogate-xval").points
+assert estimate_spec(build_sweep("fig7-transformer"))
 assert "numpy" not in sys.modules, (
-    "a timing run imported numpy; python -X importtime names the importer")
+    "a timing or surrogate run imported numpy; python -X importtime names "
+    "the importer")
 
 from repro.workloads import GemmWorkload
 

@@ -1,19 +1,10 @@
-"""Unit tests for the TLM port building blocks."""
-
-import pytest
+"""Unit tests for the SimObject base classes and the fixed-latency target."""
 
 from repro.sim.eventq import Simulator
-from repro.sim.ports import FixedLatencyTarget, PipelinedLink, QueueStation
+from repro.sim.ports import FixedLatencyTarget
 from repro.sim.simobject import ClockedObject, SimObject
 from repro.sim.ticks import GHZ, ns
 from repro.sim.transaction import Transaction
-
-
-def _collect(results):
-    def on_complete(txn):
-        results.append((txn.id, txn))
-
-    return on_complete
 
 
 class TestSimObject:
@@ -63,100 +54,3 @@ class TestFixedLatencyTarget:
         sim.run()
         assert target.stats["transactions"].value == 3
 
-
-class TestQueueStation:
-    def test_fifo_service(self):
-        sim = Simulator()
-        station = QueueStation(sim, "q", service_fn=lambda txn: 100)
-        completions = []
-        for i in range(3):
-            station.send(
-                Transaction.read(i * 64, 64),
-                lambda txn: completions.append(sim.now),
-            )
-        sim.run()
-        # Back-to-back service: 100, 200, 300.
-        assert completions == [100, 200, 300]
-
-    def test_idle_gap_resets_server(self):
-        sim = Simulator()
-        station = QueueStation(sim, "q", service_fn=lambda txn: 100)
-        completions = []
-        station.send(Transaction.read(0, 64), lambda txn: completions.append(sim.now))
-        sim.run()
-        sim.schedule(900, lambda: station.send(
-            Transaction.read(64, 64), lambda txn: completions.append(sim.now)
-        ))
-        sim.run()
-        assert completions == [100, 1100]
-
-    def test_forwarding_chain(self):
-        sim = Simulator()
-        sink = FixedLatencyTarget(sim, "sink", latency=50)
-        station = QueueStation(sim, "q", service_fn=lambda t: 100, forward_to=sink)
-        completions = []
-        station.send(Transaction.read(0, 64), lambda txn: completions.append(sim.now))
-        sim.run()
-        assert completions == [150]
-
-    def test_requires_service_definition(self):
-        sim = Simulator()
-        station = QueueStation(sim, "q")
-        with pytest.raises(NotImplementedError):
-            station.send(Transaction.read(0, 64), lambda txn: None)
-
-    def test_busy_stat_accumulates(self):
-        sim = Simulator()
-        station = QueueStation(sim, "q", service_fn=lambda t: 7)
-        for _ in range(4):
-            station.send(Transaction.read(0, 64), lambda txn: None)
-        sim.run()
-        assert station.stats["busy_ticks"].value == 28
-
-
-class TestPipelinedLink:
-    def test_serialization_plus_propagation(self):
-        sim = Simulator()
-        link = PipelinedLink(
-            sim, "l", serialize_fn=lambda txn: txn.size, prop_delay=10
-        )
-        completions = []
-        link.send(Transaction.read(0, 100), lambda txn: completions.append(sim.now))
-        sim.run()
-        assert completions == [110]
-
-    def test_pipelining_overlaps_propagation(self):
-        sim = Simulator()
-        link = PipelinedLink(
-            sim, "l", serialize_fn=lambda txn: 100, prop_delay=1000
-        )
-        completions = []
-        for _ in range(2):
-            link.send(Transaction.read(0, 64), lambda txn: completions.append(sim.now))
-        sim.run()
-        # Second starts serializing at 100, arrives 100+100+1000.
-        assert completions == [1100, 1200]
-
-    def test_bytes_stat(self):
-        sim = Simulator()
-        link = PipelinedLink(sim, "l", serialize_fn=lambda t: 1)
-        link.send(Transaction.read(0, 640), lambda txn: None)
-        sim.run()
-        assert link.stats["bytes"].value == 640
-
-    def test_forwarding(self):
-        sim = Simulator()
-        sink = FixedLatencyTarget(sim, "sink", latency=5)
-        link = PipelinedLink(
-            sim, "l", serialize_fn=lambda t: 10, prop_delay=3, forward_to=sink
-        )
-        completions = []
-        link.send(Transaction.read(0, 64), lambda txn: completions.append(sim.now))
-        sim.run()
-        assert completions == [18]
-
-    def test_backlog(self):
-        sim = Simulator()
-        link = PipelinedLink(sim, "l", serialize_fn=lambda t: 500)
-        link.send(Transaction.read(0, 64), lambda txn: None)
-        assert link.backlog_ticks == 500

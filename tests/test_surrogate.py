@@ -1,9 +1,9 @@
 """Tests for the analytical surrogate tier and the fidelity ladder."""
 
 import dataclasses
+import hashlib
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +15,7 @@ from repro.surrogate import (
     LadderSpec,
     RunnerCalibration,
     SurrogateEstimate,
-    SurrogateGrid,
     cross_validate,
-    estimate_grid,
     estimate_point,
     estimate_spec,
     pareto_front,
@@ -27,8 +25,9 @@ from repro.surrogate import (
     survivor_spec,
     top_k,
 )
+from repro.surrogate.model import _ESTIMATORS
 from repro.sweep.engine import run_sweep
-from repro.sweep.spec import build_sweep
+from repro.sweep.spec import SWEEPS, build_sweep
 
 
 def _estimates(objective_rows):
@@ -200,49 +199,81 @@ class TestEstimators:
         assert est.ticks > 0
 
 
-class TestGrid:
-    def test_validation(self):
-        config = SystemConfig.pcie_8gb()
-        with pytest.raises(ValueError):
-            SurrogateGrid(base=config, axes={})
-        with pytest.raises(ValueError):
-            SurrogateGrid(base=config, axes={"bogus": [1]})
-        with pytest.raises(ValueError):
-            SurrogateGrid(base=config, axes={"size": []})
+#: sha256 over ``key|runner|ticks|bytes_on_wire|uplink_busy`` lines (the
+#: floats as ``float.hex()``) of ``estimate_spec`` at default factory
+#: arguments, with the point count, per registered sweep whose runner
+#: has an estimator: 146 points in all.
+ESTIMATE_PINS = {
+    "ablation-dataflow":
+        (6, "ebc26eec4f3bf17a62f2bfbd4a8b617cb16a9d0de47e4e8c3ef4dafea13f03bd"),
+    "ablation-smmu":
+        (5, "eb2ea426295d0cc1c9ddbedb399094506566f9f9d229d9841666d55b2d8b1512"),
+    "access-modes":
+        (3, "7d50fb2bd11513bd418c6ff1f5e1457d4e00f4240264fe1d85587a92ab5cff53"),
+    "ext-cxl-gemm":
+        (2, "41f9705ebaf6652eb72396b1d9d48719b23c78e9f30dee797a422c0783c2c5e7"),
+    "ext-cxl-vit":
+        (3, "8895e73aff4951c5b1eed5b9d5e38cc0c6ec8b0187cc446600e21876f8ba51a2"),
+    "fig4-packet-grid":
+        (35, "9e986ac6f478dc44df4c3417456d5288b9f89df846fa67117a13548736c423ab"),
+    "fig5-memory":
+        (12, "1de7e5f4699a663fda4de0ab8ac614284b74ba6521f7c9d7a96a867385b9d5c9"),
+    "fig6a-mem-bandwidth":
+        (8, "30245e02cb37a66dd1c200bda662a79521101b27d6e8d05f0044dfd68c511081"),
+    "fig6b-mem-latency":
+        (6, "42261039b82881d8cb9f6001529b1ef43934111df28668feaab2bfc1220f011f"),
+    "fig7-transformer":
+        (8, "702b7514f24127a3de867b77b169174be6b700c5616f55a64020e5a7777f5cad"),
+    "fig8-gemm-split":
+        (4, "03be2fbde3d5cd63d2adf66760f4ddffccb9e62d327448bbf634e6ecf2e11c17"),
+    "fig9-tradeoff":
+        (4, "03be2fbde3d5cd63d2adf66760f4ddffccb9e62d327448bbf634e6ecf2e11c17"),
+    "packet-size":
+        (7, "d203322116f81f7c86188d69062827847ade219d31e148d8859253a6afa23ce8"),
+    "pcie-bandwidth":
+        (12, "46eec47533c1f9305485c00548308d5e9bebc55db03451223ad0019b8fd227a2"),
+    "roofline":
+        (6, "b53c2d05ee6bb02c7e22e7e6a1317ce54951b6491fa421547ee2b32ce8963641"),
+    "surrogate-xval":
+        (4, "189dcf28f88a54d95861d948b1ad3a7b6e7f80872226a30bb5f4335895158148"),
+    "tab4-translation":
+        (4, "808eac20c22900bb20143a1cdb8f44e36ff8ac703cc53b3710158cc77e146f52"),
+    "topo-contention":
+        (4, "1284efc54ac84e45e34bfaa4f792b7765eca3284b6f708bf37b76ded738242e3"),
+    "topo-endpoint-scaling":
+        (4, "8abb164995af64df18c91302bf7de57dcc4690217fce218bacbc3afc0600e2d3"),
+    "topo-p2p":
+        (6, "3510217dfc7607ce1702e5a4ab1a84ae3d1dddcd88ef1db83ce2f14cbd60e6d5"),
+    "topo-switch-depth":
+        (3, "4f4465197fa0e71a9bb263c2d70260a26af550cb1c3df35fae6397e75fab7a9d"),
+}
 
-    def test_vector_matches_scalar(self):
-        """The vectorized grid path agrees exactly with estimate_point."""
-        config = SystemConfig.pcie_8gb()
-        sizes = [32, 64, 96, 256]
-        packets = [128, 256, 512]
-        grid = SurrogateGrid(
-            base=config, axes={"size": sizes, "packet_size": packets}
-        )
-        scored = estimate_grid(grid)
-        assert scored.shape == (len(sizes), len(packets))
-        for i, size in enumerate(sizes):
-            for j, packet in enumerate(packets):
-                est = estimate_point(
-                    config, runner="gemm",
-                    m=size, k=size, n=size, packet_size=packet,
-                )
-                assert np.isclose(scored.ticks[i, j], est.ticks, rtol=1e-9)
-                assert np.isclose(
-                    scored.bytes_on_wire[i, j], est.bytes_on_wire, rtol=1e-9
-                )
-                assert np.isclose(
-                    scored.uplink_busy[i, j], est.uplink_busy, rtol=1e-9
-                )
 
-    def test_materialized_estimates_keys(self):
-        grid = SurrogateGrid(
-            base=SystemConfig.pcie_8gb(),
-            axes={"size": [32, 64], "packet_size": [128, 256]},
+def _estimate_digest(estimates):
+    digest = hashlib.sha256()
+    for e in estimates:
+        digest.update(
+            f"{e.key!r}|{e.runner}|{e.ticks.hex()}|{e.bytes_on_wire.hex()}"
+            f"|{e.uplink_busy.hex()}\n".encode()
         )
-        estimates = estimate_grid(grid).estimates()
-        assert [e.key for e in estimates] == [
-            (32, 128), (32, 256), (64, 128), (64, 256),
-        ]
+    return len(estimates), digest.hexdigest()
+
+
+class TestEstimatePins:
+    def test_pins_cover_every_estimable_sweep(self):
+        estimable = {
+            name for name in SWEEPS
+            if build_sweep(name).runner in _ESTIMATORS
+        }
+        assert estimable == set(ESTIMATE_PINS)
+        assert sum(count for count, _ in ESTIMATE_PINS.values()) == 146
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATE_PINS))
+    def test_estimates_bit_identical(self, name):
+        """Every estimate keeps its exact value, float for float."""
+        assert _estimate_digest(estimate_spec(build_sweep(name))) == (
+            ESTIMATE_PINS[name]
+        )
 
 
 class TestLadder:

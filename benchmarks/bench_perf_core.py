@@ -5,43 +5,45 @@ Measures the hot paths the sweep engine leans on -- raw event-loop
 throughput, cancellation churn, quiesce-throttled idle loops, one GEMM
 point, one system build, a fresh process's start-up, a warm cached-grid
 replay, a stats snapshot, a small fig6 grid, and the result server's
-warm- and cold-query latency and miss-coalescing factor -- and records
-them in ``BENCH_core.json`` so every change can show its perf delta
-against the committed numbers (see docs/PERFORMANCE.md).
-
-It also prints an informational per-package host-time fold (cProfile,
-the table ``sweep --profile`` writes) of one warm gemm and one warm
-multigemm point.
+warm- and cold-query latency and miss-coalescing factor (see
+docs/PERFORMANCE.md).  It also prints an informational per-package
+host-time fold (cProfile, the table ``sweep --profile`` writes) of one
+warm gemm and one warm multigemm point.
 
 Usage::
 
-    python benchmarks/bench_perf_core.py                  # print metrics
-    python benchmarks/bench_perf_core.py --quick          # CI-sized run
-    python benchmarks/bench_perf_core.py --record after   # update JSON
-    python benchmarks/bench_perf_core.py --quick --check BENCH_core.json
+    python benchmarks/bench_perf_core.py                  # full sizes
+    python benchmarks/bench_perf_core.py --quick          # CI-sized
+    python benchmarks/bench_perf_core.py --quick --against ../base/src
+    python benchmarks/bench_perf_core.py --quick --record # update JSON
 
-``--record {before,after}`` merges the current run into the JSON file
-under the current mode (quick/full).  ``--check`` compares the current
-run against the file's ``after`` numbers and exits non-zero on a >30%
-(``--tolerance``) regression; comparisons use *calibration-normalized*
-values so the gate tracks simulator regressions, not machine speed.
+Every run makes :data:`PAIRS` passes of this tree, each one
+:func:`collect_metrics` in a fresh interpreter.  ``--against SRC``
+alternates them in pairs with passes of the baseline ``src`` tree and
+exits non-zero when a metric's median per-pair ratio reads more than
+30% (``--tolerance``) slower.  ``--record`` writes this tree's
+quartiles under the mode (quick/full) to ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 try:  # honour an externally-provided tree (e.g. PYTHONPATH to a baseline)
-    import repro  # noqa: F401
+    import repro
 except ImportError:
     sys.path.insert(0, str(REPO_ROOT / "src"))
+    import repro
 
 from repro import SystemConfig  # noqa: E402
 from repro.core.runner import (  # noqa: E402
@@ -57,25 +59,29 @@ from repro.sweep import build_sweep, run_sweep  # noqa: E402
 
 DEFAULT_JSON = REPO_ROOT / "BENCH_core.json"
 
+#: Alternating (baseline, this tree) pairs per gated run; an ungated
+#: run makes this many passes of this tree.
+PAIRS = 10
+
 #: Metrics where larger is faster; everything else is seconds-like.
 HIGHER_IS_BETTER = {
-    "calib_kops",
     "event_throughput_eps",
     "event_cancel_eps",
     "idle_loop_eps",
     "serve_coalesce_x",
 }
 
-#: Metrics gated *absolutely* (the value is already a fraction sitting
-#: near zero, so a relative tolerance is meaningless): name -> max
-#: allowed value.  Excluded from normalization and speedup ratios.
+#: Metrics gated *absolutely* on this tree's passes (the value is
+#: already a fraction sitting near zero, so a relative tolerance is
+#: meaningless): name -> max allowed ``max(0, median)`` of every
+#: sample pooled across the passes.
 ABSOLUTE_GATES = {"tracer_off_overhead": 0.02}
 
-#: Metrics gated absolutely from *below*: name -> min allowed value.
+#: Metrics gated absolutely from *below*: name -> min allowed median.
 #: ``serve_coalesce_x`` is a machine-free ratio (identical concurrent
-#: cold queries per simulation actually run), so calibration
-#: normalization would corrupt it and a relative tolerance is
-#: meaningless -- anything under the floor means miss coalescing broke.
+#: cold queries per simulation actually run), so a relative tolerance
+#: is meaningless -- anything under the floor means miss coalescing
+#: broke.
 ABSOLUTE_MIN_GATES = {"serve_coalesce_x": 6.0}
 
 
@@ -87,30 +93,6 @@ def _best_of(fn, repeats: int = 5):
         if best is None or elapsed < best[1]:
             best = (value, elapsed)
     return best
-
-
-# ----------------------------------------------------------------------
-# Calibration
-# ----------------------------------------------------------------------
-def bench_calibration() -> float:
-    """Machine-speed yardstick: pure-Python kilo-ops per second.
-
-    Used to normalize the regression gate across hosts of different
-    speeds -- the ratio metric/calibration is (roughly) machine-free.
-    """
-
-    def run():
-        n = 200_000
-        t0 = time.perf_counter()
-        acc = 0
-        values = list(range(64))
-        for i in range(n):
-            acc += values[i & 63] * 3 + (i >> 2)
-        t1 = time.perf_counter()
-        assert acc > 0
-        return n / 1e3 / (t1 - t0), t1 - t0
-
-    return _best_of(run)[0]
 
 
 # ----------------------------------------------------------------------
@@ -285,17 +267,8 @@ def bench_cold_start(samples: int) -> float:
     importing ``repro`` and every system build of a first-time fig5
     run.  The child imports the same ``repro`` tree as this process.
     """
-    import os
-    import statistics
-    import subprocess
-
-    import repro
-
-    env = dict(os.environ)
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = src + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
     times = []
     for _ in range(samples):
         t0 = time.perf_counter()
@@ -320,7 +293,6 @@ def bench_warm_replay(passes: int) -> float:
     pass builds the spec afresh, as a ``repro sweep`` replay does, so
     no config arrives with its canonical form already stored.
     """
-    import statistics
     import tempfile
 
     from repro.sweep import iter_sweep
@@ -341,7 +313,7 @@ def bench_warm_replay(passes: int) -> float:
     return statistics.median(samples) / 1e3
 
 
-def bench_tracer_off_overhead(size: int) -> float:
+def bench_tracer_off_overhead(size: int) -> list:
     """Fractional cost of the *disabled* telemetry layer on a warm point.
 
     Outside a collected point every component hook is ``None`` and the
@@ -349,16 +321,17 @@ def bench_tracer_off_overhead(size: int) -> float:
     :func:`repro.telemetry.state.on_system_acquired` on each
     acquisition (a collector ``None`` check).  This bench times a warm
     GEMM point on that normal path, then again with ``system_for``'s
-    hook short-circuited, and reports the median of paired fractional
-    differences (pairing cancels transient machine noise).  The event
-    loop carries no telemetry test at all (profiling wraps a whole point
-    in the sweep engine, outside ``Simulator.run``); the remaining
-    ``trace is None`` checks on the link and DMA paths sit next to
-    pre-existing branches and cannot be separated out, so this measures
-    everything else the telemetry layer adds to the point path.  CI
-    gates it absolutely (<2%, see
-    ``ABSOLUTE_GATES``) -- a relative tolerance is useless on a number
-    that should sit at zero.
+    hook short-circuited, and returns the 9 paired fractional
+    differences, unclamped (pairing cancels transient machine noise).
+    The event loop carries no telemetry test at all (profiling wraps a
+    whole point in the sweep engine, outside ``Simulator.run``); the
+    remaining ``trace is None`` checks on the link and DMA paths sit
+    next to pre-existing branches and cannot be separated out, so this
+    measures everything else the telemetry layer adds to the point
+    path.  One pass's median cannot resolve 2% on a ~10 ms point, so
+    the gate pools the differences of every pass and holds
+    ``max(0, median)`` under 2% (``ABSOLUTE_GATES``) -- a relative
+    tolerance is useless on a number that should sit at zero.
     """
     import repro.core.runner as core_runner
 
@@ -395,8 +368,7 @@ def bench_tracer_off_overhead(size: int) -> float:
             without_layer = one_side(True)
             with_layer = one_side(False)
         diffs.append((with_layer - without_layer) / without_layer)
-    diffs.sort()
-    return max(diffs[len(diffs) // 2], 0.0)
+    return diffs
 
 
 def bench_snapshot(size: int, iterations: int) -> float:
@@ -632,211 +604,232 @@ def print_layer_folds(size: int) -> None:
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
-def _sig4(seconds: float) -> float:
+def _sig4(value: float) -> float:
     """Round to 4 significant digits: quick-mode points take ~0.01 s,
     where a fixed number of decimals keeps only one or two."""
-    return float(f"{seconds:.4g}")
+    return float(f"{value:.4g}")
 
 
 def collect_metrics(quick: bool) -> dict:
+    """One pass: every metric of this process's ``repro`` tree, raw.
+
+    A bench whose subsystem the tree lacks (an older baseline on
+    ``PYTHONPATH``) raises ``ImportError``; its metric is left out.
+    """
     events = 100_000 if quick else 300_000
     gemm_size = 64 if quick else 96
     grid_size = 128 if quick else 256
-    snap_iters = 200 if quick else 500
-
+    benches = {
+        "event_throughput_eps": lambda: bench_event_throughput(events),
+        "event_cancel_eps": lambda: bench_event_cancel(events),
+        "idle_loop_eps": lambda: bench_idle_loop(events),
+        "gemm_point_s": lambda: bench_gemm_point(gemm_size),
+        "multigemm_point_s": lambda: bench_multigemm_point(gemm_size),
+        "p2p_transfer_s": lambda: bench_p2p_transfer(
+            128 * 1024 if quick else 512 * 1024),
+        "system_build_s": bench_system_build,
+        "cold_start_s": lambda: bench_cold_start(5 if quick else 9),
+        "warm_replay_us": lambda: bench_warm_replay(100 if quick else 300),
+        "snapshot_us": lambda: bench_snapshot(gemm_size,
+                                              200 if quick else 500),
+        "tracer_off_overhead": lambda: bench_tracer_off_overhead(gemm_size),
+        "fig6_grid_s": lambda: bench_fig6_grid(grid_size),
+        "ladder_fig6_s": lambda: bench_ladder_fig6(grid_size),
+        "serve_query_lat_us": lambda: bench_serve_query_lat(quick),
+        "serve_cold_query_ms": lambda: bench_serve_cold_query(quick),
+        "serve_coalesce_x": bench_serve_coalesce,
+    }
     metrics = {}
-    metrics["calib_kops"] = round(bench_calibration(), 1)
-    metrics["event_throughput_eps"] = round(bench_event_throughput(events), 1)
-    metrics["event_cancel_eps"] = round(bench_event_cancel(events), 1)
-    metrics["idle_loop_eps"] = round(bench_idle_loop(events), 1)
-    metrics["gemm_point_s"] = _sig4(bench_gemm_point(gemm_size))
-    metrics["multigemm_point_s"] = _sig4(bench_multigemm_point(gemm_size))
-    metrics["p2p_transfer_s"] = _sig4(
-        bench_p2p_transfer(128 * 1024 if quick else 512 * 1024)
-    )
-    metrics["system_build_s"] = _sig4(bench_system_build())
-    metrics["cold_start_s"] = _sig4(bench_cold_start(5 if quick else 9))
-    metrics["warm_replay_us"] = round(bench_warm_replay(
-        100 if quick else 300), 1)
-    metrics["snapshot_us"] = round(bench_snapshot(gemm_size, snap_iters), 2)
-    metrics["tracer_off_overhead"] = round(
-        bench_tracer_off_overhead(gemm_size), 4
-    )
-    metrics["fig6_grid_s"] = _sig4(bench_fig6_grid(grid_size))
-    metrics["ladder_fig6_s"] = _sig4(bench_ladder_fig6(grid_size))
-    metrics["serve_query_lat_us"] = round(bench_serve_query_lat(quick), 1)
-    metrics["serve_cold_query_ms"] = round(bench_serve_cold_query(quick), 3)
-    metrics["serve_coalesce_x"] = bench_serve_coalesce()
+    for name, bench in benches.items():
+        try:
+            metrics[name] = bench()
+        except ImportError:
+            continue
     return metrics
 
 
-def merge_best(old: Optional[dict], new: dict) -> dict:
-    """Fold a fresh run into recorded numbers, keeping the best of each.
-
-    Re-recording the same key therefore acts as extra best-of rounds --
-    interleaving ``--record before`` / ``--record after`` runs averages
-    out machine-speed drift between the two trees being compared.
-
-    The ``_normalized`` sub-dict merges recursively: each run computes
-    its normalized values from *its own* calibration before merging, so
-    the regression gate never compares against a raw metric paired with
-    a different run's ``calib_kops``.
-    """
-    if not old:
-        return new
-    merged = dict(old)
-    for name, value in new.items():
-        prior = merged.get(name)
-        if name == "_normalized":
-            merged[name] = merge_best(
-                prior if isinstance(prior, dict) else None, value
-            )
-        elif not isinstance(prior, (int, float)):
-            merged[name] = value
-        elif name in HIGHER_IS_BETTER:
-            merged[name] = max(prior, value)
-        else:
-            merged[name] = min(prior, value)
-    return merged
+#: Child program of :func:`run_pass`: load this script by path under
+#: the child's ``PYTHONPATH`` and print one pass as a JSON line.
+PASS_CHILD = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("bench_perf_core", sys.argv[1])
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+print(json.dumps(bench.collect_metrics(sys.argv[2] == "quick")))
+"""
 
 
-def speedups(before: dict, after: dict) -> dict:
-    """Per-metric speedup factor (>1 means after is faster)."""
-    out = {}
-    for name, old in before.items():
-        new = after.get(name)
-        if not isinstance(old, (int, float)) or not new:
-            continue
-        if name == "calib_kops" or name.startswith("_"):
-            continue  # machine yardstick / bookkeeping, not tracked
-        if name in ABSOLUTE_GATES or name in ABSOLUTE_MIN_GATES:
-            continue  # absolutely gated; a ratio of it is noise
-        ratio = new / old if name in HIGHER_IS_BETTER else old / new
-        out[name] = round(ratio, 2)
+def run_pass(src: str, quick: bool) -> dict:
+    """One pass of :func:`collect_metrics` in a fresh interpreter that
+    imports ``repro`` from ``src`` alone."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PASS_CHILD, str(Path(__file__).resolve()),
+         "quick" if quick else "full"],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        text=True, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def pooled(passes: list, name: str) -> list:
+    """Every value of ``name`` across ``passes``; a list-valued metric
+    (``tracer_off_overhead``'s paired differences) is pooled."""
+    out = []
+    for metrics in passes:
+        value = metrics.get(name)
+        if isinstance(value, list):
+            out.extend(value)
+        elif value is not None:
+            out.append(value)
     return out
 
 
-def normalized(metrics: dict) -> dict:
-    """Calibration-normalized values (machine-speed independent).
+def quartiles(values: list) -> list:
+    """``[q1, median, q3]`` of ``values`` (inclusive quantiles)."""
+    if len(values) == 1:
+        return list(values) * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
 
-    Recorded runs carry their own coherent normalization under
-    ``_normalized`` (same-run calibration); when present it is returned
-    as-is, so merged documents never pair a metric with another run's
-    ``calib_kops``.
+
+class GateRow(NamedTuple):
+    """One metric's verdict; quartiles are ``[q1, median, q3]``."""
+
+    metric: str
+    baseline: Optional[list]
+    change: Optional[list]
+    #: Median over the pairs of change/baseline, oriented so that a
+    #: ratio above 1 means this tree is slower; None when not paired.
+    ratio: Optional[float]
+    #: Pairs this tree was faster in, and pairs compared.
+    won: Optional[tuple]
+    verdict: str  # "ok", "FAIL" or "ungated"
+    rule: str
+
+
+def gate(baseline: list, change: list, tolerance: float) -> list:
+    """Gate this tree's passes against the baseline's, pair by pair.
+
+    ``baseline[i]`` and ``change[i]`` are the two passes of pair ``i``
+    (``baseline`` may be empty).  A relative metric fails when the
+    median of its per-pair ratios exceeds ``1 + tolerance``; a metric
+    the baseline passes lack is ungated, one this tree's passes lack
+    fails.  The absolute gates read this tree's passes alone.
     """
-    stored = metrics.get("_normalized")
-    if isinstance(stored, dict):
-        return stored
-    calib = metrics.get("calib_kops") or 1.0
-    out = {}
-    for name, value in metrics.items():
-        if name == "calib_kops" or name.startswith("_"):
+    names = dict.fromkeys(name for metrics in change + baseline
+                          for name in metrics)
+    rows = []
+    for name in names:
+        base_values = pooled(baseline, name)
+        change_values = pooled(change, name)
+        base_q = quartiles(base_values) if base_values else None
+        if not change_values:
+            rows.append(GateRow(name, base_q, None, None, None, "FAIL",
+                                "missing from this tree"))
             continue
-        if name in ABSOLUTE_GATES or name in ABSOLUTE_MIN_GATES:
-            continue  # already dimensionless; gated absolutely
-        if not isinstance(value, (int, float)):
-            continue
-        # eps/calib and seconds*calib are both ~machine-free.
-        out[name] = (value / calib if name in HIGHER_IS_BETTER
-                     else value * calib)
-    return out
-
-
-def check_regression(current: dict, committed: dict, tolerance: float) -> int:
-    """Exit code 1 if any normalized metric regressed past tolerance."""
-    norm_now = normalized(current)
-    norm_ref = normalized(committed)
-    failures = []
-    for name, ref in norm_ref.items():
-        now = norm_now.get(name)
-        if now is None or ref == 0:
-            continue
-        if name in HIGHER_IS_BETTER:
-            regression = (ref - now) / ref
+        change_q = quartiles(change_values)
+        ratio = won = None
+        if name in ABSOLUTE_GATES:
+            value, limit = max(0.0, change_q[1]), ABSOLUTE_GATES[name]
+            ok = value <= limit
+            rule = f"max(0, median) {value:.4f} <= {limit:g}"
+        elif name in ABSOLUTE_MIN_GATES:
+            value, floor = change_q[1], ABSOLUTE_MIN_GATES[name]
+            ok, rule = value >= floor, f"median {value:g} >= {floor:g}"
         else:
-            regression = (now - ref) / ref
-        marker = "REGRESSED" if regression > tolerance else "ok"
-        print(f"  {name:24s} {regression * 100:+7.1f}%  {marker}")
-        if regression > tolerance:
-            failures.append(name)
-    for name, limit in ABSOLUTE_GATES.items():
-        now = current.get(name)
-        if not isinstance(now, (int, float)):
-            continue
-        marker = "REGRESSED" if now > limit else "ok"
-        print(f"  {name:24s} {now * 100:+7.2f}% "
-              f"(absolute limit {limit * 100:.0f}%)  {marker}")
-        if now > limit:
-            failures.append(name)
-    for name, floor in ABSOLUTE_MIN_GATES.items():
-        now = current.get(name)
-        if not isinstance(now, (int, float)):
-            continue
-        marker = "REGRESSED" if now < floor else "ok"
-        print(f"  {name:24s} {now:8.2f}  "
-              f"(absolute floor {floor:g})  {marker}")
-        if now < floor:
-            failures.append(name)
-    if failures:
-        print(f"perf check FAILED: {', '.join(failures)} "
-              f"regressed more than {tolerance * 100:.0f}%")
-        return 1
-    print("perf check passed")
-    return 0
+            ratios = [
+                (base[name] / now[name] if name in HIGHER_IS_BETTER
+                 else now[name] / base[name])
+                for base, now in zip(baseline, change)
+                if name in base and name in now
+            ]
+            if not ratios:
+                rows.append(GateRow(name, base_q, change_q, None, None,
+                                    "ungated", "no baseline value"))
+                continue
+            ratio = statistics.median(ratios)
+            won = (sum(r < 1.0 for r in ratios), len(ratios))
+            ok = ratio <= 1.0 + tolerance
+            rule = f"ratio <= {1.0 + tolerance:.2f}"
+        rows.append(GateRow(name, base_q, change_q, ratio, won,
+                            "ok" if ok else "FAIL", rule))
+    return rows
+
+
+def _quartile_text(q: Optional[list]) -> str:
+    return "-" if q is None else f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+
+
+def print_rows(rows: list) -> None:
+    print(f"  {'metric':22s} {'baseline median [q1, q3]':>32s} "
+          f"{'this tree median [q1, q3]':>32s} {'ratio':>6s} {'won':>5s}  "
+          f"verdict")
+    for row in rows:
+        ratio = "-" if row.ratio is None else f"{row.ratio:.3f}"
+        won = "-" if row.won is None else f"{row.won[0]}/{row.won[1]}"
+        print(f"  {row.metric:22s} {_quartile_text(row.baseline):>32s} "
+              f"{_quartile_text(row.change):>32s} {ratio:>6s} {won:>5s}  "
+              f"{row.verdict} ({row.rule})")
+
+
+def record(path: Path, mode: str, passes: list) -> None:
+    """Write ``passes`` as ``[q1, median, q3]`` per metric under ``mode``
+    (schema 2), keeping the other mode's section of a schema-2 file."""
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    if doc.get("schema") != 2:
+        doc = {"schema": 2}
+    doc["meta"] = {"python": platform.python_version(),
+                   "passes": len(passes)}
+    names = dict.fromkeys(name for metrics in passes for name in metrics)
+    doc[mode] = {name: [_sig4(q) for q in quartiles(pooled(passes, name))]
+                 for name in names}
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized problem set")
-    parser.add_argument("--record", choices=["before", "after"],
-                        help="merge this run into the JSON under the key")
+    parser.add_argument("--against", metavar="SRC",
+                        help="baseline src tree to alternate passes with")
+    parser.add_argument("--record", action="store_true",
+                        help="write this tree's passes to --out")
     parser.add_argument("--out", default=str(DEFAULT_JSON),
-                        help="JSON file for --record (default BENCH_core.json)")
-    parser.add_argument("--check", metavar="JSON",
-                        help="compare against the file's 'after' numbers")
+                        help="JSON file for --record (BENCH_core.json)")
     parser.add_argument("--tolerance", type=float, default=0.30,
-                        help="allowed fractional regression for --check")
+                        help="allowed median per-pair slowdown for --against")
     args = parser.parse_args(argv)
+    if args.against and not (Path(args.against) / "repro").is_dir():
+        parser.error(f"--against {args.against}: no repro package there")
 
     mode = "quick" if args.quick else "full"
-    print(f"bench_perf_core [{mode}] on {platform.python_version()} ...")
-    metrics = collect_metrics(args.quick)
-    for name, value in metrics.items():
-        # Seconds metrics sit near 0.01 on quick runs, where ,.2f
-        # would keep one significant digit.
-        shown = (f"{value:>14.4g}" if name.endswith("_s")
-                 else f"{value:>14,.2f}")
-        print(f"  {name:24s} {shown}")
+    here = str(Path(repro.__file__).resolve().parents[1])
+    sides = [("this tree", here)]
+    if args.against:
+        sides.insert(0, ("baseline", str(Path(args.against).resolve())))
+    print(f"bench_perf_core [{mode}] on {platform.python_version()}: "
+          f"{PAIRS} passes of " + " alternating with ".join(
+              src for _, src in reversed(sides)), flush=True)
+    passes = {label: [] for label, _ in sides}
+    for pair in range(PAIRS):
+        for label, src in (sides if pair % 2 == 0 else sides[::-1]):
+            t0 = time.perf_counter()
+            passes[label].append(run_pass(src, args.quick))
+            print(f"  pair {pair + 1}/{PAIRS} {label}: "
+                  f"{time.perf_counter() - t0:.1f} s", flush=True)
     print_layer_folds(64 if args.quick else 96)
-    # Pair this run's metrics with its own calibration for the gate.
-    metrics["_normalized"] = {
-        name: round(value, 4) for name, value in normalized(metrics).items()
-    }
+    print()
 
+    rows = gate(passes.get("baseline", []), passes["this tree"],
+                args.tolerance)
+    print_rows(rows)
     if args.record:
-        path = Path(args.out)
-        doc = json.loads(path.read_text()) if path.exists() else {"schema": 1}
-        section = doc.setdefault(mode, {})
-        section[args.record] = merge_best(section.get(args.record), metrics)
-        if "before" in section and "after" in section:
-            section["speedup"] = speedups(section["before"], section["after"])
-        doc["meta"] = {
-            "python": platform.python_version(),
-            "generated_by": "benchmarks/bench_perf_core.py",
-        }
-        path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        print(f"recorded {mode}/{args.record} -> {path}")
-
-    if args.check:
-        doc = json.loads(Path(args.check).read_text())
-        committed = (doc.get(mode) or {}).get("after")
-        if not committed:
-            print(f"no {mode}/after numbers in {args.check}; nothing to check")
-            return 0
-        print(f"checking against {args.check} [{mode}/after], "
-              f"tolerance {args.tolerance * 100:.0f}%:")
-        return check_regression(metrics, committed, args.tolerance)
+        record(Path(args.out), mode, passes["this tree"])
+        print(f"recorded {mode} ({PAIRS} passes) -> {args.out}")
+    failures = [row.metric for row in rows if row.verdict == "FAIL"]
+    if failures:
+        print(f"perf gate FAILED: {', '.join(failures)}")
+        return 1
+    print("perf gate passed")
     return 0
 
 

@@ -72,10 +72,6 @@ class BumpAllocator:
         self._cursor = base + size
         return base
 
-    @property
-    def used_bytes(self) -> int:
-        return self._cursor - self.range.start
-
 
 class AccelDriver(SimObject):
     """Host-side driver for one accelerator function."""
@@ -179,9 +175,6 @@ class AccelDriver(SimObject):
 
     def buffer_paddr(self, tag: str) -> int:
         return self._buffers[tag]["paddr"]
-
-    def buffer_device_addr(self, tag: str) -> int:
-        return self._buffers[tag]["device_addr"]
 
     # ------------------------------------------------------------------
     # Demand paging

@@ -195,10 +195,6 @@ class Cache(TargetPort):
         total = self._hits.value + self._misses.value
         return self._hits.value / total if total else 0.0
 
-    @property
-    def mshrs_in_use(self) -> int:
-        return self.params.mshrs - self._mshrs_free
-
 
 class _Miss:
     """One demand transaction waiting on its missing runs.

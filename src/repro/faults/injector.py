@@ -19,7 +19,7 @@ all see identical schedules.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.faults.prng import stream_for, uniform
 from repro.faults.spec import (
@@ -204,9 +204,6 @@ class FaultModel:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def faulty_links(self) -> List[str]:
-        return sorted(self.link_states)
-
     def link_totals(self) -> Dict[str, int]:
         """Summed per-fault-class link counters across every faulty link."""
         totals = {

@@ -73,12 +73,6 @@ class ResilienceResult:
             return 0.0
         return self.payload_bytes / ticks_to_seconds(self.ticks)
 
-    @property
-    def completion_rate(self) -> float:
-        if self.transfers == 0:
-            return 0.0
-        return self.completed / self.transfers
-
 
 class ResilienceRunner(WorkloadRunner):
     """A fixed DMA stream pushed through whatever faults the config arms.

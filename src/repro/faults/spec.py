@@ -199,12 +199,6 @@ class FaultSpec:
                 return entry
         return None
 
-    def endpoint_fault_for(self, index: int) -> Optional[EndpointFault]:
-        for entry in self.endpoints:
-            if entry.endpoint == index:
-                return entry
-        return None
-
     def describe(self) -> str:
         """Multi-line human summary (the ``faults describe`` CLI body)."""
         lines = [f"seed: {self.seed}"]

@@ -124,8 +124,3 @@ class MemBus(ClockedObject, TargetPort):
             dropped = cache.invalidate_range(txn.addr, txn.size)
             if dropped:
                 self._snoop_invalidations.inc(dropped)
-
-    @property
-    def backlog_ticks(self) -> int:
-        """How far in the future the crossbar is already committed."""
-        return max(0, self._wire_free_at - self.now)

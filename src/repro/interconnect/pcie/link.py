@@ -305,11 +305,6 @@ class PCIeChannel(SimObject):
         self.schedule_at(arrival, lambda: on_arrive(txn))
 
     @property
-    def backlog_ticks(self) -> int:
-        """How far in the future the wire is already committed."""
-        return max(0, self._wire_free_at - self.now)
-
-    @property
     def utilization_window(self) -> float:
         """Busy fraction so far (for reports)."""
         return self._busy_ticks.value / self.now if self.now else 0.0

@@ -174,31 +174,26 @@ class DRAMController(TargetPort):
     # ------------------------------------------------------------------
     # Channel striping
     # ------------------------------------------------------------------
-    def _split_channels(self, offset: int, size: int) -> List[tuple[int, int, int]]:
+    def _split_rebased(self, offset: int, size: int):
         """Stripe a contiguous access across channels.
 
-        Returns ``(channel, channel_local_addr, bytes)`` per channel.  The
-        channel-local address is the global offset compressed by the channel
-        count, which preserves the stride/locality structure that the bank
-        and row mapping depend on.  Byte counts are exact: partial head and
-        tail blocks are charged only for the bytes actually touched.
+        Returns ``(pieces, shift)``: ``pieces`` holds ``(channel,
+        relative_local_addr, bytes)`` per channel, and a piece's
+        channel-local address is ``relative_local_addr + shift``.  The
+        channel-local address is the global offset compressed by the
+        channel count, which preserves the stride/locality structure that
+        the bank and row mapping depend on.  Byte counts are exact:
+        partial head and tail blocks are charged only for the bytes
+        actually touched.
 
         The split depends on the offset only through its phase within one
         interleave period (``interleave * channels`` bytes): shifting the
         offset by a whole period shifts every channel-local address by one
         interleave block and changes nothing else.  ``_split_pieces``
-        memoizes the per-phase result; ``_split_rebased`` computes the
-        phase and shift (``send`` consumes that form directly so the hot
-        loop skips this wrapper's list rebuild).
+        memoizes the per-phase result; this returns it with the shift
+        unapplied, so ``send`` adds the shift as it walks the pieces and
+        builds no per-access list.
         """
-        pieces, shift = self._split_rebased(offset, size)
-        return [
-            (ch, local_addr + shift, nbytes)
-            for ch, local_addr, nbytes in pieces
-        ]
-
-    def _split_rebased(self, offset: int, size: int):
-        """(memoized relative pieces, channel-local shift) for ``offset``."""
         period = self._split_period
         base = offset // period
         return (

@@ -88,8 +88,3 @@ class SimpleMemory(TargetPort):
             txn.data = self.backing.read(txn.addr, txn.size)
         elif txn.data is not None:
             self.backing.write(txn.addr, txn.data)
-
-    @property
-    def backlog_ticks(self) -> int:
-        """How far in the future the data port is already committed."""
-        return max(0, self._port_free_at - self.now)

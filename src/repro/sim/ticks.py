@@ -99,8 +99,3 @@ def serialization_ticks(nbytes: int, bytes_per_sec: int) -> int:
     if bytes_per_sec <= 0:
         raise ValueError(f"bandwidth must be positive, got {bytes_per_sec}")
     return -(-nbytes * TICKS_PER_SEC // bytes_per_sec)
-
-
-def bytes_per_tick_rate(bytes_per_sec: int) -> float:
-    """Bandwidth expressed in bytes per tick (for reporting only)."""
-    return bytes_per_sec / TICKS_PER_SEC

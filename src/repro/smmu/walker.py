@@ -145,10 +145,3 @@ class PageTableWalker(SimObject):
         self._walk_ticks.sample(ticks)
         on_done(self._vpn, levels_fetched, ticks)
         self._start_next()
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    @property
-    def mean_walk_ticks(self) -> float:
-        return self._walk_ticks.mean

@@ -77,12 +77,6 @@ class LadderReport:
     def pruned(self) -> int:
         return self.scored - self.surviving
 
-    def estimate_for(self, key) -> Optional[SurrogateEstimate]:
-        for est in self.estimates:
-            if est.key == key:
-                return est
-        return None
-
     def describe(self) -> str:
         return (
             f"ladder '{self.spec_name}': scored {self.scored} points, "

@@ -57,10 +57,6 @@ class SweepPoint:
     config: SystemConfig
     params: Mapping[str, Any] = field(default_factory=dict)
 
-    def canonical_params(self) -> dict:
-        return {name: canonical_value(value)
-                for name, value in sorted(self.params.items())}
-
 
 @dataclass
 class SweepSpec:

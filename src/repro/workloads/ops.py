@@ -123,11 +123,3 @@ class OpGraph:
     @property
     def total_gemm_flops(self) -> int:
         return sum(op.flops for op in self.gemm_ops())
-
-    @property
-    def total_nongemm_elements(self) -> int:
-        return sum(op.elements for op in self.nongemm_ops())
-
-    @property
-    def total_tensor_bytes(self) -> int:
-        return sum(self.tensors.values())

@@ -447,13 +447,17 @@ def bench_serve_query_lat(quick: bool) -> float:
     directory, fills one point, then times warm queries over a single
     keep-alive connection -- the steady-state cost of serving a cached
     record over HTTP (parse, index lookup, cache read, JSON response).
+    The queries run in blocks and the fastest block's p50 is kept, as
+    the other timed benches keep their fastest run: on a shared 2-CPU
+    host the whole latency shifted between ~260 and ~550 us for tenths
+    of a second at a time, so one p50 over every query read either.
     """
     import http.client
     import tempfile
 
     from repro.serve import ServeSettings, ServerThread
 
-    rounds = 200 if quick else 600
+    blocks, rounds = (5, 200) if quick else (5, 400)
     body = json.dumps(
         {"sweep": SERVE_SWEEP, "key": SERVE_KEY, "args": SERVE_ARGS}
     )
@@ -468,15 +472,20 @@ def bench_serve_query_lat(quick: bool) -> float:
                 return json.loads(response.read())
 
             assert once()["cached"] is False  # the one cold fill
-            samples = []
-            for _ in range(rounds):
-                t0 = time.perf_counter()
-                payload = once()
-                samples.append((time.perf_counter() - t0) * 1e6)
+            while st.service.healthz()["in_flight"]:
+                time.sleep(0.001)  # its entry is written after the reply
+            p50s = []
+            for _ in range(blocks):
+                samples = []
+                for _ in range(rounds):
+                    t0 = time.perf_counter()
+                    payload = once()
+                    samples.append((time.perf_counter() - t0) * 1e6)
+                samples.sort()
+                p50s.append(samples[len(samples) // 2])
             conn.close()
             assert payload["cached"] is True
-    samples.sort()
-    return samples[len(samples) // 2]
+    return min(p50s)
 
 
 #: Cold-query grid: one 16x16 GEMM point per packet size, 7 systems,
@@ -493,7 +502,10 @@ def bench_serve_cold_query(quick: bool) -> float:
     answers every point of :data:`SERVE_COLD_ARGS` once per round over
     one keep-alive connection; the grid's cache entries are deleted
     between rounds, so each timed query misses and waits out its fill.
-    The first round builds the query index and is not timed.
+    A cold reply may go out before its entry is written, so each round
+    first waits for ``in_flight`` to reach 0: a late rename must not
+    bring a deleted entry back.  The first round builds the query index
+    and is not timed.
     """
     import http.client
     import tempfile
@@ -513,6 +525,8 @@ def bench_serve_cold_query(quick: bool) -> float:
         with ServerThread(ServeSettings(port=0, cache_dir=tmp)) as st:
             conn = http.client.HTTPConnection(st.host, st.port, timeout=120)
             for round_index in range(rounds + 1):
+                while st.service.healthz()["in_flight"]:
+                    time.sleep(0.001)
                 for entry in Path(tmp).glob("*.json"):
                     entry.unlink()
                 for body in bodies:
@@ -631,7 +645,7 @@ def collect_metrics(quick: bool) -> dict:
         "cold_start_s": lambda: bench_cold_start(5 if quick else 9),
         "warm_replay_us": lambda: bench_warm_replay(100 if quick else 300),
         "snapshot_us": lambda: bench_snapshot(gemm_size,
-                                              200 if quick else 500),
+                                              2000 if quick else 5000),
         "tracer_off_overhead": lambda: bench_tracer_off_overhead(gemm_size),
         "fig6_grid_s": lambda: bench_fig6_grid(grid_size),
         "ladder_fig6_s": lambda: bench_ladder_fig6(grid_size),

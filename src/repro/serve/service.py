@@ -50,6 +50,22 @@ The memo holds at most :data:`REPLY_MEMO_ENTRIES` points, oldest
 evicted first.  Its blind spot is the source digest's: an in-place
 edit that keeps the entry's size, inode and ``mtime_ns``.
 
+A fill answers its waiters before its cache write.  As soon as a
+point has simulated, the fill thread encodes the record once and
+*publishes* it: every waiter of the flight replies at once.  The fill
+thread then writes the entry (both fsyncs, the temp file and the
+rename) and the flight *lands*.  A query that arrives in between
+awaits the landing and then reads the entry as a warm hit.  So a cold
+reply no longer means the entry is on disk; ``in_flight`` reaching 0
+does, and :meth:`SweepService.stop` returns only after every published
+write has landed.
+
+A cold GEMM point is filled only when its three operand matrices fit
+:data:`GEMM_FILL_BUDGET`; a larger one is refused with a 400 before it
+is claimed, since it would hold the one fill thread for minutes or
+exhaust memory.  Entries already on disk are served whatever their
+size, and ``repro sweep`` is not bounded.
+
 Threading model: all service state is touched only from the event
 loop.  Fill batches run one at a time on one dedicated fill thread,
 which reports back exclusively through ``call_soon_threadsafe``; the
@@ -86,6 +102,7 @@ from repro.serve.singleflight import SingleFlight
 __all__ = [
     "BadRequestError",
     "FillError",
+    "GEMM_FILL_BUDGET",
     "REPLY_MEMO_ENTRIES",
     "SPEC_INDEX_ENTRIES",
     "ServeSettings",
@@ -103,6 +120,11 @@ REPLY_MEMO_ENTRIES = 4096
 #: keeps (FIFO eviction).  Clients choose ``args`` freely, and each
 #: distinct one builds an index, even when its query then 404s.
 SPEC_INDEX_ENTRIES = 256
+
+#: Most bytes of GEMM operands, ``(m*k + k*n + m*n) * 4``, that one
+#: served fill may move: exactly the largest default point of any
+#: registered sweep (tab4-translation's 512-cubed GEMM).
+GEMM_FILL_BUDGET = 3 * 2**20
 
 _JSON_BOOL = {True: b"true", False: b"false"}
 
@@ -128,6 +150,14 @@ def reply_body(sweep: str, key: str, key_hash: str, record: bytes, *,
 
 def _record_json(record: dict) -> bytes:
     return json.dumps(record, sort_keys=True).encode()
+
+
+def _fill_bytes(runner, params: dict) -> int:
+    """Bytes of GEMM operands one point moves; 0 for other runners."""
+    if runner.name != "gemm":
+        return 0
+    m, k, n = params["m"], params["k"], params["n"]
+    return (m * k + k * n + m * n) * 4
 
 
 class UnknownSweepError(LookupError):
@@ -186,6 +216,27 @@ class _PointEntry:
     point: SweepPoint
     params: dict
     key_hash: str
+    #: GEMM operand bytes a fill would move (see :data:`GEMM_FILL_BUDGET`).
+    fill_bytes: int
+
+
+class _PublishingStore:
+    """A fill batch's view of the cache: publish, then write.
+
+    The engine calls :meth:`put` once per simulated point; the record
+    reaches its waiters before the durable write starts.
+    """
+
+    def __init__(self, cache: ResultCache, publish) -> None:
+        self.cache = cache
+        self._publish = publish
+
+    def get(self, key: str) -> Optional[dict]:
+        return self.cache.get(key)
+
+    def put(self, key: str, record: dict, meta: Optional[dict] = None) -> None:
+        self._publish(key, _record_json(record))
+        self.cache.put(key, record, meta)
 
 
 class SweepService:
@@ -246,7 +297,11 @@ class SweepService:
         )
 
     async def stop(self) -> None:
-        """Cancel the fill loop and fail every in-flight query."""
+        """Cancel the fill loop and fail every in-flight query.
+
+        Returns once every published record's cache write has landed;
+        a simulation still running is not waited for.
+        """
         if self._fill_task is not None:
             self._fill_task.cancel()
             try:
@@ -259,6 +314,7 @@ class SweepService:
             self._fill_thread.shutdown(wait=False, cancel_futures=True)
             self._fill_thread = None
         self._pending.clear()
+        await self.singleflight.landed()
         self._flight_sweep.clear()
         self.singleflight.fail_all(FillError("server shutting down"))
 
@@ -305,6 +361,7 @@ class SweepService:
                     point=point,
                     params=params,
                     key_hash=point_key(point, runner, params),
+                    fill_bytes=_fill_bytes(runner, params),
                 )
         except Exception as exc:  # noqa: BLE001 - any bad args are a 400
             # Factories take whatever JSON the client sent, so a wrong
@@ -345,14 +402,20 @@ class SweepService:
         The in-flight registry is checked *before* the cache: a
         coalesced follower costs a dict lookup, never disk I/O, and the
         engine's own lookup inside the fill batch remains the single
-        authoritative miss per flight.
+        authoritative miss per flight.  A key whose record is published
+        but not yet written is awaited, then read as a warm hit.
         """
         t0 = time.perf_counter()
         self.queries_total += 1
         spec, entry = self._lookup(sweep, key, args)
+        flights = self.singleflight
+        landing = flights.landing(entry.key_hash)
+        while landing is not None:
+            await flights.wait(landing)
+            landing = flights.landing(entry.key_hash)
         coalesced = False
-        if entry.key_hash in self.singleflight:
-            flight, _leader = self.singleflight.claim(entry.key_hash)
+        if entry.key_hash in flights:
+            flight, _leader = flights.claim(entry.key_hash)
             coalesced = True
         else:
             record = self._cached_record(entry.key_hash)
@@ -361,11 +424,12 @@ class SweepService:
                 self._note_latency(t0)
                 return reply_body(sweep, key, entry.key_hash, record,
                                   cached=True, coalesced=False)
-            flight, leader = self.singleflight.claim(entry.key_hash)
+            self._check_budget(sweep, key, entry)
+            flight, leader = flights.claim(entry.key_hash)
             if leader:
                 self._enqueue(spec, entry)
         self.query_misses += 1
-        record = await self.singleflight.wait(flight)
+        record = await flights.wait(flight)
         self._note_latency(t0)
         return reply_body(sweep, key, entry.key_hash, record,
                           cached=False, coalesced=coalesced)
@@ -409,13 +473,17 @@ class SweepService:
         """
         spec, index = self._spec_index(sweep, args)
         cached = in_flight = enqueued = 0
-        for entry in index.values():
+        cold = []
+        for key, entry in index.items():
             if entry.key_hash in self.singleflight:
                 in_flight += 1
-                continue
-            if self.cache.get(entry.key_hash) is not None:
+            elif self.cache.get(entry.key_hash) is not None:
                 cached += 1
-                continue
+            else:
+                # Refuse the whole prefetch before claiming any point.
+                self._check_budget(sweep, key, entry)
+                cold.append(entry)
+        for entry in cold:
             _flight, leader = self.singleflight.claim(entry.key_hash)
             if leader:
                 self._enqueue(spec, entry)
@@ -427,6 +495,17 @@ class SweepService:
             "in_flight": in_flight,
             "enqueued": enqueued,
         }
+
+    @staticmethod
+    def _check_budget(sweep: str, key: str, entry: _PointEntry) -> None:
+        """Refuse to fill a point over :data:`GEMM_FILL_BUDGET` (a 400)."""
+        if entry.fill_bytes > GEMM_FILL_BUDGET:
+            raise BadRequestError(
+                f"point {key!r} of sweep {sweep!r} would move an estimated "
+                f"{entry.fill_bytes} bytes of GEMM operands, over the "
+                f"server's fill budget of {GEMM_FILL_BUDGET} bytes; run it "
+                f"with `repro sweep` instead"
+            )
 
     def _enqueue(self, spec: SweepSpec, entry: _PointEntry) -> None:
         self._pending[entry.key_hash] = _FillJob(
@@ -450,74 +529,126 @@ class SweepService:
             if self.settings.batch_window > 0:
                 # Let a burst of concurrent distinct misses pile onto
                 # this batch instead of paying one fill run each.
-                await asyncio.sleep(self.settings.batch_window)
+                await self._sleep_batch_window()
             jobs = list(self._pending.values())
             self._pending.clear()
             if jobs:
                 await self._run_fill(jobs)
 
+    async def _sleep_batch_window(self) -> None:
+        """Sleep ``batch_window`` seconds of time the loop could run.
+
+        The window is slept in 16 ticks, and a tick that overran counts
+        as two at most.  When the whole process pauses (a full garbage
+        collection in a large process took 25-35 ms), the rest of the
+        window still lets the queries that the pause held back reach the
+        flight before its record is published.
+        """
+        loop = asyncio.get_running_loop()
+        window = self.settings.batch_window
+        tick = window / 16
+        waited = 0.0
+        while waited < window:
+            start = loop.time()
+            await asyncio.sleep(tick)
+            waited += min(loop.time() - start, 2 * tick)
+
     async def _run_fill(self, jobs: List[_FillJob]) -> None:
         loop = asyncio.get_running_loop()
+
+        def post(callback, *args) -> None:
+            try:
+                loop.call_soon_threadsafe(callback, *args)
+            except RuntimeError:
+                # The loop closed under a batch that outlived stop();
+                # its writes still land on disk.
+                pass
+
+        await loop.run_in_executor(self._fill_thread, self._fill_batch,
+                                   jobs, post)
+
+    def _fill_batch(self, jobs: List[_FillJob], post) -> None:
+        """One batch, on the fill thread: check the source digest, then
+        simulate, publish and write every job's point.
+
+        Every result reaches the event loop through ``post``, in the
+        order it happened, so a failure fails the batch's open flights
+        (published ones included) in one step.  Both steps go through
+        this module's ``fresh_code_version`` and ``run_points`` names,
+        looked up at call time.
+        """
         try:
-            digest = await loop.run_in_executor(self._fill_thread,
-                                                fresh_code_version)
+            digest = fresh_code_version()
         except Exception as exc:  # noqa: BLE001 - surfaced per waiter
             # E.g. a file listed by the re-hash vanished before it was
             # read.  Fail this batch, keep the fill loop alive.
-            self._fail_jobs(jobs, "fill-error", FillError(
+            post(self._fail_jobs, jobs, "fill-error", FillError(
                 f"code digest check failed: {type(exc).__name__}: {exc}"))
             return
         if digest != self.code:
-            self.fill_refused += len(jobs)
-            self._fail_jobs(jobs, "fill-refused", StaleCodeError(
+            post(self._refuse, jobs, StaleCodeError(
                 f"source tree changed under the running server: pinned "
                 f"code digest {self.code[:12]}..., tree is now "
                 f"{digest[:12]}... -- refusing to fill; restart the "
                 f"server to serve the edited tree"
             ))
             return
-        self.fill_runs += 1
-        self._broadcast({"type": "fill-start", "points": len(jobs)})
-
-        def from_fill_thread(outcome) -> None:
-            loop.call_soon_threadsafe(self._land, outcome)
-
+        post(self._fill_started, len(jobs))
         try:
-            await loop.run_in_executor(self._fill_thread, functools.partial(
-                run_points,
+            run_points(
                 [(job.spec, job.point) for job in jobs],
                 workers=self.settings.workers,
-                cache=self.cache,
-                on_outcome=from_fill_thread,
-            ))
+                cache=_PublishingStore(self.cache,
+                                       functools.partial(post, self._publish)),
+                on_outcome=functools.partial(post, self._land),
+            )
         except Exception as exc:  # noqa: BLE001 - surfaced per waiter
             # A failed point's message carries the worker's traceback;
             # clients get its first line, not the server's source paths.
             summary = str(exc).partition("\n")[0]
-            self._fail_jobs(jobs, "fill-error",
-                            FillError(f"fill run failed: {summary}"))
+            post(self._fail_jobs, jobs, "fill-error",
+                 FillError(f"fill run failed: {summary}"))
             return
-        self._broadcast({"type": "fill-done", "points": len(jobs)})
+        post(self._broadcast, {"type": "fill-done", "points": len(jobs)})
+
+    def _refuse(self, jobs: List[_FillJob], error: StaleCodeError) -> None:
+        self.fill_refused += len(jobs)
+        self._fail_jobs(jobs, "fill-refused", error)
+
+    def _fill_started(self, points: int) -> None:
+        self.fill_runs += 1
+        self._broadcast({"type": "fill-start", "points": points})
 
     def _fail_jobs(self, jobs: List[_FillJob], event: str,
                    error: Exception) -> None:
         """Fail every still-open flight of ``jobs`` with ``error``."""
         for job in jobs:
             # Outcomes that landed before a failure already resolved
-            # their flights; failing them again is a no-op.
+            # their flights; failing them again is a no-op.  A flight
+            # published but not landed is retired, and the queries
+            # awaiting its landing go on to the warm path.
             self._flight_sweep.pop(job.key_hash, None)
             self.singleflight.fail(job.key_hash, error)
         self._broadcast({"type": event, "points": len(jobs),
                          "error": str(error)})
 
+    def _publish(self, key_hash: str, record: bytes) -> None:
+        """A simulated point's record, before its cache write."""
+        self.fill_points += 1
+        self.singleflight.publish(key_hash, record)
+
     def _land(self, outcome) -> None:
-        """One fill outcome arrives on the event loop thread."""
-        if not outcome.cached:
-            self.fill_points += 1
+        """One fill outcome arrives on the event loop thread.
+
+        A simulated point was published before its write, which has
+        now landed.  A replayed entry or a deduplicated sibling was not:
+        its waiters get the record encoded here.
+        """
+        flights = self.singleflight
+        record = (None if flights.landing(outcome.key_hash) is not None
+                  else _record_json(outcome.record))
         sweep = self._flight_sweep.pop(outcome.key_hash, None)
-        # Encoded once here; every waiter splices the same bytes.
-        self.singleflight.resolve(outcome.key_hash,
-                                  _record_json(outcome.record))
+        flights.resolve(outcome.key_hash, record)
         self._broadcast({
             "type": "outcome",
             "sweep": sweep,

@@ -9,6 +9,12 @@ Covers:
 * single-flight coalescing: N concurrent identical cold queries cost
   exactly one simulation (asserted via the cache miss counter and the
   fill-points probe),
+* publish before write: a cold reply goes out while its cache write is
+  still blocked, a query in between waits and reads the entry warm,
+  shutdown waits for the write, and failed writes or batches after
+  publishing leave no query waiting,
+* the GEMM fill budget: over-budget cold points are a fast 400, cached
+  ones still serve, and every registered default point is admitted,
 * distinct cold misses batch into one fill run,
 * SSE progress events, prefetch, HTTP error mapping,
 * stale-tree refusal: fills are refused once the source digest drifts
@@ -100,6 +106,18 @@ def keys():
     return [repr(point.key) for point in _spec().points]
 
 
+def wait_landed(st, timeout=30.0):
+    """Wait until every answered fill's cache write has landed.
+
+    A cold reply is sent before its entry is written; ``in_flight``
+    reaching 0 means every entry is on disk.
+    """
+    deadline = time.time() + timeout
+    while st.service.healthz()["in_flight"]:
+        assert time.time() < deadline, "a fill never landed"
+        time.sleep(0.005)
+
+
 class TestPinnedIdentity:
     def test_healthz_reports_cache_dir_and_code(self, server):
         from repro.sweep.cache import code_version
@@ -152,6 +170,7 @@ class TestQueryPath:
         key = keys()[0]
         status, cold = query(server, key)
         assert status == 200 and cold["cached"] is False
+        wait_landed(server)
         cache = server.service.cache
         path = cache.root / f"{cold['key_hash']}.json"
         path.write_bytes(b'{"record": "\xff\xfe"}')
@@ -377,6 +396,8 @@ class TestDigestFailure:
         assert status == 200 and payload["cached"] is False
         status, payload = query(server, first, timeout=30)
         assert status == 200 and payload["cached"] is False
+        # That reply went out before its entry was written.
+        wait_landed(server)
         assert server.service.healthz()["in_flight"] == 0
 
 
@@ -456,6 +477,29 @@ class TestSingleFlightUnit:
             flights.fail("x", RuntimeError("boom"))
             with pytest.raises(RuntimeError, match="boom"):
                 await flights.wait(flight3)
+
+        asyncio.run(scenario())
+
+    def test_publish_answers_waiters_and_landing_retires(self):
+        async def scenario():
+            flights = SingleFlight()
+            flight, _ = flights.claim("k")
+            assert flights.landing("k") is None
+            flights.publish("k", b"1")
+            assert await flights.wait(flight) == b"1"
+            landing = flights.landing("k")
+            assert landing is not None and "k" in flights
+            flights.resolve("k")
+            assert landing.done() and "k" not in flights
+            assert flights.landing("k") is None
+
+            # Failing a published key releases its landing waiters.
+            flights.claim("j")
+            flights.publish("j", b"2")
+            landing = flights.landing("j")
+            flights.fail("j", RuntimeError("late"))
+            assert await landing is None and len(flights) == 0
+            await flights.landed()
 
         asyncio.run(scenario())
 
@@ -767,6 +811,196 @@ class TestMalformedBodies:
         assert error.startswith("fill run failed: ")
         assert "GEMM dims must be positive" in error
         assert "\n" not in error and "Traceback" not in error
+
+
+# ----------------------------------------------------------------------
+# Publish before write: cold replies do not wait for the cache write
+# ----------------------------------------------------------------------
+@pytest.fixture
+def blocked_put(monkeypatch):
+    """Hold every ``ResultCache.put`` until the returned event is set."""
+    release = threading.Event()
+    real = ResultCache.put
+
+    def put(cache, key, record, meta=None):
+        assert release.wait(60), "the cache write was never released"
+        real(cache, key, record, meta)
+
+    monkeypatch.setattr(ResultCache, "put", put)
+    yield release
+    release.set()
+
+
+class TestPublishBeforeWrite:
+    def test_leader_replies_before_its_write_lands(self, server,
+                                                   blocked_put):
+        key = keys()[0]
+        status, cold = query(server, key, timeout=30)
+        assert status == 200
+        assert cold["cached"] is False and cold["coalesced"] is False
+        path = server.service.cache.entry_path(cold["key_hash"])
+        assert not os.path.exists(path)
+        assert server.service.healthz()["in_flight"] == 1
+        with ThreadPoolExecutor(1) as pool:
+            second = pool.submit(query, server, key, SWEEP, 30)
+            time.sleep(0.2)
+            assert not second.done()  # waits for the landing
+            blocked_put.set()
+            status, warm = second.result(timeout=30)
+        assert status == 200
+        assert warm["cached"] is True and warm["coalesced"] is False
+        assert warm["record"] == cold["record"]
+        assert server.service.healthz()["in_flight"] == 0
+        assert os.path.exists(path)
+        status, memo = query(server, key)
+        assert status == 200 and memo["cached"] is True
+        # A sequential cold, warm, warm client's counters: the landing
+        # does not seed the reply memo, so the first warm query reads
+        # the entry and only the second is a memo hit.
+        health = server.service.healthz()
+        assert health["fill_points"] == 1 and health["fill_runs"] == 1
+        assert health["coalesced"] == 0
+        assert (health["cache_hits"], health["cache_misses"]) == (2, 2)
+        assert (health["query_hits"], health["query_misses"]) == (2, 1)
+        assert health["reply_memo_hits"] == 1
+
+    def test_server_exit_waits_for_published_writes(self, tmp_path,
+                                                    blocked_put):
+        settings = ServeSettings(port=0, cache_dir=str(tmp_path / "cache"))
+        st = ServerThread(settings).start()
+        thread = st._thread
+        try:
+            status, cold = query(st, keys()[0], timeout=30)
+            assert status == 200 and cold["cached"] is False
+            path = st.service.cache.entry_path(cold["key_hash"])
+            assert not os.path.exists(path)
+            threading.Timer(0.3, blocked_put.set).start()
+        finally:
+            st.stop()
+        assert not thread.is_alive()
+        assert os.path.exists(path)
+        with open(path, "rb") as handle:
+            assert json.loads(handle.read())["record"] == cold["record"]
+
+    def test_failed_write_after_publish_refills(self, server, monkeypatch,
+                                                capsys):
+        real = ResultCache.put
+        calls = []
+
+        def put(cache, key, record, meta=None):
+            calls.append(key)
+            if len(calls) == 1:
+                raise OSError(28, "No space left on device")
+            real(cache, key, record, meta)
+
+        monkeypatch.setattr(ResultCache, "put", put)
+        key = keys()[0]
+        status, cold = query(server, key, timeout=30)
+        assert status == 200 and cold["cached"] is False
+        wait_landed(server)
+        assert "cannot write result cache" in capsys.readouterr().err
+        status, again = query(server, key, timeout=30)
+        assert status == 200 and again["cached"] is False
+        assert again["record"] == cold["record"]
+        assert server.service.fill_points == 2
+        wait_landed(server)
+        status, warm = query(server, key, timeout=30)
+        assert status == 200 and warm["cached"] is True
+
+    def test_batch_failing_after_publish_leaves_no_query_waiting(
+        self, server, monkeypatch
+    ):
+        release = threading.Event()
+        real = ResultCache.put
+        calls = []
+
+        def put(cache, key, record, meta=None):
+            calls.append(key)
+            if len(calls) == 1:
+                assert release.wait(60)
+                raise RuntimeError("disk controller fell over")
+            real(cache, key, record, meta)
+
+        monkeypatch.setattr(ResultCache, "put", put)
+        key = keys()[0]
+        status, cold = query(server, key, timeout=30)
+        assert status == 200 and cold["cached"] is False
+        with ThreadPoolExecutor(1) as pool:
+            second = pool.submit(query, server, key, SWEEP, 30)
+            time.sleep(0.2)
+            assert not second.done()
+            release.set()
+            status, again = second.result(timeout=30)
+        # The failed batch retired its published flight; the waiter
+        # found no entry and filled the point again.
+        assert status == 200 and again["cached"] is False
+        assert again["record"] == cold["record"]
+        wait_landed(server)
+        assert server.service.fill_points == 2
+
+
+# ----------------------------------------------------------------------
+# The GEMM fill budget
+# ----------------------------------------------------------------------
+class TestFillBudget:
+    def test_oversized_size_is_a_fast_400_naming_the_budget(self, server):
+        from repro.serve.service import GEMM_FILL_BUDGET
+
+        t0 = time.perf_counter()
+        status, data = request(server, "POST", "/query", {
+            "sweep": SWEEP, "key": "64", "args": {"size": 100000}})
+        elapsed = time.perf_counter() - t0
+        assert status == 400
+        error = json.loads(data)["error"]
+        assert str(3 * 100000 ** 2 * 4) in error
+        assert str(GEMM_FILL_BUDGET) in error
+        assert elapsed < 1.0
+        health = server.service.healthz()
+        assert health["in_flight"] == 0 and health["fill_points"] == 0
+
+    @pytest.mark.parametrize("sweep", [SWEEP, "packet-size"])
+    @pytest.mark.parametrize("size", [-3, 0, 8, 513, 1000, 10**4, 10**5,
+                                      10**6])
+    def test_sizes_up_to_a_million_get_200_400_or_404(self, server, sweep,
+                                                      size):
+        status, data = request(server, "POST", "/query", {
+            "sweep": sweep, "key": "64", "args": {"size": size}},
+            timeout=60)
+        assert status in (200, 400, 404), data
+        if size > 512:
+            assert status == 400 and b"fill budget" in data
+
+    def test_cached_entry_over_budget_still_serves(self, server):
+        args = {"size": 1000}
+        _spec, index = server.service._spec_index(SWEEP, args)
+        key_hash = index["64"].key_hash
+        record = {"ticks": 1}
+        server.service.cache.put(key_hash, record)
+        status, data = request(server, "POST", "/query", {
+            "sweep": SWEEP, "key": "64", "args": args})
+        assert status == 200
+        payload = json.loads(data)
+        assert payload["cached"] is True and payload["record"] == record
+
+    def test_prefetch_over_budget_enqueues_nothing(self, server):
+        status, data = request(server, "POST", "/sweep", {
+            "sweep": SWEEP, "args": {"size": 2048}})
+        assert status == 400 and b"fill budget" in data
+        health = server.service.healthz()
+        assert health["in_flight"] == 0 and health["pending_fill"] == 0
+
+    def test_every_registered_default_point_is_admitted(self, tmp_path):
+        from repro.serve.service import GEMM_FILL_BUDGET, SweepService
+
+        service = SweepService(ServeSettings(cache_dir=str(tmp_path)))
+        largest = 0
+        for name in sorted(SWEEPS):
+            _spec, index = service._spec_index(name, None)
+            for key, entry in index.items():
+                service._check_budget(name, key, entry)
+                largest = max(largest, entry.fill_bytes)
+        # The budget is the largest default point's, not a loose bound.
+        assert largest == GEMM_FILL_BUDGET
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,9 @@ Public API (the surface the examples and benchmarks use)::
 
 Subpackages expose the individual subsystems (``repro.sim``,
 ``repro.interconnect``, ``repro.memory``, ``repro.cache``, ``repro.smmu``,
-``repro.dma``, ``repro.accel``, ``repro.cpu``, ``repro.workloads``); see
-DESIGN.md for the inventory and README.md for the tour.
+``repro.dma``, ``repro.accel``, ``repro.cpu``, ``repro.workloads``); the
+pages under ``docs/`` describe the sweep engine, topologies, faults,
+telemetry, the result server, the surrogate ladder and the hot paths.
 
 numpy is needed only for functional runs (``functional=True``,
 ``gemm --verify``) and the surrogate model (``repro.surrogate``);

@@ -835,8 +835,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "table; results stay bit-identical")
     p_sweep.add_argument("--diagnostics", action="store_true",
                          help="record simulator run-health counters "
-                              "(events executed/skipped, freelist "
-                              "high-water mark) in each outcome record")
+                              "(events executed and cancelled events "
+                              "skipped) in each outcome record")
     p_sweep.add_argument("--telemetry-dir", default=None, metavar="DIR",
                          help="artifact directory for --trace/"
                               "--metrics-every/--profile outputs "

@@ -72,11 +72,7 @@ class DeviceMemory(TargetPort):
 
     def send(self, txn: Transaction, on_complete: CompletionFn) -> None:
         self._accesses.inc()
-        # Direct sim.schedule: this adapter forwards every accelerator
-        # access in DevMem mode, so the SimObject shorthand hop matters.
         memory_send = self.memory.send
         self.sim.schedule(
-            self.ctrl_latency,
-            lambda: memory_send(txn, on_complete),
-            name=self.name,
+            self.ctrl_latency, lambda: memory_send(txn, on_complete)
         )

@@ -197,7 +197,7 @@ class AccelDriver(SimObject):
                 self.page_table.map_page(vpn << 12, paddr)
                 resolve()
 
-            self.schedule(fault_latency, install)
+            self.sim.schedule(fault_latency, install)
 
         smmu.set_fault_handler(handle_fault)
 

@@ -114,4 +114,5 @@ class LocalBuffer(TargetPort):
         serialize = serialization_ticks(txn.size, self.bandwidth)
         start = max(self.now, self._port_free_at)
         self._port_free_at = start + serialize
-        self.schedule_at(start + serialize + self.latency, lambda: on_complete(txn))
+        self.sim.schedule_at(start + serialize + self.latency,
+                             lambda: on_complete(txn))

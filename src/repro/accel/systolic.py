@@ -123,7 +123,7 @@ class SystolicArray(ClockedObject):
         self._tiles.inc()
         self._busy_ticks.inc(duration)
         self._macs_done.inc(self.params.rows * self.params.cols * k)
-        self.schedule_at(done, on_done)
+        self.sim.schedule_at(done, on_done)
         return done
 
     @property

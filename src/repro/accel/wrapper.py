@@ -98,7 +98,7 @@ class RegisterFile(TargetPort):
                 self._on_doorbell()
             on_complete(txn)
 
-        self.schedule(self.latency, finish)
+        self.sim.schedule(self.latency, finish)
 
 
 class AcceleratorWrapper(SimObject):

@@ -121,7 +121,7 @@ class Cache(TargetPort):
                     _discard,
                 )
             hit_time = params.hit_latency + hit_lines * params.line_access
-            self.schedule(hit_time, partial(on_complete, txn))
+            self.sim.schedule(hit_time, partial(on_complete, txn))
             return
 
         # One MSHR per contiguous run of missing lines.
@@ -217,8 +217,8 @@ class _Miss:
         self.remaining -= 1
         if self.remaining == 0:
             cache = self.cache
-            cache.schedule(cache.params.miss_latency,
-                           partial(self.on_complete, self.txn))
+            cache.sim.schedule(cache.params.miss_latency,
+                               partial(self.on_complete, self.txn))
 
 
 class _Fetch:

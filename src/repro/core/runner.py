@@ -23,7 +23,7 @@ instance of each (shape, packet, DMA-segment) tuple is simulated in full
 and later instances replay its measured latency.  Transformer layers are
 identical, so this cuts simulation cost by the layer count without
 changing totals (micro-architectural state differences across layers are
-second-order; DESIGN.md discusses the approximation).
+second-order, which this approximation accepts).
 """
 
 from __future__ import annotations

@@ -96,7 +96,7 @@ class TimingCPU(ClockedObject):
                 self._busy = False
                 on_done(compute_ticks)
 
-            self.schedule(compute_ticks, retire_compute)
+            self.sim.schedule(compute_ticks, retire_compute)
             return
         _Kernel(self, segments, start, compute_ticks, on_done).issue()
 
@@ -180,7 +180,7 @@ class _Kernel:
         if mem_ticks > self.compute_ticks:
             cpu._mem_stall_ticks.inc(mem_ticks - self.compute_ticks)
         self.done_at = self.start + total
-        cpu.schedule_at(max(self.done_at, cpu.now), self.retire)
+        cpu.sim.schedule_at(max(self.done_at, cpu.now), self.retire)
 
     def retire(self) -> None:
         self.cpu._busy = False

@@ -108,9 +108,7 @@ class _SegmentState:
         engine = self.engine
         policy = engine._fault_policy
         timeout = policy.completion_timeout * (policy.backoff ** self.attempts)
-        self.timeout_event = engine.sim.schedule(
-            timeout, self.timeout_fired, name=engine.name
-        )
+        self.timeout_event = engine.sim.schedule(timeout, self.timeout_fired)
         engine.target.send(txn, self.arrival)
 
     def arrival(self, done_txn: Transaction) -> None:
@@ -127,7 +125,7 @@ class _SegmentState:
             return
         self.settled = True
         if self.timeout_event is not None:
-            self.timeout_event.cancel()
+            engine.sim.cancel(self.timeout_event)
             self.timeout_event = None
         if self.retrying:
             engine._channel_retries[self.work.channel] -= 1

@@ -114,7 +114,7 @@ class MemBus(ClockedObject, TargetPort):
         start = max(self.now, self._wire_free_at)
         self._wire_free_at = start + occupancy
         arrival = start + occupancy + self.latency
-        self.schedule_at(arrival, lambda: target.send(txn, on_complete))
+        self.sim.schedule_at(arrival, lambda: target.send(txn, on_complete))
 
     def _snoop_write(self, txn: Transaction) -> None:
         """Invalidate other masters' cached copies of a written range."""

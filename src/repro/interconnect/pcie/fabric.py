@@ -14,7 +14,7 @@ transaction protocol as the device and host see it:
 
 The requester-side tag limit (``PCIeConfig.max_tags``) is enforced by the
 DMA engine, which is what bounds outstanding round trips and produces the
-bandwidth-delay behaviour discussed in DESIGN.md.
+bandwidth-delay behaviour of the packet-size experiments.
 """
 
 from __future__ import annotations

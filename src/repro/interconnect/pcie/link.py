@@ -302,7 +302,7 @@ class PCIeChannel(SimObject):
         self.stats.dirty = True
         if self.trace is not None:
             self.trace.tlp_train(start, occupancy, n_tlps, payload_bytes)
-        self.schedule_at(arrival, lambda: on_arrive(txn))
+        self.sim.schedule_at(arrival, lambda: on_arrive(txn))
 
     @property
     def utilization_window(self) -> float:

@@ -167,9 +167,7 @@ class DRAMController(TargetPort):
 
         if self.backing is not None:
             self._functional_access(txn)
-        self.sim.schedule_at(
-            finish, lambda: on_complete(txn), name=self.name
-        )
+        self.sim.schedule_at(finish, lambda: on_complete(txn))
 
     # ------------------------------------------------------------------
     # Channel striping

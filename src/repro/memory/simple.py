@@ -80,7 +80,7 @@ class SimpleMemory(TargetPort):
 
         if self.backing is not None:
             self._functional_access(txn)
-        self.schedule_at(done, lambda: on_complete(txn))
+        self.sim.schedule_at(done, lambda: on_complete(txn))
 
     def _functional_access(self, txn: Transaction) -> None:
         """Move payload bytes to/from the backing store."""

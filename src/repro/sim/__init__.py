@@ -5,7 +5,7 @@ Gem5-AcceSys reproduction.  It provides:
 
 * :mod:`repro.sim.ticks` -- an integer picosecond time base and conversion
   helpers (bandwidth, frequency, byte serialization times),
-* :mod:`repro.sim.eventq` -- the event queue and :class:`Simulator` driver,
+* :mod:`repro.sim.eventq` -- the event heap and :class:`Simulator` driver,
 * :mod:`repro.sim.simobject` -- :class:`SimObject` / :class:`ClockedObject`
   base classes with hierarchical naming and stats registration,
 * :mod:`repro.sim.transaction` -- the memory transaction type exchanged by
@@ -21,10 +21,10 @@ PCIe packet or one DMA segment) rather than per-cache-line packets.  Each
 component charges per-line / per-TLP / per-burst costs arithmetically inside
 a transaction, so per-line statistics remain exact while the event count
 stays tractable in pure Python.  This is the SystemC TLM-2.0 "approximately
-timed" style; DESIGN.md discusses the trade-off.
+timed" style.
 """
 
-from repro.sim.eventq import Event, EventQueue, Simulator
+from repro.sim.eventq import Simulator
 from repro.sim.simobject import ClockedObject, SimObject
 from repro.sim.ticks import (
     GHZ,
@@ -47,8 +47,6 @@ from repro.sim.statistics import Histogram, Scalar, StatGroup
 from repro.sim.trace import Trace, TraceRecord, TraceReplayer, TracingPort
 
 __all__ = [
-    "Event",
-    "EventQueue",
     "Simulator",
     "SimObject",
     "ClockedObject",

@@ -44,5 +44,5 @@ class FixedLatencyTarget(TargetPort):
 
     def send(self, txn: Transaction, on_complete: CompletionFn) -> None:
         self._count.inc()
-        self.schedule(self.latency, lambda: on_complete(txn))
+        self.sim.schedule(self.latency, lambda: on_complete(txn))
 

@@ -1,17 +1,17 @@
 """SimObject and ClockedObject base classes.
 
 Every simulated component derives from :class:`SimObject`, which binds it to
-a :class:`~repro.sim.eventq.Simulator`, gives it a hierarchical name and a
-stats group, and provides scheduling shorthand.  :class:`ClockedObject` adds
-a clock domain (period in ticks) with cycle arithmetic, mirroring gem5's
-class of the same name.
+a :class:`~repro.sim.eventq.Simulator` (components schedule through
+``self.sim``) and gives it a hierarchical name and a stats group.
+:class:`ClockedObject` adds a clock domain (period in ticks) with cycle
+arithmetic, mirroring gem5's class of the same name.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.sim.eventq import Event, Simulator
+from repro.sim.eventq import Simulator
 from repro.sim.statistics import StatGroup
 from repro.sim.ticks import freq_to_period
 
@@ -36,21 +36,16 @@ class SimObject:
         """
         self.stats.reset()
 
-    # Scheduling shorthand -------------------------------------------------
-    # Hot components (links, DRAM, DMA) call ``self.sim.schedule``
-    # directly to skip this extra frame; the shorthand remains the
-    # readable default and tags events with the component name.
-    def schedule(
-        self, delay: int, callback: Callable[[], None], priority: int = 100
-    ) -> Event:
-        """Schedule ``callback`` after ``delay`` ticks."""
-        return self.sim.schedule(delay, callback, priority, name=self.name)
+    def schedule(self, delay: int, callback: Callable[[], None]) -> list:
+        """``self.sim.schedule(delay, callback)``.
 
-    def schedule_at(
-        self, when: int, callback: Callable[[], None], priority: int = 100
-    ) -> Event:
-        """Schedule ``callback`` at absolute tick ``when``."""
-        return self.sim.schedule_at(when, callback, priority, name=self.name)
+        No component calls it: each calls ``self.sim.schedule`` and
+        saves this frame per event.  It stays only because
+        ``perfbench/tests/test_perfbench.py`` uses it as its example of
+        an inherited ``repro.sim`` method; delete it when that test
+        takes another.
+        """
+        return self.sim.schedule(delay, callback)
 
     @property
     def now(self) -> int:

@@ -186,7 +186,7 @@ class TraceReplayer(TargetPort):
                 self._replayed.inc()
                 self.target.send(txn, completion)
 
-            self.schedule_at(start + (record.tick - base), issue)
+            self.sim.schedule_at(start + (record.tick - base), issue)
 
     def _run_asap(self, records, on_done) -> None:
         state = {"next": 0, "outstanding": 0}

@@ -270,7 +270,7 @@ class _Translation:
         stall = self.stall
         smmu._stall_ticks.inc((smmu.now - self.start_tick) + stall)
         if stall:
-            smmu.schedule(stall, self.deliver)
+            smmu.sim.schedule(stall, self.deliver)
         else:
             self.on_done(txn)
 

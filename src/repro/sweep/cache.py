@@ -250,13 +250,11 @@ def _mkstemp(directory: Path):
     return tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=TMP_SUFFIX)
 
 
-def atomic_write_json(path: os.PathLike, payload, *,
-                      indent: Optional[int] = None,
-                      sort_keys: bool = True) -> None:
+def atomic_write_json(path: os.PathLike, payload) -> None:
     """Whole-file atomic durable JSON write: temp file + ``os.replace``.
 
-    The single writer-side primitive behind the cache, lease files, run
-    manifests and reports.  The temp name is unique per write
+    The single writer-side primitive behind the result cache and the
+    telemetry artifacts.  The temp name is unique per write
     (``mkstemp``), so concurrent writers of the *same* path can never
     steal each other's in-flight file -- the last atomic replace wins
     and neither writer crashes.  On any failure the temp file is
@@ -268,12 +266,14 @@ def atomic_write_json(path: os.PathLike, payload, *,
     cache entry rather than a missing one.  The directory fsync after
     the rename is best-effort (see :func:`_fsync_dir`).
 
-    The payload is encoded in one ``json.dumps`` call and written in one
-    ``write``; the parent directory is created only when the temp file
-    cannot be, so the common case (directory present) costs no ``mkdir``.
+    The payload is encoded compact with sorted keys in one
+    ``json.dumps`` call, which the C encoder serves (an ``indent``
+    would force the pure-Python one), and written in one ``write``; the
+    parent directory is created only when the temp file cannot be, so
+    the common case (directory present) costs no ``mkdir``.
     """
     path = Path(path)
-    data = json.dumps(payload, indent=indent, sort_keys=sort_keys).encode()
+    data = json.dumps(payload, sort_keys=True).encode()
     try:
         fd, tmp_name = _mkstemp(path.parent)
     except FileNotFoundError:
@@ -359,7 +359,7 @@ class ResultCache:
     def put(self, key: str, record: dict, meta: Optional[dict] = None) -> None:
         """Atomically persist ``record`` under ``key``."""
         atomic_write_json(self.entry_path(key),
-                         {"record": record, "meta": meta or {}}, indent=1)
+                          {"record": record, "meta": meta or {}})
 
     def __len__(self) -> int:
         return len(self._entry_paths())

@@ -293,7 +293,7 @@ def tab4_translation_sweep(
 # ----------------------------------------------------------------------
 @register_sweep("ablation-dataflow")
 def ablation_dataflow_sweep(size: int = 128) -> SweepSpec:
-    """Dataflow/pipelining design choices (DESIGN.md ablation)."""
+    """Dataflow/pipelining design choices (an ablation, docs/SWEEPS.md)."""
     base = SystemConfig.pcie_2gb()
     configs = {
         "baseline (stream)": base,

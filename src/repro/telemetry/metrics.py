@@ -113,11 +113,9 @@ class MetricsSampler:
         def fire() -> None:
             self.sample_now(sim.now)
             if sim.pending_events > 0:
-                sim.schedule(every, fire, priority=PRIORITY_LATE,
-                             name="telemetry.metrics")
+                sim.schedule(every, fire, priority=PRIORITY_LATE)
 
-        sim.schedule(every, fire, priority=PRIORITY_LATE,
-                     name="telemetry.metrics")
+        sim.schedule(every, fire, priority=PRIORITY_LATE)
 
     # ------------------------------------------------------------------
     # Sampling

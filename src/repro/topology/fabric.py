@@ -201,8 +201,8 @@ class SwitchLink(SimObject):
 
         self._busy = True
         sim = self.sim
-        sim.schedule(occupancy, self._release, name=self.name)
-        sim.schedule_at(arrival, lambda: on_arrive(txn), name=self.name)
+        sim.schedule(occupancy, self._release)
+        sim.schedule_at(arrival, lambda: on_arrive(txn))
 
     def _release(self) -> None:
         self._busy = False

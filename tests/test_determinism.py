@@ -164,10 +164,9 @@ class TestGoldenValues:
     def test_reset_then_rerun_identity_on_freelist_path(self):
         """A reset system re-runs bit-identically.
 
-        The second run schedules through a reset simulator; the freelist
-        recycles events *within* each run, and reset replaces the queue
-        (freelist, sequence counter and skipped count included), so both
-        runs must agree event-for-event and stat-for-stat.
+        The second run schedules through a reset simulator; reset
+        replaces the event heap, the sequence counter and the skipped
+        count, so both runs must agree event-for-event and stat-for-stat.
         """
         from repro.core.system import AcceSysSystem
 

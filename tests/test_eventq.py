@@ -1,69 +1,91 @@
-"""Unit tests for the event queue and simulator driver."""
+"""Unit tests for the event heap and simulator driver."""
+
+from heapq import heappop, heappush
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.eventq import (
-    PRIORITY_EARLY,
+    _QUIESCE_BACKOFF_AFTER,
+    _QUIESCE_MAX_INTERVAL,
+    PRIORITY_DEFAULT,
     PRIORITY_LATE,
-    EventQueue,
     Simulator,
 )
 
 
 class TestEventQueue:
+    """Dispatch order and cancellation of the heap behind ``Simulator``."""
+
     def test_pop_in_time_order(self):
-        q = EventQueue()
+        sim = Simulator()
         order = []
-        q.push(30, lambda: order.append(30))
-        q.push(10, lambda: order.append(10))
-        q.push(20, lambda: order.append(20))
-        while (event := q.pop()) is not None:
-            event.callback()
+        sim.schedule_at(30, lambda: order.append(30))
+        sim.schedule_at(10, lambda: order.append(10))
+        sim.schedule_at(20, lambda: order.append(20))
+        sim.run()
         assert order == [10, 20, 30]
 
     def test_ties_broken_by_insertion_order(self):
-        q = EventQueue()
+        sim = Simulator()
         order = []
         for label in "abc":
-            q.push(5, lambda l=label: order.append(l))
-        while (event := q.pop()) is not None:
-            event.callback()
+            sim.schedule_at(5, lambda l=label: order.append(l))
+        sim.run()
         assert order == ["a", "b", "c"]
 
     def test_priority_beats_insertion_order(self):
-        q = EventQueue()
+        sim = Simulator()
         order = []
-        q.push(5, lambda: order.append("late"), priority=PRIORITY_LATE)
-        q.push(5, lambda: order.append("early"), priority=PRIORITY_EARLY)
-        while (event := q.pop()) is not None:
-            event.callback()
-        assert order == ["early", "late"]
+        sim.schedule_at(5, lambda: order.append("late"), priority=PRIORITY_LATE)
+        sim.schedule_at(5, lambda: order.append("default"),
+                        priority=PRIORITY_DEFAULT)
+        sim.schedule_at(5, lambda: order.append("early"), priority=10)
+        sim.run()
+        assert order == ["early", "default", "late"]
 
     def test_cancelled_events_skipped(self):
-        q = EventQueue()
+        sim = Simulator()
         fired = []
-        handle = q.push(1, lambda: fired.append("cancelled"))
-        q.push(2, lambda: fired.append("kept"))
-        handle.cancel()
-        while (event := q.pop()) is not None:
-            event.callback()
+        handle = sim.schedule_at(1, lambda: fired.append("cancelled"))
+        sim.schedule_at(2, lambda: fired.append("kept"))
+        sim.cancel(handle)
+        sim.run()
         assert fired == ["kept"]
-
-    def test_peek_tick_skips_cancelled(self):
-        q = EventQueue()
-        handle = q.push(1, lambda: None)
-        q.push(7, lambda: None)
-        handle.cancel()
-        assert q.peek_tick() == 7
-
-    def test_peek_empty(self):
-        assert EventQueue().peek_tick() is None
+        assert sim.events_skipped == 1
 
     def test_len(self):
-        q = EventQueue()
-        q.push(1, lambda: None)
-        q.push(2, lambda: None)
-        assert len(q) == 2
+        sim = Simulator()
+        sim.schedule(1, lambda: None)
+        sim.cancel(sim.schedule(2, lambda: None))
+        # Cancelled events stay queued until the run loop reaches them.
+        assert sim.pending_events == 2
+        sim.run()
+        assert sim.pending_events == 0
+
+    def test_cancel_after_completion_is_harmless(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.schedule(1, lambda: fired.append(1))
+        sim.run()
+        sim.cancel(handle)
+        sim.cancel(handle)
+        sim.schedule(1, lambda: fired.append(2))
+        sim.run()
+        assert fired == [1, 2]
+        assert sim.events_skipped == 0
+
+    def test_cancelled_events_past_the_limit_are_reaped(self):
+        sim = Simulator()
+        sim.cancel(sim.schedule(10, lambda: None))
+        sim.schedule(20, lambda: None)
+        sim.run(until=5)
+        # The cancelled head is skipped although it lies past ``until``;
+        # the live event past it stays queued.
+        assert sim.events_skipped == 1
+        assert sim.pending_events == 1
+        assert sim.now == 0
 
 
 class TestSimulator:
@@ -173,25 +195,27 @@ class TestSimulator:
 
 class TestDiagnosticsReset:
     def test_freelist_high_water_tracked_and_cleared(self):
+        # Diagnostics describe one run: a reset simulator reports a
+        # rerun's numbers, not cumulative ones.
         sim = Simulator()
         for i in range(32):
             sim.schedule(i + 1, lambda: None)
+        sim.cancel(sim.schedule(40, lambda: None))
         sim.run()
-        assert sim.freelist_high_water > 0
         first = sim.diagnostics()
+        assert first == {"events_executed": 32, "events_skipped": 1}
         sim.reset()
-        assert sim.freelist_high_water == 0
-        assert sim.events_skipped == 0
-        assert sim.diagnostics()["freelist_high_water"] == 0
-        # A rerun reports per-run numbers, not cumulative ones.
+        assert sim.diagnostics() == {"events_executed": 0,
+                                     "events_skipped": 0}
         for i in range(32):
             sim.schedule(i + 1, lambda: None)
+        sim.cancel(sim.schedule(40, lambda: None))
         sim.run()
         assert sim.diagnostics() == first
 
     def test_events_skipped_cleared_by_reset(self):
         sim = Simulator()
-        sim.schedule(1, lambda: None).cancel()
+        sim.cancel(sim.schedule(1, lambda: None))
         sim.schedule(2, lambda: None)
         sim.run()
         assert sim.events_skipped == 1
@@ -200,82 +224,32 @@ class TestDiagnosticsReset:
 
 
 class TestFreelist:
-    """Executed and reaped events recycle through the queue's slab."""
-
-    def test_executed_events_are_recycled(self):
-        sim = Simulator()
-        seen = []
-
-        def chain():
-            if len(seen) < 5:
-                handle = sim.schedule(1, chain)
-                seen.append(handle)
-
-        sim.schedule(1, chain)
-        sim.run()
-        # Steady-state rescheduling recycles handles: the executing event
-        # returns to the freelist only after its callback finishes, so a
-        # single train ping-pongs between (at most) two objects instead
-        # of allocating five.
-        assert len(set(map(id, seen))) <= 2
-
-    def test_no_allocation_in_steady_state(self):
-        sim = Simulator()
-        count = {"n": 0}
-
-        def fire():
-            count["n"] += 1
-            if count["n"] < 1000:
-                sim.schedule(3, fire)
-
-        sim.schedule(1, fire)
-        before = len(sim.queue._free)
-        sim.run()
-        # One live train running 1000 events allocates at most two Event
-        # objects total (the ping-pong pair); the freelist holds them at
-        # the end instead of having churned a thousand allocations.
-        assert len(sim.queue._free) <= before + 2
+    """Cancelled events, and the heap state ``reset()`` replaces."""
 
     def test_reset_discards_freelist_and_counters(self):
         sim = Simulator()
         handle = sim.schedule(1, lambda: None)
-        handle.cancel()
+        sim.cancel(handle)
         sim.schedule(2, lambda: None)
-        sim.run()
+        sim.schedule(3, lambda: None)
+        sim.run(until=2)
         assert sim.events_skipped == 1
+        assert sim.pending_events == 1
         sim.reset()
         assert sim.events_skipped == 0
-        assert len(sim.queue._free) == 0
-        assert sim.queue._seq == 0
-
-    def test_cancelled_events_counted_by_pop_and_peek(self):
-        q = EventQueue()
-        a = q.push(1, lambda: None)
-        q.push(2, lambda: None)
-        b = q.push(3, lambda: None)
-        a.cancel()
-        b.cancel()
-        assert q.peek_tick() == 2  # reaps the cancelled head
-        assert q.skipped_cancelled == 1
-        assert q.pop().when == 2
-        assert q.pop() is None  # reaps the trailing cancelled event
-        assert q.skipped_cancelled == 2
-
-    def test_cancel_after_completion_is_rejected(self):
-        # A released handle (fired, sitting on the freelist) must refuse
-        # cancel() rather than silently killing a future recycled event.
-        sim = Simulator()
-        handle = sim.schedule(1, lambda: None)
-        sim.run()
-        with pytest.raises(RuntimeError, match="completed event handle"):
-            handle.cancel()
+        assert sim.events_executed == 0
+        assert sim.pending_events == 0
+        assert sim.now == 0
+        # The sequence counter restarts: the first event after a reset
+        # carries the same key a fresh simulator would give it.
+        assert sim.schedule(5, lambda: None)[:3] == [5, PRIORITY_DEFAULT, 0]
 
     def test_run_counts_skipped_cancelled(self):
         sim = Simulator()
         for tick in (1, 2, 3, 4):
             handle = sim.schedule(tick, lambda: None)
             if tick % 2:
-                handle.cancel()
+                sim.cancel(handle)
         sim.run()
         assert sim.events_executed == 2
         assert sim.events_skipped == 2
@@ -332,3 +306,170 @@ class TestQuiesceThrottle:
         sim.run_until_idle(lambda: len(seen) == 3)
         assert sim.now == 3
         assert seen == [1, 2, 3]
+
+
+# ----------------------------------------------------------------------
+# Differential test against a minimal reference kernel
+# ----------------------------------------------------------------------
+class _RefEvent:
+    def __init__(self, key, callback):
+        self.key = key
+        self.callback = callback
+        self.cancelled = False
+
+
+class RefSimulator:
+    """The kernel's contract in its plainest form: a heap of
+    ``(when, priority, seq)`` keys over event objects with a cancelled
+    flag.  The run loop skips and counts a cancelled event wherever it
+    surfaces (past ``until`` too), pushes back the first live event past
+    ``until``, and checks a non-positive ``max_events`` before popping;
+    ``run_until_idle`` runs the same throttled chunks as the kernel."""
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        self.heap = []
+        self.seq = 0
+        self.now = 0
+        self.events_executed = 0
+        self.events_skipped = 0
+
+    def schedule(self, delay, callback, priority=PRIORITY_DEFAULT):
+        if delay < 0:
+            raise ValueError(delay)
+        return self.schedule_at(self.now + delay, callback, priority)
+
+    def schedule_at(self, when, callback, priority=PRIORITY_DEFAULT):
+        if when < self.now:
+            raise ValueError(when)
+        event = _RefEvent((when, priority, self.seq), callback)
+        self.seq += 1
+        heappush(self.heap, (event.key, event))
+        return event
+
+    def cancel(self, event):
+        event.cancelled = True
+
+    def run(self, until=None, max_events=None):
+        if max_events is not None and max_events <= 0:
+            return self.now
+        executed = 0
+        while self.heap:
+            key, event = heappop(self.heap)
+            if event.cancelled:
+                self.events_skipped += 1
+                continue
+            if until is not None and key[0] > until:
+                heappush(self.heap, (key, event))
+                break
+            self.now = key[0]
+            event.callback()
+            executed += 1
+            self.events_executed += 1
+            if max_events is not None and executed >= max_events:
+                break
+        return self.now
+
+    def run_until_idle(self, quiesce, max_events=10**9):
+        executed, interval, misses = 0, 1, 0
+        while not quiesce():
+            if executed >= max_events:
+                raise RuntimeError("max_events")
+            misses += 1
+            if misses >= _QUIESCE_BACKOFF_AFTER and interval < _QUIESCE_MAX_INTERVAL:
+                interval, misses = interval * 2, 0
+            chunk = min(interval, max_events - executed)
+            before = self.events_executed
+            self.run(max_events=chunk)
+            ran = self.events_executed - before
+            executed += ran
+            if ran < chunk:
+                break
+        return self.now
+
+    @property
+    def pending_events(self):
+        return len(self.heap)
+
+
+_priorities = st.sampled_from([10, PRIORITY_DEFAULT, PRIORITY_LATE])
+#: Delays of the follow-up events a callback schedules, one per level.
+_chains = st.lists(st.integers(0, 6), max_size=3)
+_ops = st.one_of(
+    st.tuples(st.just("schedule"), st.integers(0, 20), _priorities, _chains),
+    st.tuples(st.just("schedule_at"), st.integers(0, 20), _priorities,
+              _chains),
+    st.tuples(st.just("cancel"), st.integers(0, 40)),
+    st.tuples(st.just("run"), st.none() | st.integers(0, 30),
+              st.none() | st.integers(-1, 6)),
+    st.tuples(st.just("idle"), st.integers(0, 12),
+              st.none() | st.integers(1, 40)),
+    st.tuples(st.just("reset")),
+)
+
+
+class _Driver:
+    """Runs one program against one kernel, logging what it sees."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.log = []
+        self.handles = []
+        self.labels = 0
+
+    def _callback(self, label, chain):
+        def fire():
+            self.log.append(label)
+            if chain:
+                self.handles.append(self.sim.schedule(
+                    chain[0], self._callback((label, len(chain)), chain[1:])))
+        return fire
+
+    def step(self, op):
+        sim = self.sim
+        kind = op[0]
+        try:
+            if kind in ("schedule", "schedule_at"):
+                self.labels += 1
+                callback = self._callback(self.labels, op[3])
+                if kind == "schedule":
+                    handle = sim.schedule(op[1], callback, op[2])
+                else:
+                    handle = sim.schedule_at(sim.now + op[1], callback, op[2])
+                self.handles.append(handle)
+            elif kind == "cancel":  # counting back from the newest
+                if self.handles:
+                    sim.cancel(self.handles[-1 - op[1] % len(self.handles)])
+            elif kind == "run":
+                until = None if op[1] is None else sim.now + op[1]
+                sim.run(until=until, max_events=op[2])
+            elif kind == "idle":
+                target = len(self.log) + op[1]
+                quiesce = lambda: len(self.log) >= target  # noqa: E731
+                if op[2] is None:
+                    sim.run_until_idle(quiesce)
+                else:
+                    sim.run_until_idle(quiesce, max_events=op[2])
+            else:
+                sim.reset()
+            outcome = "ok"
+        except RuntimeError:
+            outcome = "raised"
+        return (outcome, list(self.log), sim.now, sim.events_executed,
+                sim.events_skipped, sim.pending_events)
+
+
+class TestAgainstReference:
+    """Random programs of schedule, schedule_at, cancel (of pending,
+    fired, cancelled and pre-reset events), bounded and budgeted runs,
+    run_until_idle and reset: the kernel matches the reference in
+    dispatch order, ``now`` and every counter after every step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ops, max_size=40))
+    def test_kernel_matches_reference(self, program):
+        kernel, reference = _Driver(Simulator()), _Driver(RefSimulator())
+        for op in program + [("run", None, None)]:
+            assert kernel.step(op) == reference.step(op), op

@@ -21,7 +21,6 @@ from repro.dma.engine import _SegmentState, _Work
 from repro.faults import FAULT_PRESETS, fault_preset
 from repro.faults.runner import apply_faults
 from repro.faults.spec import DeviceLostError
-from repro.sim.eventq import Event
 from repro.sim.transaction import Transaction
 from repro.sweep.spec import build_sweep, resolve_runner
 
@@ -38,8 +37,8 @@ CASES = {
 
 #: Objects that live for one transaction, segment or event.  None of
 #: them may ever need the cycle collector.
-PER_TRANSACTION = (Transaction, DMADescriptor, _Work, _SegmentState, Event,
-                   _Miss, _Fetch)
+PER_TRANSACTION = (Transaction, DMADescriptor, _Work, _SegmentState, _Miss,
+                   _Fetch)
 
 #: Cyclic objects a warm point may leave, measured on CPython 3.11 with
 #: the points above under every preset: none.  (Per-segment closure

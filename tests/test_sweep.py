@@ -12,6 +12,7 @@ Covers:
 """
 
 import dataclasses
+import heapq
 import json
 import multiprocessing
 import os
@@ -327,8 +328,8 @@ class TestRunUntilIdleRegression:
         sim = Simulator()
         sim.schedule(10, lambda: None)
         sim.run()
-        # Bypass the schedule() guard, as a buggy component could.
-        sim.queue.push(5, lambda: None)
+        # Bypass the schedule_at() guard, as a buggy component could.
+        heapq.heappush(sim._heap, [5, 100, 99, lambda: None])
         with pytest.raises(RuntimeError, match="time already at"):
             sim.run_until_idle(lambda: False)
 
@@ -870,15 +871,15 @@ class TestResultCacheConcurrency:
         assert len(synced) == 2
 
     def test_cache_entry_bytes_are_one_sorted_indented_dump(self, tmp_path):
-        """Entries are ``json.dumps(entry, indent=1, sort_keys=True)``,
-        byte for byte, and a missing cache directory is created."""
+        """Entries are ``json.dumps(entry, sort_keys=True)``, byte for
+        byte, and a missing cache directory is created."""
         from repro.sweep.cache import atomic_write_json
 
         record = {"z": [1, 2.5, None], "a": {"y": "\u00e9", "b": True}}
         cache = ResultCache(tmp_path / "not" / "yet")
         cache.put("a" * 64, record, meta={"sweep": "s"})
         expected = json.dumps({"record": record, "meta": {"sweep": "s"}},
-                              indent=1, sort_keys=True).encode()
+                              sort_keys=True).encode()
         assert Path(cache.entry_path("a" * 64)).read_bytes() == expected
         target = tmp_path / "deeper" / "still" / "plain.json"
         atomic_write_json(target, record)

@@ -526,14 +526,11 @@ class TestLayerFold:
 class TestDiagnostics:
     def test_simulator_diagnostics(self):
         sim = Simulator()
-        handle = sim.schedule(5, lambda: None)
-        handle.cancel()
+        sim.cancel(sim.schedule(5, lambda: None))
         sim.schedule(10, lambda: None)
         sim.run()
-        diag = sim.diagnostics()
-        assert diag["events_executed"] == 1
-        assert diag["events_skipped"] == 1
-        assert diag["freelist_high_water"] >= 0
+        assert sim.diagnostics() == {"events_executed": 1,
+                                     "events_skipped": 1}
 
     def test_gemm_results_unchanged_by_telemetry(self, tmp_path):
         config = SystemConfig.table2_baseline()

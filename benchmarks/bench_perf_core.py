@@ -109,7 +109,9 @@ EVENT_TRAINS = 512
 #: every other bench, and once after the last, each event bench times
 #: this many blocks.  On a shared host the event loop ran about a third
 #: slower for tenths of a second to seconds at a time (2-CPU container),
-#: so blocks run back to back could all land in one slow stretch.
+#: so blocks run back to back could all land in one slow stretch.  The
+#: point benches are spread over the pass the same way (one timed run
+#: per visit).
 EVENT_BLOCKS_PER_VISIT = 2
 
 
@@ -147,17 +149,10 @@ def event_cancel_blocks():
     Every dispatched event schedules and cancels a victim, which the run
     loop later skips."""
     sim = Simulator()
-    if hasattr(sim, "cancel"):
-        def fire():
-            sim.cancel(sim.schedule(10, _noop))
-            sim.schedule(3, fire)
-    else:
-        # A baseline tree from before ``Simulator.cancel``, whose events
-        # cancel themselves: one call per victim, as above.  Delete this
-        # branch at the next change to this bench.
-        def fire():
-            sim.schedule(10, _noop).cancel()
-            sim.schedule(3, fire)
+
+    def fire():
+        sim.cancel(sim.schedule(10, _noop))
+        sim.schedule(3, fire)
 
     sim.schedule(1, fire)
     return _run_block(sim)
@@ -191,51 +186,21 @@ def idle_loop_blocks():
 # ----------------------------------------------------------------------
 # System-level benchmarks
 # ----------------------------------------------------------------------
-def bench_gemm_point(size: int) -> float:
-    """One warm GEMM point (memoized system, like a sweep worker sees)."""
-    config = SystemConfig.pcie_8gb()
-    run_gemm(config, size, size, size)  # warm the system memo
+def _warm_point(run, *args):
+    """A timer of one warm ``run(*args)`` in seconds.
 
-    def run():
-        t0 = time.perf_counter()
-        run_gemm(config, size, size, size)
-        t1 = time.perf_counter()
-        return t1 - t0, t1 - t0
-
-    return _best_of(run)[0]
-
-
-def bench_multigemm_point(size: int, devices: int = 2) -> float:
-    """One warm multi-device contention point on the switched fabric.
-
-    Exercises the topology subsystem's hot paths: per-endpoint DMA entry
-    ports, round-robin arbitration on the shared links, and the
-    cluster-wide snapshot.
+    Each call first runs the point untimed, so the timed run finds its
+    system memoized, as a sweep worker does, even after a bench that
+    cleared the memo ran in between.
     """
-    config = SystemConfig.pcie_2gb(num_accelerators=devices)
-    run_multi_gemm(config, size, size, size)  # warm the system memo
 
-    def run():
+    def timed() -> float:
+        run(*args)
         t0 = time.perf_counter()
-        run_multi_gemm(config, size, size, size)
-        t1 = time.perf_counter()
-        return t1 - t0, t1 - t0
+        run(*args)
+        return time.perf_counter() - t0
 
-    return _best_of(run)[0]
-
-
-def bench_p2p_transfer(size_bytes: int) -> float:
-    """One warm peer-to-peer DMA point (endpoint -> switch -> endpoint)."""
-    config = SystemConfig.pcie_2gb(num_accelerators=2)
-    run_peer_transfer(config, size_bytes, mode="p2p")  # warm the memo
-
-    def run():
-        t0 = time.perf_counter()
-        run_peer_transfer(config, size_bytes, mode="p2p")
-        t1 = time.perf_counter()
-        return t1 - t0, t1 - t0
-
-    return _best_of(run)[0]
+    return timed
 
 
 def bench_system_build() -> float:
@@ -653,10 +618,6 @@ def collect_metrics(quick: bool) -> dict:
     gemm_size = 64 if quick else 96
     grid_size = 128 if quick else 256
     benches = {
-        "gemm_point_s": lambda: bench_gemm_point(gemm_size),
-        "multigemm_point_s": lambda: bench_multigemm_point(gemm_size),
-        "p2p_transfer_s": lambda: bench_p2p_transfer(
-            128 * 1024 if quick else 512 * 1024),
         "system_build_s": bench_system_build,
         "cold_start_s": lambda: bench_cold_start(5 if quick else 9),
         "warm_replay_us": lambda: bench_warm_replay(100 if quick else 300),
@@ -675,24 +636,43 @@ def collect_metrics(quick: bool) -> dict:
         "idle_loop_eps": idle_loop_blocks(),
     }
     event_rates = dict.fromkeys(event_blocks, 0.0)
+    point_timers = {
+        # One warm GEMM point.
+        "gemm_point_s": _warm_point(run_gemm, SystemConfig.pcie_8gb(),
+                                    gemm_size, gemm_size, gemm_size),
+        # One warm 2-device contention point on the switched fabric: the
+        # topology's per-endpoint DMA entry ports, round-robin
+        # arbitration on the shared links and the cluster-wide snapshot.
+        "multigemm_point_s": _warm_point(
+            run_multi_gemm, SystemConfig.pcie_2gb(num_accelerators=2),
+            gemm_size, gemm_size, gemm_size),
+        # One warm peer-to-peer DMA (endpoint -> switch -> endpoint).
+        "p2p_transfer_s": _warm_point(
+            run_peer_transfer, SystemConfig.pcie_2gb(num_accelerators=2),
+            128 * 1024 if quick else 512 * 1024, "p2p"),
+    }
+    point_times = dict.fromkeys(point_timers, float("inf"))
 
-    def time_event_blocks() -> None:
+    def visit() -> None:
+        """Time the event blocks and one run of each point bench."""
         for name, run_block in event_blocks.items():
             for _ in range(EVENT_BLOCKS_PER_VISIT):
                 t0 = time.perf_counter()
                 ran = run_block(block_events)
                 rate = ran / (time.perf_counter() - t0)
                 event_rates[name] = max(event_rates[name], rate)
+        for name, timer in point_timers.items():
+            point_times[name] = min(point_times[name], timer())
 
     metrics = {}
     for name, bench in benches.items():
-        time_event_blocks()
+        visit()
         try:
             metrics[name] = bench()
         except ImportError:
             continue
-    time_event_blocks()
-    return {**event_rates, **metrics}
+    visit()
+    return {**event_rates, **point_times, **metrics}
 
 
 #: Child program of :func:`run_pass`: load this script by path under

@@ -7,7 +7,7 @@ Public API (the surface the examples and benchmarks use)::
         SystemConfig, AccessMode, AcceSysSystem,
         run_gemm, run_vit,
         roofline_sweep, find_crossover,
-        TradeoffModel, devmem_threshold,
+        TradeoffModel, nongemm_time_threshold,
     )
 
     result = run_gemm(SystemConfig.pcie_8gb(), 512, 512, 512)
@@ -35,8 +35,6 @@ from repro.core import (
     SystemConfig,
     TradeoffModel,
     ViTResult,
-    collect_stats,
-    devmem_threshold,
     find_crossover,
     format_table,
     nongemm_time_threshold,
@@ -67,10 +65,8 @@ __all__ = [
     "find_crossover",
     "RooflinePoint",
     "TradeoffModel",
-    "devmem_threshold",
     "nongemm_time_threshold",
     "relative_time_curve",
-    "collect_stats",
     "format_table",
     "ViTConfig",
     "VIT_VARIANTS",

@@ -106,7 +106,8 @@ class AccelDriver(SimObject):
         #: Like the probe binding it is topology, so it survives reset.
         self.fault_state = None
         self._iova_cursor = self.IOVA_BASE + device_index * self.IOVA_WINDOW
-        self._buffers: Dict[str, dict] = {}
+        #: Pinned buffer tag -> its physical address.
+        self._buffers: Dict[str, int] = {}
         self._completion_cb = None
         self._mmio_writes = self.stats.scalar("mmio_writes", "register writes issued")
         self._launches = self.stats.scalar("launches", "jobs launched")
@@ -166,58 +167,11 @@ class AccelDriver(SimObject):
             device_addr = self._iova_cursor
             self._iova_cursor += pages * PAGE_SIZE
             self.page_table.map_range(device_addr, paddr, size)
-        self._buffers[tag] = {
-            "paddr": paddr,
-            "device_addr": device_addr,
-            "size": size,
-        }
+        self._buffers[tag] = paddr
         return device_addr
 
     def buffer_paddr(self, tag: str) -> int:
-        return self._buffers[tag]["paddr"]
-
-    # ------------------------------------------------------------------
-    # Demand paging
-    # ------------------------------------------------------------------
-    def enable_demand_paging(self, smmu, fault_latency: int = 3_000_000) -> None:
-        """Let the SMMU fault in unmapped pages instead of requiring
-        every buffer to be pinned up front.
-
-        On a translation fault the driver allocates a backing page,
-        installs the mapping after ``fault_latency`` ticks (the OS fault
-        path; default 3 us) and resumes the walk -- the usual ATS/PRI
-        flow.
-        """
-        if self.page_table is None:
-            raise RuntimeError("demand paging needs an SMMU page table")
-
-        def handle_fault(vpn: int, resolve) -> None:
-            def install() -> None:
-                paddr = self.host_allocator.alloc(4096)
-                self.page_table.map_page(vpn << 12, paddr)
-                resolve()
-
-            self.sim.schedule(fault_latency, install)
-
-        smmu.set_fault_handler(handle_fault)
-
-    # ------------------------------------------------------------------
-    # Software-managed coherency (DM access method)
-    # ------------------------------------------------------------------
-    def flush_buffer(self, tag: str, caches) -> int:
-        """Flush a pinned buffer out of the given caches.
-
-        The DM access method bypasses the cache hierarchy, so the paper
-        notes it "requires software management of data coherency": before
-        handing a buffer to the device the driver writes back and
-        invalidates any cached lines.  Returns the number of lines
-        dropped across all caches.
-        """
-        entry = self._buffers[tag]
-        dropped = 0
-        for cache in caches:
-            dropped += cache.invalidate_range(entry["paddr"], entry["size"])
-        return dropped
+        return self._buffers[tag]
 
     # ------------------------------------------------------------------
     # Launch

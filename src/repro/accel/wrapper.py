@@ -44,8 +44,7 @@ REG_C_ADDR = 0x30
 REG_PACKET_SIZE = 0x38
 REG_ELEMENT_BYTES = 0x3C
 
-#: STATUS values.
-STATUS_IDLE = 0
+#: STATUS values (0, idle, is the reset value).
 STATUS_RUNNING = 1
 STATUS_DONE = 2
 
@@ -77,9 +76,6 @@ class RegisterFile(TargetPort):
 
     def write_u32(self, offset: int, value: int) -> None:
         struct.pack_into("<I", self.backing, offset, value & 0xFFFFFFFF)
-
-    def write_u64(self, offset: int, value: int) -> None:
-        struct.pack_into("<Q", self.backing, offset, value & (2**64 - 1))
 
     # Timing path --------------------------------------------------------
     def send(self, txn: Transaction, on_complete: CompletionFn) -> None:

@@ -38,11 +38,10 @@ from repro.core.runner import (
 from repro.core.roofline import RooflinePoint, roofline_sweep, find_crossover
 from repro.core.analytical import (
     TradeoffModel,
-    devmem_threshold,
     nongemm_time_threshold,
     relative_time_curve,
 )
-from repro.core.stats import collect_stats, format_table
+from repro.core.stats import format_table
 
 __all__ = [
     "AccessMode",
@@ -56,9 +55,7 @@ __all__ = [
     "find_crossover",
     "RooflinePoint",
     "TradeoffModel",
-    "devmem_threshold",
     "nongemm_time_threshold",
     "relative_time_curve",
-    "collect_stats",
     "format_table",
 ]

@@ -35,18 +35,6 @@ class AccessMode(enum.Enum):
     DIRECT_MEMORY = "dm"
     DEVICE_MEMORY = "devmem"
 
-    @classmethod
-    def parse(cls, value: "AccessMode | str") -> "AccessMode":
-        if isinstance(value, AccessMode):
-            return value
-        for mode in cls:
-            if mode.value == value.lower():
-                return mode
-        raise ValueError(
-            f"unknown access mode {value!r}; choose from "
-            f"{[m.value for m in cls]}"
-        )
-
 
 class HostBridge(TargetPort):
     """Host-side entry for device DMA: SMMU translation plus DC/DM routing.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 #: Shared tolerance for the crossover/threshold helpers.  The models are
 #: linear, so ratios that differ only by floating-point noise must not
@@ -92,51 +92,6 @@ class TradeoffModel:
             (i / (steps - 1), self.overall_time(i / (steps - 1)))
             for i in range(steps)
         ]
-
-
-def devmem_threshold(
-    devmem: TradeoffModel,
-    pcie: TradeoffModel,
-    resolution: int = 100_000,
-) -> Optional[float]:
-    """Minimum GEMM fraction at which DevMem beats the PCIe system.
-
-    Solves ``devmem.overall_time(w) <= pcie.overall_time(w)`` for the
-    non-GEMM fraction ``w`` and returns the *GEMM* fraction threshold
-    ``1 - w`` (the form the paper reports).  Returns None when one system
-    dominates everywhere.
-
-    Both models are linear in ``w``, so the crossing is exact:
-    ``delta(w) = (devmem - pcie)(w)`` changes sign at most once.
-    """
-    t_d0, t_p0 = devmem.overall_time(0.0), pcie.overall_time(0.0)
-    t_d1, t_p1 = devmem.overall_time(1.0), pcie.overall_time(1.0)
-    # Ties within floating-point noise count as "DevMem wins": the
-    # tolerance is relative to the magnitudes being compared.
-    tol = EPSILON * max(t_d0, t_p0, t_d1, t_p1, 1.0)
-    delta0 = t_d0 - t_p0
-    delta1 = t_d1 - t_p1
-    if delta0 <= tol and delta1 <= tol:
-        return 0.0  # DevMem always wins
-    if delta0 > tol and delta1 > tol:
-        return None  # PCIe always wins
-    # Linear interpolation for the root of delta(w) = 0.
-    w_cross = delta0 / (delta0 - delta1)
-    w_cross = max(0.0, min(1.0, w_cross))
-    if delta0 <= 0:
-        # DevMem wins at low non-GEMM fractions (the paper's regime):
-        # it keeps winning up to w_cross.
-        return 1.0 - w_cross
-    return 1.0 - w_cross
-
-
-def threshold_table(
-    devmem: TradeoffModel, pcie_models: Sequence[TradeoffModel]
-) -> List[Tuple[str, Optional[float]]]:
-    """GEMM-fraction thresholds of DevMem against each PCIe system."""
-    return [
-        (pcie.name, devmem_threshold(devmem, pcie)) for pcie in pcie_models
-    ]
 
 
 def relative_time_curve(

@@ -261,7 +261,7 @@ class SystemConfig:
         """Copy with an explicit interconnect tree.
 
         ``num_accelerators`` is synced to the topology's endpoint count,
-        so ``base.with_topology(balanced_tree(8))`` is a complete
+        so ``base.with_topology(flat_topology(8))`` is a complete
         8-device system description.
         """
         return self.with_(

@@ -707,8 +707,9 @@ def run_vit(
 ) -> ViTResult:
     """Run one ViT inference through the full system.
 
-    ``dim_scale`` scales hidden dimensions (benchmark harnesses use 0.5
-    by default to keep run times reasonable; REPRO_FULL=1 restores 1.0).
+    ``dim_scale`` scales hidden dimensions (every registered ViT sweep
+    defaults to 0.25 to keep run times reasonable; the benchmark
+    harnesses pass 1.0 under REPRO_FULL=1).
     """
     return ViTRunner().run(
         config, model=model, memoize=memoize, dim_scale=dim_scale

@@ -1,50 +1,12 @@
-"""Statistics collection and benchmark report formatting.
+"""Benchmark report formatting.
 
-``collect_stats`` flattens every component's stat group into one dict
-(the moral equivalent of gem5's ``stats.txt``); ``format_table`` renders
-the aligned text tables the benchmark harness prints next to the paper's
-numbers.
+``format_table`` renders the aligned text tables the benchmark harness
+prints next to the paper's numbers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
-
-def collect_stats(system) -> Dict[str, float]:
-    """Flatten the stats of every SimObject reachable from the system."""
-    components = [
-        system.membus,
-        system.mem_ctrl,
-        system.llc,
-        system.l1d,
-        system.iocache,
-        system.cpu,
-        system.cpu_port,
-        system.fabric,
-        system.fabric.up,
-        system.fabric.down,
-        system.host_bridge,
-        system.wrapper.systolic,
-        system.wrapper.local_buffer,
-        system.wrapper.dma,
-        system.wrapper.controller,
-        system.wrapper.regs,
-        system.driver,
-    ]
-    if system.smmu is not None:
-        components += [system.smmu, system.smmu.walker]
-    if system.devmem is not None:
-        components.append(system.devmem)
-
-    flat: Dict[str, float] = {}
-    for component in components:
-        for key, value in component.stats.flatten():
-            flat[key] = value
-    if system.smmu is not None:
-        flat.update(system.smmu.utlb.stat_dict())
-        flat.update(system.smmu.tlb.stat_dict())
-    return flat
+from typing import List, Sequence
 
 
 def format_table(
@@ -81,22 +43,3 @@ def _fmt(value: object) -> str:
         return f"{value:.3f}"
     return str(value)
 
-
-def write_csv(path: str, headers: Sequence[str],
-              rows: Sequence[Sequence[object]]) -> None:
-    """Write a result table as CSV (benchmark artifact export)."""
-    import csv
-
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(headers)
-        for row in rows:
-            writer.writerow(row)
-
-
-def stats_to_csv(path: str, flat_stats: Dict[str, float]) -> None:
-    """Dump a flattened stat snapshot (``collect_stats``) as CSV."""
-    write_csv(
-        path, ["stat", "value"],
-        [(key, flat_stats[key]) for key in sorted(flat_stats)],
-    )

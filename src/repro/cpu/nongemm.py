@@ -45,10 +45,6 @@ class NonGemmKernel:
     streams: List[StreamRef]
     compute_cycles: int
 
-    @property
-    def bytes_touched(self) -> int:
-        return sum(stream.size for stream in self.streams)
-
 
 def kernel_for_op(
     op_type: str,

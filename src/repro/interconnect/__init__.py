@@ -16,7 +16,6 @@ from repro.interconnect.pcie import (
     PCIeConfig,
     PCIeChannel,
     PCIeFabric,
-    PCIE_GENERATIONS,
 )
 from repro.interconnect.cxl import CXLFabric, cxl_link_config
 
@@ -25,7 +24,6 @@ __all__ = [
     "PCIeConfig",
     "PCIeChannel",
     "PCIeFabric",
-    "PCIE_GENERATIONS",
     "CXLFabric",
     "cxl_link_config",
 ]

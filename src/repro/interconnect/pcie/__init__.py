@@ -16,7 +16,7 @@ Implements the PCIe components of Fig. 1:
 """
 
 from repro.interconnect.pcie.tlp import TLPParams
-from repro.interconnect.pcie.link import PCIE_GENERATIONS, PCIeChannel, PCIeConfig
+from repro.interconnect.pcie.link import PCIeChannel, PCIeConfig
 from repro.interconnect.pcie.fabric import PCIeFabric
 from repro.interconnect.pcie.config_space import (
     BAR,
@@ -29,7 +29,6 @@ __all__ = [
     "PCIeConfig",
     "PCIeChannel",
     "PCIeFabric",
-    "PCIE_GENERATIONS",
     "PCIeFunction",
     "ConfigSpace",
     "BAR",

@@ -17,11 +17,7 @@ from typing import Dict, List, Optional
 from repro.memory.addr_range import AddrRange
 
 #: Standard config-space register offsets (type-0 header).
-REG_VENDOR_ID = 0x00
-REG_DEVICE_ID = 0x02
 REG_COMMAND = 0x04
-REG_STATUS = 0x06
-REG_CLASS_CODE = 0x08
 REG_BAR0 = 0x10
 
 #: COMMAND register bits.
@@ -56,7 +52,6 @@ class PCIeFunction:
 
     vendor_id: int
     device_id: int
-    class_code: int = 0x120000  # processing accelerator
     bars: List[BAR] = field(default_factory=list)
     command: int = 0
 
@@ -71,25 +66,6 @@ class PCIeFunction:
     @property
     def memory_enabled(self) -> bool:
         return bool(self.command & CMD_MEMORY_ENABLE)
-
-    @property
-    def bus_master_enabled(self) -> bool:
-        return bool(self.command & CMD_BUS_MASTER_ENABLE)
-
-    def config_read(self, offset: int) -> int:
-        """Read a config register (16-bit granularity for IDs, 32 for BARs)."""
-        if offset == REG_VENDOR_ID:
-            return self.vendor_id
-        if offset == REG_DEVICE_ID:
-            return self.device_id
-        if offset == REG_COMMAND:
-            return self.command
-        if offset == REG_CLASS_CODE:
-            return self.class_code
-        if REG_BAR0 <= offset < REG_BAR0 + 4 * len(self.bars) and offset % 4 == 0:
-            bar = self.bars[(offset - REG_BAR0) // 4]
-            return bar.assigned_base if bar.assigned_base is not None else 0
-        return 0
 
     def config_write(self, offset: int, value: int) -> None:
         """Write a config register (COMMAND and BAR assignment)."""
@@ -139,11 +115,6 @@ class ConfigSpace:
                 REG_COMMAND, CMD_MEMORY_ENABLE | CMD_BUS_MASTER_ENABLE
             )
         return sorted(self._functions)
-
-    def find(self, vendor_id: int, device_id: int) -> Optional[int]:
-        """Slot of the first function matching the IDs, or None."""
-        matches = self.find_all(vendor_id, device_id)
-        return matches[0] if matches else None
 
     def find_all(self, vendor_id: int, device_id: int) -> List[int]:
         """Every slot matching the IDs, in slot order (cluster probing)."""

@@ -20,23 +20,13 @@ Timing per transaction (a train of ``n`` TLPs):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.interconnect.pcie.tlp import TLPParams
 from repro.sim.eventq import Simulator
 from repro.sim.simobject import SimObject
 from repro.sim.transaction import Transaction
 from repro.sim.ticks import ns, serialization_ticks
-
-#: Per-generation (line rate Gb/s per lane, encoding numerator/denominator).
-PCIE_GENERATIONS: Dict[int, Tuple[float, Tuple[int, int]]] = {
-    1: (2.5, (8, 10)),
-    2: (5.0, (8, 10)),
-    3: (8.0, (128, 130)),
-    4: (16.0, (128, 130)),
-    5: (32.0, (128, 130)),
-    6: (64.0, (242, 256)),
-}
 
 
 @dataclass(frozen=True)
@@ -74,19 +64,6 @@ class PCIeConfig:
         num, den = self.encoding
         if not 0 < num <= den:
             raise ValueError(f"invalid encoding {self.encoding}")
-
-    @classmethod
-    def from_generation(
-        cls, gen: int, lanes: int = 4, **overrides
-    ) -> "PCIeConfig":
-        """Build a config from a PCIe generation preset."""
-        try:
-            lane_gbps, encoding = PCIE_GENERATIONS[gen]
-        except KeyError:
-            raise ValueError(
-                f"unknown PCIe generation {gen}; known: {sorted(PCIE_GENERATIONS)}"
-            ) from None
-        return cls(lanes=lanes, lane_gbps=lane_gbps, encoding=encoding, **overrides)
 
     @property
     def raw_bytes_per_sec(self) -> int:

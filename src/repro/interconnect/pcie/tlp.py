@@ -51,8 +51,3 @@ class TLPParams:
         """Wire size of a single (largest) TLP of this transfer."""
         per_tlp_payload = min(max(payload_bytes, 0), self.max_payload)
         return per_tlp_payload + self.header_bytes
-
-    def efficiency(self, payload_bytes: int) -> float:
-        """Fraction of wire bytes that are payload."""
-        wire = self.wire_bytes(payload_bytes)
-        return payload_bytes / wire if wire else 0.0

@@ -13,7 +13,7 @@ Three memory models are provided, mirroring what Gem5-AcceSys uses:
   store (sparse, numpy-backed) shared by all timing models.
 """
 
-from repro.memory.addr_range import AddrRange, InterleavedRange
+from repro.memory.addr_range import AddrRange
 from repro.memory.physmem import PhysicalMemory
 from repro.memory.simple import SimpleMemory
 from repro.memory.dram import DRAMController, DRAMTimings
@@ -30,7 +30,6 @@ from repro.memory.dram.devices import (
 
 __all__ = [
     "AddrRange",
-    "InterleavedRange",
     "PhysicalMemory",
     "SimpleMemory",
     "DRAMController",

@@ -2,15 +2,12 @@
 
 :class:`AddrRange` is a half-open interval ``[start, end)`` used for routing
 decisions on the memory bus and for carving the physical address map
-(host DRAM, device memory, MMIO windows).  :class:`InterleavedRange` maps a
-flat range across multiple channels at a fixed granularity, as the DRAM
-controllers do.
+(host DRAM, device memory, MMIO windows).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
 
 
 @dataclass(frozen=True)
@@ -51,14 +48,6 @@ class AddrRange:
         """True if the two ranges share at least one byte."""
         return self.start < other.end and other.start < self.end
 
-    def intersection(self, other: "AddrRange") -> Optional["AddrRange"]:
-        """The overlapping sub-range, or None if disjoint."""
-        start = max(self.start, other.start)
-        end = min(self.end, other.end)
-        if start >= end:
-            return None
-        return AddrRange(start, end)
-
     def offset(self, addr: int) -> int:
         """Byte offset of ``addr`` from the start of the range."""
         if not self.contains(addr):
@@ -68,52 +57,3 @@ class AddrRange:
     def __str__(self) -> str:
         return f"[{self.start:#x}, {self.end:#x})"
 
-
-class InterleavedRange:
-    """A flat range striped across ``num_channels`` at ``granularity`` bytes.
-
-    Channel selection uses the classic modulo scheme::
-
-        channel = (addr // granularity) % num_channels
-
-    which is what multi-channel DRAM controllers (and the HBM2/DDR5 presets
-    of Table III) use.
-    """
-
-    def __init__(self, base: AddrRange, num_channels: int, granularity: int) -> None:
-        if num_channels <= 0:
-            raise ValueError(f"need at least one channel, got {num_channels}")
-        if granularity <= 0 or granularity & (granularity - 1):
-            raise ValueError(f"granularity must be a power of two, got {granularity}")
-        self.base = base
-        self.num_channels = num_channels
-        self.granularity = granularity
-
-    def channel_of(self, addr: int) -> int:
-        """Channel index serving ``addr``."""
-        offset = self.base.offset(addr)
-        return (offset // self.granularity) % self.num_channels
-
-    def split(self, start: int, size: int) -> List[tuple[int, int, int]]:
-        """Split ``[start, start+size)`` into per-channel contiguous pieces.
-
-        Returns a list of ``(channel, addr, size)`` tuples in address order.
-        """
-        pieces: List[tuple[int, int, int]] = []
-        addr = start
-        end = start + size
-        gran = self.granularity
-        while addr < end:
-            chunk_end = min(end, (addr // gran + 1) * gran)
-            pieces.append((self.channel_of(addr), addr, chunk_end - addr))
-            addr = chunk_end
-        return pieces
-
-
-def disjoint(ranges: Iterable[AddrRange]) -> bool:
-    """True if no two ranges in the iterable overlap."""
-    ordered = sorted(ranges, key=lambda r: r.start)
-    for left, right in zip(ordered, ordered[1:]):
-        if left.overlaps(right):
-            return False
-    return True

@@ -142,13 +142,3 @@ MEMORY_PRESETS: Dict[str, DRAMTimings] = {
     preset.name: preset
     for preset in (DDR3_1600, DDR4_2400, DDR5_3200, HBM2, GDDR6, GDDR5, LPDDR5)
 }
-
-
-def preset_by_name(name: str) -> DRAMTimings:
-    """Look up a preset by its Table III name (case-insensitive)."""
-    for key, preset in MEMORY_PRESETS.items():
-        if key.lower() == name.lower():
-            return preset
-    raise KeyError(
-        f"unknown memory preset {name!r}; available: {sorted(MEMORY_PRESETS)}"
-    )

@@ -86,13 +86,6 @@ class EnergyReport:
     def total_nj(self) -> float:
         return self.dynamic_nj + self.background_nj
 
-    def average_power_mw(self, elapsed_ticks: int) -> float:
-        """Average power over the window in milliwatts."""
-        if elapsed_ticks <= 0:
-            return 0.0
-        seconds = elapsed_ticks / TICKS_PER_SEC
-        return self.total_nj * 1e-9 / seconds * 1e3
-
     def energy_per_bit_pj(self, bytes_moved: int) -> float:
         """Total energy per transferred bit in picojoules."""
         if bytes_moved <= 0:

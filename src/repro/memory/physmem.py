@@ -93,22 +93,6 @@ class PhysicalMemory:
             frame[offset : offset + chunk] = flat[done : done + chunk]
             done += chunk
 
-    # ------------------------------------------------------------------
-    # Typed convenience accessors
-    # ------------------------------------------------------------------
-    def read_array(self, addr: int, shape: tuple, dtype) -> np.ndarray:
-        """Read a typed array of the given shape starting at ``addr``."""
-        import numpy as np
-
-        dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape)) * dtype.itemsize
-        raw = self.read(addr, nbytes)
-        return raw.view(dtype).reshape(shape).copy()
-
-    def write_array(self, addr: int, array: np.ndarray) -> None:
-        """Write a typed array starting at ``addr``."""
-        self.write(addr, array)
-
     def clear(self) -> None:
         """Drop every frame; all bytes read as zero again (fresh store)."""
         self._frames.clear()

@@ -4,7 +4,7 @@ This package is the substrate that stands in for gem5's event engine in the
 Gem5-AcceSys reproduction.  It provides:
 
 * :mod:`repro.sim.ticks` -- an integer picosecond time base and conversion
-  helpers (bandwidth, frequency, byte serialization times),
+  helpers (frequency, byte serialization times),
 * :mod:`repro.sim.eventq` -- the event heap and :class:`Simulator` driver,
 * :mod:`repro.sim.simobject` -- :class:`SimObject` / :class:`ClockedObject`
   base classes with hierarchical naming and stats registration,
@@ -27,15 +27,9 @@ timed" style.
 from repro.sim.eventq import Simulator
 from repro.sim.simobject import ClockedObject, SimObject
 from repro.sim.ticks import (
-    GHZ,
-    MHZ,
     TICKS_PER_SEC,
-    cycles_to_ticks,
     freq_to_period,
-    from_seconds,
-    gbps_to_bytes_per_sec,
     ns,
-    ps,
     serialization_ticks,
     ticks_to_ns,
     ticks_to_seconds,
@@ -51,17 +45,11 @@ __all__ = [
     "SimObject",
     "ClockedObject",
     "TICKS_PER_SEC",
-    "GHZ",
-    "MHZ",
-    "ps",
     "ns",
     "us",
-    "from_seconds",
     "ticks_to_seconds",
     "ticks_to_ns",
     "freq_to_period",
-    "cycles_to_ticks",
-    "gbps_to_bytes_per_sec",
     "serialization_ticks",
     "MemCmd",
     "Transaction",

@@ -9,7 +9,7 @@ arithmetic, mirroring gem5's class of the same name.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.sim.eventq import Simulator
 from repro.sim.statistics import StatGroup
@@ -73,13 +73,3 @@ class ClockedObject(SimObject):
     def cycles(self, n: float) -> int:
         """Duration of ``n`` clock cycles in ticks (rounded up)."""
         return -(-int(n * self.clock_period) // 1)
-
-    def ticks_to_cycles(self, ticks: int) -> float:
-        """Convert a tick duration into (fractional) cycles of this clock."""
-        return ticks / self.clock_period
-
-    def next_edge(self, from_tick: Optional[int] = None) -> int:
-        """First clock edge at or after ``from_tick`` (default: now)."""
-        tick = self.sim.now if from_tick is None else from_tick
-        period = self.clock_period
-        return -(-tick // period) * period

@@ -65,12 +65,11 @@ class Scalar:
 class Histogram:
     """A sample accumulator tracking count / sum / min / max.
 
-    Keeps moments rather than raw samples so memory stays bounded for the
+    Keeps running sums rather than raw samples so memory stays bounded for the
     tens of millions of samples the address-translation experiments record.
     """
 
-    __slots__ = ("name", "desc", "count", "total", "sum_sq", "min", "max",
-                 "_group")
+    __slots__ = ("name", "desc", "count", "total", "min", "max", "_group")
 
     def __init__(self, name: str, desc: str = "", group=None) -> None:
         self.name = name
@@ -80,14 +79,12 @@ class Histogram:
         # owning group dirty, but nothing observable has changed yet.
         self.count = 0
         self.total = 0.0
-        self.sum_sq = 0.0
         self.min = float("inf")
         self.max = float("-inf")
 
     def reset(self) -> None:
         self.count = 0
         self.total = 0.0
-        self.sum_sq = 0.0
         self.min = float("inf")
         self.max = float("-inf")
         self._group.dirty = True
@@ -96,7 +93,6 @@ class Histogram:
         """Record ``value`` occurring ``repeat`` times."""
         self.count += repeat
         self.total += value * repeat
-        self.sum_sq += value * value * repeat
         if value < self.min:
             self.min = value
         if value > self.max:
@@ -106,13 +102,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        mean = self.mean
-        return max(0.0, self.sum_sq / self.count - mean * mean)
 
     def __repr__(self) -> str:
         return f"Histogram({self.name}: n={self.count}, mean={self.mean:.3f})"

@@ -7,9 +7,7 @@ it back to the originator).
 
 Transactions may span many cache lines or PCIe TLPs; components that care
 about finer granularity (the DRAM controller, the PCIe link, the SMMU)
-account for the per-line / per-TLP costs arithmetically.  The helpers
-:meth:`Transaction.num_lines` and :meth:`Transaction.pages_touched` support
-that exact accounting.
+account for the per-line / per-TLP costs arithmetically.
 """
 
 from __future__ import annotations
@@ -168,23 +166,11 @@ class Transaction:
     # ------------------------------------------------------------------
     # Granularity accounting
     # ------------------------------------------------------------------
-    def num_lines(self, line_size: int = 64) -> int:
-        """Number of cache lines this transaction touches."""
-        first = self.addr // line_size
-        last = (self.end_addr - 1) // line_size
-        return last - first + 1
-
     def num_packets(self, packet_size: int) -> int:
         """Number of on-wire packets when fragmented at ``packet_size``."""
         if packet_size <= 0:
             raise ValueError(f"packet size must be positive, got {packet_size}")
         return -(-self.size // packet_size)
-
-    def pages_touched(self, page_size: int = 4096) -> range:
-        """Range of virtual page numbers this transaction covers."""
-        first = self.addr // page_size
-        last = (self.end_addr - 1) // page_size
-        return range(first, last + 1)
 
     @property
     def latency(self) -> Optional[int]:

@@ -159,9 +159,6 @@ class PageTable:
                 node = entry
         return path
 
-    def is_mapped(self, vaddr: int) -> bool:
-        return vaddr >> PAGE_SHIFT in self._leaves
-
     @property
     def table_bytes(self) -> int:
         """Physical memory consumed by table nodes."""

@@ -75,15 +75,12 @@ class SMMU(SimObject):
             sim, f"{name}.walker", page_table, mem_target, config.walk_cache_entries
         )
 
-        #: Optional demand-paging hook: ``handler(vpn, resolve)`` maps the
-        #: page (possibly after an OS-fault delay) then calls ``resolve()``.
-        self._fault_handler = None
         self._translations = self.stats.scalar(
             "translations", "per-line translations performed"
         )
-        self._page_faults = self.stats.scalar(
-            "page_faults", "translation faults taken"
-        )
+        # Nothing faults pages in (every buffer is pinned up front), so
+        # this stays 0; it is kept because every SMMU record carries it.
+        self.stats.scalar("page_faults", "translation faults taken")
         self._trans_cycles = self.stats.histogram(
             "trans_cycles", "per-line translation latency (cycles)"
         )
@@ -98,7 +95,6 @@ class SMMU(SimObject):
         super().reset_state()
         self.utlb.reset()
         self.tlb.reset()
-        self._fault_handler = None
 
     # ------------------------------------------------------------------
     # Translation
@@ -111,18 +107,6 @@ class SMMU(SimObject):
         physical one.
         """
         _Translation(self, txn, on_done).step()
-
-    # ------------------------------------------------------------------
-    # Demand paging
-    # ------------------------------------------------------------------
-    def set_fault_handler(self, handler) -> None:
-        """Register a demand-paging handler.
-
-        ``handler(vpn, resolve)`` must install a mapping for ``vpn`` and
-        then call ``resolve()``; translation resumes with a walk.  Without
-        a handler, unmapped accesses raise :class:`PageFault`.
-        """
-        self._fault_handler = handler
 
     # ------------------------------------------------------------------
     # Helpers
@@ -174,15 +158,15 @@ class SMMU(SimObject):
 class _Translation:
     """One in-flight :meth:`SMMU.translate` call.
 
-    The walker, the fault handler and the event queue hold bound methods
-    of this object and it holds no reference back to any of them, so it
-    is freed by reference counting once its last callback has run
+    The walker and the event queue hold bound methods of this object
+    and it holds no reference back to any of them, so it is freed by
+    reference counting once its last callback has run
     (docs/PERFORMANCE.md, "Garbage collection").
     """
 
     __slots__ = (
         "smmu", "txn", "on_done", "pages", "index", "stall", "start_tick",
-        "vpn", "nlines",
+        "nlines",
     )
 
     def __init__(self, smmu: SMMU, txn: Transaction,
@@ -194,7 +178,6 @@ class _Translation:
         self.index = 0
         self.stall = 0
         self.start_tick = smmu.now
-        self.vpn = 0
         self.nlines = 0
 
     def step(self) -> None:
@@ -223,23 +206,12 @@ class _Translation:
                 smmu._translations.inc(1)
                 smmu._account_lines(nlines - 1, hit_cycles=1)
                 continue
-            # Main-TLB miss: fault in the page if needed, then walk.
+            # Main-TLB miss: walk.
             self.stall += cfg.tlb_latency
-            self.vpn = vpn
             self.nlines = nlines
-            if (
-                smmu._fault_handler is not None
-                and not smmu.page_table.is_mapped(vpn << 12)
-            ):
-                smmu._page_faults.inc()
-                smmu._fault_handler(vpn, self.start_walk)
-                return
-            self.start_walk()
+            smmu.walker.walk(vpn, self.walk_done)
             return
         self.finish()
-
-    def start_walk(self) -> None:
-        self.smmu.walker.walk(self.vpn, self.walk_done)
 
     def walk_done(self, vpn: int, _levels: int, walk_ticks: int) -> None:
         smmu = self.smmu

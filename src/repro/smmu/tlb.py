@@ -83,10 +83,6 @@ class TLB:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def invalidate(self, vpn: int) -> bool:
-        entry_set = self._sets.get(vpn % self.num_sets)
-        return entry_set is not None and entry_set.pop(vpn, None) is not None
-
     def invalidate_all(self) -> None:
         self._sets.clear()
 
@@ -107,11 +103,3 @@ class TLB:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def stat_dict(self) -> Dict[str, float]:
-        return {
-            f"{self.name}.lookups": self.lookups,
-            f"{self.name}.hits": self.hits,
-            f"{self.name}.misses": self.misses,
-            f"{self.name}.hit_rate": self.hit_rate,
-        }

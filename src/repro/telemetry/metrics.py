@@ -144,9 +144,6 @@ class MetricsSampler:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def series_names(self) -> List[str]:
-        return sorted(self._latest)
-
     def timeline(self, series: str) -> List[Tuple[int, float]]:
         """(tick, delta) pairs for one series, oldest first."""
         return [

@@ -12,7 +12,6 @@ from repro.topology.description import (
     NodeDesc,
     SwitchDesc,
     TopologyDesc,
-    balanced_tree,
     flat_topology,
     tiered_topology,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "NodeDesc",
     "SwitchDesc",
     "TopologyDesc",
-    "balanced_tree",
     "flat_topology",
     "tiered_topology",
     "SwitchedPCIeFabric",

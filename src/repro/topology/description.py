@@ -16,7 +16,6 @@ Builders cover the common shapes::
 
     flat_topology(4)          # one switch, four endpoints
     tiered_topology(4, 2)     # a chain of two switch tiers above them
-    balanced_tree(8, fanout=4)  # 8 endpoints, 4-port switches
 
 Nesting by hand is just data::
 
@@ -180,21 +179,3 @@ def tiered_topology(num_endpoints: int, depth: int) -> TopologyDesc:
     for _tier in range(depth - 1):
         node = SwitchDesc(children=(node,))
     return TopologyDesc(root=node)
-
-
-def balanced_tree(num_endpoints: int, fanout: int = 4) -> TopologyDesc:
-    """A tree of ``fanout``-port switches over ``num_endpoints`` leaves."""
-    if num_endpoints < 1:
-        raise ValueError(f"need at least one endpoint, got {num_endpoints}")
-    if fanout < 2:
-        raise ValueError(f"fanout must be at least 2, got {fanout}")
-    level: List[NodeDesc] = [EndpointDesc() for _ in range(num_endpoints)]
-    while len(level) > 1:
-        level = [
-            SwitchDesc(children=tuple(level[i:i + fanout]))
-            for i in range(0, len(level), fanout)
-        ]
-    root = level[0]
-    if isinstance(root, EndpointDesc):
-        root = SwitchDesc(children=(root,))
-    return TopologyDesc(root=root)

@@ -13,7 +13,6 @@ from repro.workloads.gemm import (
     GemmWorkload,
     pack_a_panels,
     pack_b_panels,
-    unpack_c_tiles,
 )
 from repro.workloads.vit import VIT_VARIANTS, ViTConfig, build_vit_graph
 
@@ -26,7 +25,6 @@ __all__ = [
     "GemmWorkload",
     "pack_a_panels",
     "pack_b_panels",
-    "unpack_c_tiles",
     "ViTConfig",
     "VIT_VARIANTS",
     "build_vit_graph",

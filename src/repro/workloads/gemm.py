@@ -94,26 +94,3 @@ def pack_b_panels(b: np.ndarray, tile: int = 16) -> np.ndarray:
     ]
     return np.concatenate([p.view(np.uint8).reshape(-1) for p in panels])
 
-
-def unpack_c_tiles(
-    raw: np.ndarray, m: int, n: int, tile: int = 16, dtype="int32"
-) -> np.ndarray:
-    """Reassemble a tile-major C buffer into an (m, n) matrix."""
-    import numpy as np
-
-    padded_m = _pad_to(m, tile)
-    padded_n = _pad_to(n, tile)
-    tiles_m = padded_m // tile
-    tiles_n = padded_n // tile
-    flat = raw.view(dtype)
-    expected = tiles_m * tiles_n * tile * tile
-    if flat.size != expected:
-        raise ValueError(f"C buffer has {flat.size} elements, expected {expected}")
-    out = np.empty((padded_m, padded_n), dtype=dtype)
-    index = 0
-    for i in range(tiles_m):
-        for j in range(tiles_n):
-            block = flat[index : index + tile * tile].reshape(tile, tile)
-            out[i * tile : (i + 1) * tile, j * tile : (j + 1) * tile] = block
-            index += tile * tile
-    return out[:m, :n]

@@ -53,10 +53,6 @@ class GemmOp(Op):
     def kind(self) -> OpKind:
         return OpKind.GEMM
 
-    @property
-    def flops(self) -> int:
-        return 2 * self.m * self.k * self.n * self.batch
-
     def __post_init__(self) -> None:
         if min(self.m, self.k, self.n) <= 0:
             raise ValueError(f"{self.name}: GEMM dims must be positive")
@@ -110,16 +106,3 @@ class OpGraph:
             if ref not in self.tensors:
                 raise ValueError(f"op {op.name!r} references unknown tensor {ref!r}")
         self.ops.append(op)
-
-    # ------------------------------------------------------------------
-    # Analysis helpers
-    # ------------------------------------------------------------------
-    def gemm_ops(self) -> List[GemmOp]:
-        return [op for op in self.ops if isinstance(op, GemmOp)]
-
-    def nongemm_ops(self) -> List[NonGemmOp]:
-        return [op for op in self.ops if isinstance(op, NonGemmOp)]
-
-    @property
-    def total_gemm_flops(self) -> int:
-        return sum(op.flops for op in self.gemm_ops())

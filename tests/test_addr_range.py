@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.memory.addr_range import AddrRange, InterleavedRange, disjoint
+from repro.memory.addr_range import AddrRange
 
 
 class TestAddrRange:
@@ -31,11 +31,6 @@ class TestAddrRange:
         assert AddrRange(0, 10).overlaps(AddrRange(9, 20))
         assert not AddrRange(0, 10).overlaps(AddrRange(10, 20))
 
-    def test_intersection(self):
-        got = AddrRange(0, 10).intersection(AddrRange(5, 15))
-        assert got == AddrRange(5, 10)
-        assert AddrRange(0, 10).intersection(AddrRange(10, 20)) is None
-
     def test_offset(self):
         assert AddrRange(0x100, 0x200).offset(0x180) == 0x80
         with pytest.raises(ValueError):
@@ -46,10 +41,6 @@ class TestAddrRange:
             AddrRange(10, 5)
         with pytest.raises(ValueError):
             AddrRange(-1, 5)
-
-    def test_disjoint(self):
-        assert disjoint([AddrRange(0, 10), AddrRange(10, 20)])
-        assert not disjoint([AddrRange(0, 11), AddrRange(10, 20)])
 
     def test_str(self):
         assert str(AddrRange(0, 16)) == "[0x0, 0x10)"
@@ -77,58 +68,6 @@ class TestAddrRangeProperties:
         a = AddrRange.from_size(a_start, a_size)
         b = AddrRange.from_size(b_start, b_size)
         assert a.overlaps(b) == b.overlaps(a)
-        assert a.overlaps(b) == (a.intersection(b) is not None)
+        assert a.overlaps(b) == (max(a.start, b.start)
+                                 < min(a.end, b.end))
 
-    @given(
-        a_start=st.integers(min_value=0, max_value=1000),
-        a_size=st.integers(min_value=1, max_value=1000),
-        b_start=st.integers(min_value=0, max_value=1000),
-        b_size=st.integers(min_value=1, max_value=1000),
-    )
-    def test_intersection_contained_in_both(self, a_start, a_size, b_start, b_size):
-        a = AddrRange.from_size(a_start, a_size)
-        b = AddrRange.from_size(b_start, b_size)
-        inter = a.intersection(b)
-        if inter is not None:
-            assert a.contains_range(inter)
-            assert b.contains_range(inter)
-
-
-class TestInterleavedRange:
-    def test_channel_of_round_robin(self):
-        base = AddrRange(0, 1024)
-        ir = InterleavedRange(base, num_channels=4, granularity=64)
-        assert [ir.channel_of(i * 64) for i in range(6)] == [0, 1, 2, 3, 0, 1]
-
-    def test_split_covers_range(self):
-        base = AddrRange(0, 4096)
-        ir = InterleavedRange(base, num_channels=2, granularity=64)
-        pieces = ir.split(100, 300)
-        assert sum(size for _, _, size in pieces) == 300
-        assert pieces[0][1] == 100
-        # Pieces are contiguous.
-        for (_, addr, size), (_, next_addr, _) in zip(pieces, pieces[1:]):
-            assert addr + size == next_addr
-
-    def test_bad_granularity_rejected(self):
-        with pytest.raises(ValueError):
-            InterleavedRange(AddrRange(0, 64), 2, granularity=48)
-
-    def test_bad_channels_rejected(self):
-        with pytest.raises(ValueError):
-            InterleavedRange(AddrRange(0, 64), 0, granularity=64)
-
-    @given(
-        start=st.integers(min_value=0, max_value=2000),
-        size=st.integers(min_value=1, max_value=2000),
-        channels=st.integers(min_value=1, max_value=8),
-    )
-    def test_split_property(self, start, size, channels):
-        ir = InterleavedRange(AddrRange(0, 8192), channels, granularity=64)
-        pieces = ir.split(start, size)
-        assert sum(s for _, _, s in pieces) == size
-        for channel, addr, piece_size in pieces:
-            assert 0 <= channel < channels
-            # No piece crosses a granularity boundary.
-            assert addr // 64 == (addr + piece_size - 1) // 64
-            assert ir.channel_of(addr) == channel

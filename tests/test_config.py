@@ -91,20 +91,6 @@ class TestConfigDerivation:
             config.packet_size = 128
 
 
-class TestAccessModeParsing:
-    def test_parse_strings(self):
-        assert AccessMode.parse("dc") is AccessMode.DIRECT_CACHE
-        assert AccessMode.parse("DM") is AccessMode.DIRECT_MEMORY
-        assert AccessMode.parse("devmem") is AccessMode.DEVICE_MEMORY
-
-    def test_parse_passthrough(self):
-        assert AccessMode.parse(AccessMode.DIRECT_CACHE) is AccessMode.DIRECT_CACHE
-
-    def test_parse_unknown(self):
-        with pytest.raises(ValueError):
-            AccessMode.parse("warp-speed")
-
-
 class TestHostBridge:
     def test_rejects_devmem_mode(self):
         from repro.core.access_modes import HostBridge

@@ -25,7 +25,7 @@ from repro.sweep import SWEEPS, SweepPoint, build_sweep, derive_seed, point_key
 from repro.sweep.cache import CACHE_FORMAT, _runner_fingerprint
 from repro.sweep.engine import point_params
 from repro.sweep.spec import resolve_runner
-from repro.topology.description import balanced_tree
+from repro.topology.description import flat_topology
 
 PINNED_CODE = "pinned-code-version"
 
@@ -128,7 +128,7 @@ class TestStoredValue:
         lambda c: dataclasses.replace(c, prefetch_depth=3),
         lambda c: c.with_packet_size(512),
         lambda c: c.with_pcie_bandwidth(16, 32.0),
-        lambda c: c.with_topology(balanced_tree(4)),
+        lambda c: c.with_topology(flat_topology(4)),
         lambda c: c.with_faults(fault_preset("noisy-wire")),
     ])
     def test_copies_get_their_own_value_and_key(self, derive, pinned_code):

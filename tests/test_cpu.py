@@ -92,7 +92,7 @@ class TestNonGemmKernels:
             "softmax", 1000, [(0, 4000)], [(8192, 4000)]
         )
         assert kernel.compute_cycles == int(1000 * NONGEMM_COSTS["softmax"])
-        assert kernel.bytes_touched == 8000
+        assert sum(stream.size for stream in kernel.streams) == 8000
         assert len(kernel.streams) == 2
         assert kernel.streams[0].is_read
         assert not kernel.streams[1].is_read

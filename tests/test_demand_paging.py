@@ -1,10 +1,10 @@
-"""Tests for SMMU demand paging (translation fault handling)."""
+"""No demand paging: every device buffer is pinned up front, so an access
+to an unmapped virtual address faults instead of being paged in."""
 
 import pytest
 
 from repro import SystemConfig
 from repro.core.system import AcceSysSystem
-from repro.sim.ticks import ns, us
 from repro.sim.transaction import Transaction
 from repro.smmu.page_table import PageFault
 
@@ -24,66 +24,4 @@ class TestDemandPaging:
                 Transaction.read(UNMAPPED_VA, 64), lambda t: None
             )
             system.run()
-
-    def test_fault_is_resolved_and_translation_completes(self):
-        system = make_system()
-        system.driver.enable_demand_paging(system.smmu, fault_latency=us(3))
-        done = []
-        system.smmu.translate(
-            Transaction.read(UNMAPPED_VA, 64),
-            lambda t: done.append((system.now, t)),
-        )
-        system.run()
-        assert done, "translation never completed"
-        when, txn = done[0]
-        assert when >= us(3)  # paid the fault path
-        assert txn.is_translated
-        assert system.page_table.is_mapped(UNMAPPED_VA)
-        assert system.smmu.stats["page_faults"].value == 1
-
-    def test_second_access_takes_no_fault(self):
-        system = make_system()
-        system.driver.enable_demand_paging(system.smmu, fault_latency=us(3))
-        system.smmu.translate(Transaction.read(UNMAPPED_VA, 64), lambda t: None)
-        system.run()
-        before = system.now
-        done = []
-        system.smmu.translate(
-            Transaction.read(UNMAPPED_VA, 64), lambda t: done.append(system.now)
-        )
-        system.run()
-        assert system.smmu.stats["page_faults"].value == 1
-        assert done[0] - before < us(1)
-
-    def test_multi_page_transaction_faults_each_page(self):
-        system = make_system()
-        system.driver.enable_demand_paging(system.smmu, fault_latency=ns(100))
-        done = []
-        system.smmu.translate(
-            Transaction.read(UNMAPPED_VA, 3 * 4096), lambda t: done.append(t)
-        )
-        system.run()
-        assert done
-        assert system.smmu.stats["page_faults"].value == 3
-        for page in range(3):
-            assert system.page_table.is_mapped(UNMAPPED_VA + page * 4096)
-
-    def test_gemm_runs_entirely_on_demand(self):
-        """Launch a GEMM against unpinned buffers: every page faults in."""
-        system = make_system()
-        system.driver.enable_demand_paging(system.smmu, fault_latency=ns(500))
-        done = []
-        size = 32
-        system.driver.launch_gemm(
-            size, size, size,
-            UNMAPPED_VA, UNMAPPED_VA + 0x10_0000, UNMAPPED_VA + 0x20_0000,
-            lambda job, stats: done.append(stats),
-        )
-        system.run()
-        assert done, "demand-paged GEMM never finished"
-        assert system.smmu.stats["page_faults"].value > 0
-
-    def test_demand_paging_requires_page_table(self):
-        system = AcceSysSystem(SystemConfig.table2_baseline(smmu=None))
-        with pytest.raises(RuntimeError):
-            system.driver.enable_demand_paging(None)
+        assert system.smmu.stats["page_faults"].value == 0

@@ -15,7 +15,6 @@ import pytest
 
 from repro import SystemConfig, run_gemm, run_vit
 from repro.core.runner import GemmRunner
-from repro.core.stats import stats_to_csv, write_csv
 from repro.workloads import ViTConfig
 
 #: Captured from the seed tree (commit d27229d) with
@@ -186,17 +185,3 @@ class TestGoldenValues:
         assert second.component_stats == GOLDEN_GEMM_PCIE8_64_STATS
 
 
-class TestCsvExport:
-    def test_write_csv(self, tmp_path):
-        path = tmp_path / "table.csv"
-        write_csv(str(path), ["a", "b"], [[1, 2], [3, 4]])
-        text = path.read_text()
-        assert text.splitlines() == ["a,b", "1,2", "3,4"]
-
-    def test_stats_to_csv(self, tmp_path):
-        result = run_gemm(SystemConfig.pcie_2gb(), 64, 64, 64)
-        path = tmp_path / "stats.csv"
-        stats_to_csv(str(path), result.component_stats)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "stat,value"
-        assert len(lines) > 10

@@ -14,7 +14,6 @@ from repro.memory.dram.devices import (
     GDDR6,
     HBM2,
     MEMORY_PRESETS,
-    preset_by_name,
 )
 from repro.memory.physmem import PhysicalMemory
 from repro.sim.eventq import Simulator
@@ -56,7 +55,7 @@ class TestPresets:
             "GDDR6": 32.0,
         }
         for name, gbs in expected.items():
-            preset = preset_by_name(name)
+            preset = MEMORY_PRESETS[name]
             assert preset.total_bandwidth == pytest.approx(gbs * 1e9)
 
     def test_table3_data_rates(self):
@@ -69,13 +68,6 @@ class TestPresets:
     def test_burst_bytes_are_cacheline_compatible(self):
         for preset in MEMORY_PRESETS.values():
             assert preset.burst_bytes in (32, 64, 128)
-
-    def test_preset_lookup_case_insensitive(self):
-        assert preset_by_name("hbm2") is HBM2
-
-    def test_preset_lookup_unknown(self):
-        with pytest.raises(KeyError):
-            preset_by_name("SDRAM-66")
 
     def test_describe(self):
         text = HBM2.describe()

@@ -15,7 +15,7 @@ from repro.memory.dram.energy import (
     integrate_energy,
 )
 from repro.sim.eventq import Simulator
-from repro.sim.ticks import from_seconds, ns
+from repro.sim.ticks import ns, us
 from repro.sim.transaction import Transaction
 
 
@@ -48,7 +48,7 @@ class TestIntegration:
         )
         report = integrate_energy(
             params, activates=10, bytes_read=100, bytes_written=50,
-            refreshes=2, channels=1, elapsed_ticks=from_seconds(1e-6),
+            refreshes=2, channels=1, elapsed_ticks=us(1),
         )
         assert report.activate_nj == pytest.approx(10.0)
         assert report.read_nj == pytest.approx(1.0)
@@ -58,11 +58,6 @@ class TestIntegration:
         assert report.background_nj == pytest.approx(100.0)
         assert report.total_nj == pytest.approx(122.0)
 
-    def test_average_power(self):
-        report = EnergyReport(0, 0, 0, 0, background_nj=100.0)
-        # 100 nJ over 1 us = 100 mW.
-        assert report.average_power_mw(from_seconds(1e-6)) == pytest.approx(100.0)
-
     def test_energy_per_bit(self):
         report = EnergyReport(0, 800.0, 0, 0, 0)
         # 800 nJ over 100 bytes = 1000 pJ/bit.
@@ -70,7 +65,6 @@ class TestIntegration:
 
     def test_degenerate_inputs(self):
         report = EnergyReport(0, 0, 0, 0, 0)
-        assert report.average_power_mw(0) == 0.0
         assert report.energy_per_bit_pj(0) == 0.0
 
 

@@ -67,12 +67,6 @@ class TestMapping:
         with pytest.raises(ValueError):
             pt.map_range(0, 0, 0)
 
-    def test_is_mapped(self):
-        pt = make_table()
-        pt.map_page(0x5000, 0x6000)
-        assert pt.is_mapped(0x5000)
-        assert not pt.is_mapped(0x7000)
-
 
 class TestWalkPath:
     def test_walk_path_has_all_levels(self):
@@ -186,7 +180,6 @@ class TestLeafDictDifferential:
             vaddr = vpn * PAGE_SIZE + offset
             leaf = _radix_leaf(pt, vpn)
             assert leaf == expected.get(vpn)
-            assert pt.is_mapped(vaddr) == (leaf is not None)
             if leaf is None:
                 with pytest.raises(PageFault):
                     pt.translate(vaddr)
@@ -199,7 +192,6 @@ class TestLeafDictDifferential:
         pt.reset()
         assert pt.mapped_pages == 0
         for vpn in expected:
-            assert not pt.is_mapped(vpn * PAGE_SIZE)
             with pytest.raises(PageFault):
                 pt.translate(vpn * PAGE_SIZE + offset)
             with pytest.raises(PageFault):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.faults import FAULT_PRESETS, LinkFaults, LinkFaultState, fault_preset
 from repro.interconnect.pcie import (
-    PCIE_GENERATIONS,
     PCIeChannel,
     PCIeConfig,
     PCIeFabric,
@@ -34,10 +33,6 @@ class TestTLPParams:
         tlp = TLPParams(max_payload=256, header_bytes=24)
         assert tlp.wire_bytes(0) == 24
         assert tlp.wire_bytes(512) == 512 + 2 * 24
-
-    def test_efficiency_improves_with_payload(self):
-        tlp = TLPParams(max_payload=4096)
-        assert tlp.efficiency(64) < tlp.efficiency(256) < tlp.efficiency(4096)
 
     def test_tlp_wire_bytes_caps_at_mps(self):
         tlp = TLPParams(max_payload=256, header_bytes=24)
@@ -67,27 +62,9 @@ class TestPCIeConfig:
         # 4 lanes x 5 Gb/s x 8/10 = 2 GB/s effective.
         assert cfg.effective_bytes_per_sec == 2 * GB
 
-    def test_generation_presets(self):
-        gen3 = PCIeConfig.from_generation(3, lanes=16)
-        assert gen3.lane_gbps == 8.0
-        assert gen3.encoding == (128, 130)
-        # x16 gen3 ~ 15.75 GB/s
-        assert gen3.effective_bytes_per_sec == pytest.approx(15.75 * GB, rel=0.01)
-
-    def test_all_generations_monotonic(self):
-        rates = [
-            PCIeConfig.from_generation(g).effective_bytes_per_sec
-            for g in sorted(PCIE_GENERATIONS)
-        ]
-        assert rates == sorted(rates)
-
     def test_invalid_lanes(self):
         with pytest.raises(ValueError):
             PCIeConfig(lanes=3)
-
-    def test_invalid_generation(self):
-        with pytest.raises(ValueError):
-            PCIeConfig.from_generation(7)
 
     def test_describe(self):
         assert "x4" in PCIeConfig().describe()

@@ -66,14 +66,16 @@ class TestTypedAccess:
     def test_array_round_trip(self):
         mem = make_mem()
         arr = np.arange(24, dtype=np.int32).reshape(4, 6)
-        mem.write_array(512, arr)
-        np.testing.assert_array_equal(mem.read_array(512, (4, 6), np.int32), arr)
+        mem.write(512, arr)
+        np.testing.assert_array_equal(
+            mem.read(512, arr.nbytes).view(np.int32).reshape(4, 6), arr)
 
     def test_non_contiguous_input(self):
         mem = make_mem()
         arr = np.arange(16, dtype=np.int32).reshape(4, 4).T
-        mem.write_array(0, arr)
-        np.testing.assert_array_equal(mem.read_array(0, (4, 4), np.int32), arr)
+        mem.write(0, arr)
+        np.testing.assert_array_equal(
+            mem.read(0, arr.nbytes).view(np.int32).reshape(4, 4), arr)
 
 
 class TestProperties:

@@ -3,7 +3,7 @@
 from repro.sim.eventq import Simulator
 from repro.sim.ports import FixedLatencyTarget
 from repro.sim.simobject import ClockedObject, SimObject
-from repro.sim.ticks import GHZ, ns
+from repro.sim.ticks import ns
 from repro.sim.transaction import Transaction
 
 
@@ -23,18 +23,9 @@ class TestSimObject:
 
     def test_clocked_object_cycles(self):
         sim = Simulator()
-        obj = ClockedObject(sim, "c", 1 * GHZ)
+        obj = ClockedObject(sim, "c", 10**9)
         assert obj.clock_period == 1000
         assert obj.cycles(3) == 3000
-        assert obj.ticks_to_cycles(2500) == 2.5
-
-    def test_next_edge(self):
-        sim = Simulator()
-        obj = ClockedObject(sim, "c", 1 * GHZ)
-        assert obj.next_edge(0) == 0
-        assert obj.next_edge(1) == 1000
-        assert obj.next_edge(1000) == 1000
-        assert obj.next_edge(1001) == 2000
 
 
 class TestFixedLatencyTarget:

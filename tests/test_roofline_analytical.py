@@ -1,15 +1,9 @@
 """Tests for the roofline sweep and the GEMM/non-GEMM trade-off model."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import SystemConfig, find_crossover, roofline_sweep
-from repro.core.analytical import (
-    TradeoffModel,
-    devmem_threshold,
-    threshold_table,
-)
+from repro.core.analytical import TradeoffModel
 from repro.core.roofline import RooflinePoint
 from repro.sim.ticks import ns, us
 
@@ -102,12 +96,6 @@ class TestTradeoffModel:
         assert model.overall_time(1.0) == 4.0
         assert model.overall_time(0.0) == 0.0
 
-    def test_threshold_tie_within_epsilon_is_dominance(self):
-        """Floating-point noise must not turn a tie into a crossing."""
-        devmem = TradeoffModel("d", 1.0, 2.0)
-        noisy = TradeoffModel("p", 1.0 + 1e-13, 2.0 - 1e-13)
-        assert devmem_threshold(devmem, noisy) == 0.0
-
     def test_sweep_is_linear(self):
         model = TradeoffModel("x", 10.0, 20.0)
         samples = model.sweep(steps=11)
@@ -117,57 +105,3 @@ class TestTradeoffModel:
         ]
         assert all(d == pytest.approx(deltas[0]) for d in deltas)
 
-    def test_threshold_paper_regime(self):
-        """DevMem fast on GEMM, slow on non-GEMM: a threshold exists."""
-        devmem = TradeoffModel("DevMem", gemm_unit_time=1.0, nongemm_unit_time=10.0)
-        pcie = TradeoffModel("PCIe", gemm_unit_time=4.0, nongemm_unit_time=2.0)
-        threshold = devmem_threshold(devmem, pcie)
-        # Crossing: 1w_g*1 + w_ng*10 = w_g*4 + w_ng*2 -> w_ng = 3/11.
-        assert threshold == pytest.approx(1 - 3 / 11)
-        # DevMem indeed wins above the threshold and loses below.
-        w_ng_win = 1 - (threshold + 0.05)
-        w_ng_lose = 1 - (threshold - 0.05)
-        assert devmem.overall_time(w_ng_win) < pcie.overall_time(w_ng_win)
-        assert devmem.overall_time(w_ng_lose) > pcie.overall_time(w_ng_lose)
-
-    def test_threshold_decreases_with_pcie_bandwidth(self):
-        """The paper's trend: faster PCIe -> lower DevMem threshold ...
-        i.e. DevMem needs a *larger* GEMM share to be worth it."""
-        devmem = TradeoffModel("DevMem", 1.0, 10.0)
-        slow_pcie = TradeoffModel("PCIe-2GB", 8.0, 2.0)
-        fast_pcie = TradeoffModel("PCIe-64GB", 1.5, 2.0)
-        t_slow = devmem_threshold(devmem, slow_pcie)
-        t_fast = devmem_threshold(devmem, fast_pcie)
-        assert t_slow < t_fast
-
-    def test_dominance_cases(self):
-        devmem = TradeoffModel("DevMem", 1.0, 1.0)
-        worse = TradeoffModel("PCIe", 2.0, 2.0)
-        assert devmem_threshold(devmem, worse) == 0.0
-        better = TradeoffModel("PCIe", 0.5, 0.5)
-        assert devmem_threshold(devmem, better) is None
-
-    def test_threshold_table(self):
-        devmem = TradeoffModel("DevMem", 1.0, 10.0)
-        models = [
-            TradeoffModel("PCIe-2GB", 8.0, 2.0),
-            TradeoffModel("PCIe-64GB", 1.5, 2.0),
-        ]
-        table = threshold_table(devmem, models)
-        assert [name for name, _ in table] == ["PCIe-2GB", "PCIe-64GB"]
-
-    @settings(max_examples=40)
-    @given(
-        g1=st.floats(min_value=0.1, max_value=100),
-        n1=st.floats(min_value=0.1, max_value=100),
-        g2=st.floats(min_value=0.1, max_value=100),
-        n2=st.floats(min_value=0.1, max_value=100),
-    )
-    def test_threshold_consistent_with_direct_comparison(self, g1, n1, g2, n2):
-        devmem = TradeoffModel("d", g1, n1)
-        pcie = TradeoffModel("p", g2, n2)
-        threshold = devmem_threshold(devmem, pcie)
-        if threshold is None:
-            # PCIe wins everywhere (allow boundary ties).
-            for w in (0.0, 0.25, 0.5, 0.75, 1.0):
-                assert devmem.overall_time(w) >= pcie.overall_time(w) - 1e-9

@@ -5,7 +5,7 @@ import pytest
 
 from repro import AccessMode, SystemConfig, run_gemm
 from repro.core.system import AcceSysSystem
-from repro.workloads import GemmWorkload, unpack_c_tiles
+from repro.workloads import GemmWorkload
 
 
 class TestSystemConstruction:
@@ -95,7 +95,7 @@ class TestFunctionalCorrectness:
             config = SystemConfig.devmem_system()
         else:
             config = SystemConfig.table2_baseline(
-                access_mode=AccessMode.parse(mode)
+                access_mode=AccessMode(mode)
             )
         m, k, n = 48, 64, 32
         result = run_gemm(config, m, k, n, functional=True, seed=11)

@@ -51,13 +51,6 @@ class TestBasics:
         assert tlb.insert(1, 11) is None
         assert tlb.lookup(1) == 11
 
-    def test_invalidate(self):
-        tlb = TLB("t", entries=4)
-        tlb.insert(1, 10)
-        assert tlb.invalidate(1)
-        assert not tlb.invalidate(1)
-        assert tlb.lookup(1) is None
-
     def test_invalidate_all(self):
         tlb = TLB("t", entries=4)
         for i in range(4):
@@ -75,13 +68,6 @@ class TestBasics:
         tlb = TLB("t", entries=4, assoc=100)
         assert tlb.assoc == 4
         assert tlb.num_sets == 1
-
-    def test_stat_dict(self):
-        tlb = TLB("mytlb", entries=4)
-        tlb.insert(0, 0)
-        tlb.lookup(0)
-        stats = tlb.stat_dict()
-        assert stats["mytlb.hit_rate"] == 1.0
 
 
 class TestProperties:
@@ -163,9 +149,6 @@ class _EagerTLB:
         entry_set.move_to_end(vpn)
         return victim
 
-    def invalidate(self, vpn):
-        return self._sets[vpn % self.num_sets].pop(vpn, None) is not None
-
     def invalidate_all(self):
         for entry_set in self._sets:
             entry_set.clear()
@@ -183,7 +166,7 @@ class _EagerTLB:
 _TLB_VPNS = 40
 _TLB_OPS = st.tuples(
     st.sampled_from(["insert"] * 4 + ["lookup"] * 3
-                    + ["probe", "invalidate", "invalidate_all", "reset"]),
+                    + ["probe", "invalidate_all", "reset"]),
     st.integers(min_value=0, max_value=_TLB_VPNS - 1),
     st.integers(min_value=1, max_value=4),
 )
@@ -208,7 +191,7 @@ class TestLazySetsDifferential:
                 args = (vpn, vpn + 1000 * count)
             elif op == "lookup":
                 args = (vpn, count)
-            elif op in ("probe", "invalidate"):
+            elif op == "probe":
                 args = (vpn,)
             else:
                 args = ()
@@ -226,7 +209,6 @@ class TestLazySetsDifferential:
     def test_sets_are_created_on_first_insert_and_dropped_on_reset(self):
         tlb = TLB("t", entries=4096, assoc=8)
         assert tlb.lookup(3) is None and not tlb.probe(3)
-        assert not tlb.invalidate(3)
         assert len(tlb._sets) == 0
         tlb.insert(3, 7)
         tlb.insert(3 + tlb.num_sets, 8)

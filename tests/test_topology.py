@@ -29,7 +29,6 @@ from repro.topology import (
     SwitchedPCIeFabric,
     SwitchLink,
     TopologyDesc,
-    balanced_tree,
     flat_topology,
     tiered_topology,
 )
@@ -47,17 +46,6 @@ class TestDescription:
         assert topo.num_endpoints == 2
         assert topo.num_switches == 3
         assert topo.depth == 3
-
-    def test_balanced_tree(self):
-        topo = balanced_tree(8, fanout=4)
-        assert topo.num_endpoints == 8
-        assert topo.depth == 2
-        assert topo.num_switches == 3  # two leaves tiers + one root
-
-    def test_balanced_tree_single_endpoint_gets_a_switch(self):
-        topo = balanced_tree(1)
-        assert topo.num_endpoints == 1
-        assert topo.num_switches == 1
 
     def test_endpoint_order_is_depth_first(self):
         named = TopologyDesc(root=SwitchDesc(children=(
@@ -81,8 +69,6 @@ class TestDescription:
             flat_topology(0)
         with pytest.raises(ValueError):
             tiered_topology(2, 0)
-        with pytest.raises(ValueError):
-            balanced_tree(4, fanout=1)
 
 
 class TestConfigIntegration:

@@ -70,16 +70,6 @@ class TestConstruction:
 
 
 class TestGranularity:
-    def test_num_lines_aligned(self):
-        assert Transaction.read(0, 128).num_lines(64) == 2
-
-    def test_num_lines_straddles(self):
-        # [60, 68) touches lines 0 and 1
-        assert Transaction.read(60, 8).num_lines(64) == 2
-
-    def test_num_lines_single_byte(self):
-        assert Transaction.read(63, 1).num_lines(64) == 1
-
     def test_num_packets(self):
         assert Transaction.read(0, 1024).num_packets(256) == 4
         assert Transaction.read(0, 1025).num_packets(256) == 5
@@ -87,14 +77,6 @@ class TestGranularity:
     def test_num_packets_bad_size(self):
         with pytest.raises(ValueError):
             Transaction.read(0, 64).num_packets(0)
-
-    def test_pages_touched(self):
-        txn = Transaction.read(4096 - 8, 16)
-        assert list(txn.pages_touched(4096)) == [0, 1]
-
-    def test_pages_touched_single(self):
-        txn = Transaction.read(8192, 4096)
-        assert list(txn.pages_touched(4096)) == [2]
 
     def test_end_addr(self):
         assert Transaction.read(0x100, 0x40).end_addr == 0x140

@@ -13,20 +13,11 @@ from repro.workloads import (
     build_vit_graph,
     pack_a_panels,
     pack_b_panels,
-    unpack_c_tiles,
 )
 from repro.workloads.ops import GemmOp, NonGemmOp
 
 
 class TestOps:
-    def test_gemm_op_flops(self):
-        op = GemmOp("qkv", (), (), m=197, k=768, n=2304)
-        assert op.flops == 2 * 197 * 768 * 2304
-
-    def test_gemm_batch(self):
-        op = GemmOp("qk", (), (), m=197, k=64, n=197, batch=12)
-        assert op.flops == 12 * 2 * 197 * 64 * 197
-
     def test_validation(self):
         with pytest.raises(ValueError):
             GemmOp("bad", (), (), m=0, k=1, n=1)
@@ -40,14 +31,6 @@ class TestOps:
             graph.add_tensor("x", 2048)  # size conflict
         with pytest.raises(ValueError):
             graph.add(GemmOp("op", ("missing",), ("x",), m=1, k=1, n=1))
-
-    def test_graph_partition(self):
-        graph = OpGraph("g")
-        graph.add_tensor("a", 64)
-        graph.add(GemmOp("g1", ("a",), ("a",), m=16, k=16, n=16))
-        graph.add(NonGemmOp("n1", ("a",), ("a",), op_type="add", elements=16))
-        assert len(graph.gemm_ops()) == 1
-        assert len(graph.nongemm_ops()) == 1
 
 
 class TestPacking:
@@ -71,23 +54,6 @@ class TestPacking:
         # Panel 1 = columns 16..31, row-major inside the panel.
         panel1 = packed.view(np.int32)[8 * 16:].reshape(8, 16)
         np.testing.assert_array_equal(panel1, b[:, 16:])
-
-    def test_unpack_c_round_trip(self):
-        rng = np.random.default_rng(3)
-        c = rng.integers(-100, 100, size=(48, 32), dtype=np.int32)
-        # Build the tile-major buffer by hand.
-        tiles = []
-        for i in range(3):
-            for j in range(2):
-                tiles.append(
-                    c[i * 16:(i + 1) * 16, j * 16:(j + 1) * 16].copy()
-                )
-        raw = np.concatenate([t.reshape(-1) for t in tiles]).view(np.uint8)
-        np.testing.assert_array_equal(unpack_c_tiles(raw, 48, 32), c)
-
-    def test_unpack_wrong_size_rejected(self):
-        with pytest.raises(ValueError):
-            unpack_c_tiles(np.zeros(100, dtype=np.uint8), 16, 16)
 
     @settings(max_examples=20)
     @given(
@@ -142,18 +108,13 @@ class TestViT:
         graph = build_vit_graph(config)
         # Per layer: 6 GEMM (qkv, qk, av, proj, fc1, fc2) + 6 non-GEMM;
         # plus embed/head GEMMs and patchify/ln_f/pool non-GEMMs.
-        assert len(graph.gemm_ops()) == config.layers * 6 + 2
-        assert len(graph.nongemm_ops()) == config.layers * 6 + 3
-
-    def test_gemm_flops_scale_with_model(self):
-        base = build_vit_graph(VIT_VARIANTS["base"]).total_gemm_flops
-        large = build_vit_graph(VIT_VARIANTS["large"]).total_gemm_flops
-        huge = build_vit_graph(VIT_VARIANTS["huge"]).total_gemm_flops
-        assert base < large < huge
+        kinds = [type(op) for op in graph.ops]
+        assert kinds.count(GemmOp) == config.layers * 6 + 2
+        assert kinds.count(NonGemmOp) == config.layers * 6 + 3
 
     def test_attention_shapes(self):
         graph = build_vit_graph(VIT_VARIANTS["base"])
-        qk = next(op for op in graph.gemm_ops() if op.name == "l0.qk")
+        qk = next(op for op in graph.ops if op.name == "l0.qk")
         assert (qk.m, qk.k, qk.n) == (197, 64, 197)
         assert qk.batch == 12
 
@@ -170,4 +131,4 @@ class TestViT:
                          image_size=64, patch_size=16)
         graph = build_vit_graph(tiny)
         assert tiny.seq_len == 17
-        assert graph.total_gemm_flops > 0
+        assert any(isinstance(op, GemmOp) for op in graph.ops)

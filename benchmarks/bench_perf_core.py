@@ -3,12 +3,12 @@
 
 Measures the hot paths the sweep engine leans on -- raw event-loop
 throughput, cancellation churn, quiesce-throttled idle loops, one GEMM
-point, one system build, a fresh process's start-up, a warm cached-grid
-replay, a stats snapshot, a small fig6 grid, and the result server's
-warm- and cold-query latency and miss-coalescing factor (see
-docs/PERFORMANCE.md).  It also prints an informational per-package
-host-time fold (cProfile, the table ``sweep --profile`` writes) of one
-warm gemm and one warm multigemm point.
+point in each host access mode, one system build, a fresh process's
+start-up, a warm cached-grid replay, a stats snapshot, a small fig6
+grid, and the result server's warm- and cold-query latency and
+miss-coalescing factor (see docs/PERFORMANCE.md).  It also prints an
+informational per-package host-time fold (cProfile, the table ``sweep
+--profile`` writes) of one warm gemm and one warm multigemm point.
 
 Usage::
 
@@ -28,6 +28,7 @@ quartiles under the mode (quick/full) to ``--out``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
@@ -47,6 +48,7 @@ except ImportError:
     import repro
 
 from repro import SystemConfig  # noqa: E402
+from repro.core.access_modes import AccessMode  # noqa: E402
 from repro.core.runner import (  # noqa: E402
     GemmRunner,
     clear_system_memo,
@@ -110,8 +112,8 @@ EVENT_TRAINS = 512
 #: this many blocks.  On a shared host the event loop ran about a third
 #: slower for tenths of a second to seconds at a time (2-CPU container),
 #: so blocks run back to back could all land in one slow stretch.  The
-#: point benches are spread over the pass the same way (one timed run
-#: per visit).
+#: point benches, the system build and the warm-query latency are
+#: spread over the pass the same way (one timed call per visit).
 EVENT_BLOCKS_PER_VISIT = 2
 
 
@@ -203,32 +205,33 @@ def _warm_point(run, *args):
     return timed
 
 
-def bench_system_build() -> float:
-    """Seconds to build one system, as a first-time fig5 run pays it.
+def system_build_timer():
+    """A timer of one system build, as a first-time fig5 run pays it.
 
-    Clears the system memo, then builds each of the 12 ``fig5-memory``
-    configurations (size 128) once; reports the per-system mean of the
-    fastest of 5 passes.  The cleared systems are reference cycles, so
-    each pass collects them before it starts the clock: a first-time run
-    has none to collect, and the collector's pauses otherwise depended
-    on what earlier benches of the pass had left behind (more than half
-    of the timed build with the collector on, 2-CPU container).
+    Each call clears the system memo, then builds each of the 12
+    ``fig5-memory`` configurations (size 128) once, and returns the
+    per-system mean in seconds.  The cleared systems are reference
+    cycles, so each call collects them before it starts the clock: a
+    first-time run has none to collect, and the collector's pauses
+    otherwise depended on what earlier benches of the pass had left
+    behind (more than half of the timed build with the collector on,
+    2-CPU container).  It clears the memo again after the clock stops,
+    so it pins no fig5 system for the later benches.
     """
     configs = [point.config
                for point in build_sweep("fig5-memory", size=128).points]
 
-    def run():
+    def timed() -> float:
         clear_system_memo()
         gc.collect()
         t0 = time.perf_counter()
         for config in configs:
             system_for(config)
-        t1 = time.perf_counter()
-        return (t1 - t0) / len(configs), t1 - t0
+        elapsed = time.perf_counter() - t0
+        clear_system_memo()
+        return elapsed / len(configs)
 
-    best = _best_of(run)[0]
-    clear_system_memo()  # pin no fig5 system for the later benches
-    return best
+    return timed
 
 
 #: Child program of :func:`bench_cold_start`: what a first-time
@@ -424,52 +427,54 @@ SERVE_ARGS = {"size": 16, "packets": [64, 128]}
 SERVE_KEY = "64"
 
 
-def bench_serve_query_lat(quick: bool) -> float:
-    """Warm point-query p50 through the result server, microseconds.
+def serve_query_timer(stack: contextlib.ExitStack, quick: bool):
+    """A timer of the warm point-query p50 through the result server.
 
     Starts a real server on an ephemeral port against a throwaway cache
-    directory, fills one point, then times warm queries over a single
-    keep-alive connection -- the steady-state cost of serving a cached
-    record over HTTP (parse, index lookup, cache read, JSON response).
-    The queries run in blocks and the fastest block's p50 is kept, as
-    the other timed benches keep their fastest run: on a shared 2-CPU
-    host the whole latency shifted between ~260 and ~550 us for tenths
-    of a second at a time, so one p50 over every query read either.
+    directory (both closed by ``stack``) and fills one point.  Each call
+    of the returned timer then times one block of warm queries over a
+    single keep-alive connection -- the steady-state cost of serving a
+    cached record over HTTP (parse, index lookup, cache read, JSON
+    response) -- and returns the block's p50 in microseconds.  On a
+    shared 2-CPU host the whole latency shifted between ~260 and ~550 us
+    for tenths of a second at a time, so the blocks are spread over the
+    pass like the point benches, and the fastest is kept.
     """
     import http.client
     import tempfile
 
     from repro.serve import ServeSettings, ServerThread
 
-    blocks, rounds = (5, 200) if quick else (5, 400)
+    rounds = 200 if quick else 400
     body = json.dumps(
         {"sweep": SERVE_SWEEP, "key": SERVE_KEY, "args": SERVE_ARGS}
     )
-    with tempfile.TemporaryDirectory() as tmp:
-        settings = ServeSettings(port=0, cache_dir=tmp, batch_window=0.0)
-        with ServerThread(settings) as st:
-            conn = http.client.HTTPConnection(st.host, st.port, timeout=120)
+    tmp = stack.enter_context(tempfile.TemporaryDirectory())
+    st = stack.enter_context(ServerThread(
+        ServeSettings(port=0, cache_dir=tmp, batch_window=0.0)))
+    conn = http.client.HTTPConnection(st.host, st.port, timeout=120)
+    stack.callback(conn.close)
 
-            def once() -> dict:
-                conn.request("POST", "/query", body=body)
-                response = conn.getresponse()
-                return json.loads(response.read())
+    def once() -> dict:
+        conn.request("POST", "/query", body=body)
+        response = conn.getresponse()
+        return json.loads(response.read())
 
-            assert once()["cached"] is False  # the one cold fill
-            while st.service.healthz()["in_flight"]:
-                time.sleep(0.001)  # its entry is written after the reply
-            p50s = []
-            for _ in range(blocks):
-                samples = []
-                for _ in range(rounds):
-                    t0 = time.perf_counter()
-                    payload = once()
-                    samples.append((time.perf_counter() - t0) * 1e6)
-                samples.sort()
-                p50s.append(samples[len(samples) // 2])
-            conn.close()
-            assert payload["cached"] is True
-    return min(p50s)
+    assert once()["cached"] is False  # the one cold fill
+    while st.service.healthz()["in_flight"]:
+        time.sleep(0.001)  # its entry is written after the reply
+
+    def timed() -> float:
+        samples = []
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            payload = once()
+            samples.append((time.perf_counter() - t0) * 1e6)
+        assert payload["cached"] is True
+        samples.sort()
+        return samples[len(samples) // 2]
+
+    return timed
 
 
 #: Cold-query grid: one 16x16 GEMM point per packet size, 7 systems,
@@ -614,11 +619,15 @@ def collect_metrics(quick: bool) -> dict:
     A bench whose subsystem the tree lacks (an older baseline on
     ``PYTHONPATH``) raises ``ImportError``; its metric is left out.
     """
+    with contextlib.ExitStack() as stack:
+        return _collect_metrics(stack, quick)
+
+
+def _collect_metrics(stack: contextlib.ExitStack, quick: bool) -> dict:
     block_events = 5_000 if quick else 10_000
     gemm_size = 64 if quick else 96
     grid_size = 128 if quick else 256
     benches = {
-        "system_build_s": bench_system_build,
         "cold_start_s": lambda: bench_cold_start(5 if quick else 9),
         "warm_replay_us": lambda: bench_warm_replay(100 if quick else 300),
         "snapshot_us": lambda: bench_snapshot(gemm_size,
@@ -626,7 +635,6 @@ def collect_metrics(quick: bool) -> dict:
         "tracer_off_overhead": lambda: bench_tracer_off_overhead(gemm_size),
         "fig6_grid_s": lambda: bench_fig6_grid(grid_size),
         "ladder_fig6_s": lambda: bench_ladder_fig6(grid_size),
-        "serve_query_lat_us": lambda: bench_serve_query_lat(quick),
         "serve_cold_query_ms": lambda: bench_serve_cold_query(quick),
         "serve_coalesce_x": bench_serve_coalesce,
     }
@@ -636,10 +644,19 @@ def collect_metrics(quick: bool) -> dict:
         "idle_loop_eps": idle_loop_blocks(),
     }
     event_rates = dict.fromkeys(event_blocks, 0.0)
-    point_timers = {
+    #: Timers kept at their fastest call over the pass, one call a visit.
+    spread_timers = {
+        "system_build_s": system_build_timer(),
         # One warm GEMM point.
         "gemm_point_s": _warm_point(run_gemm, SystemConfig.pcie_8gb(),
                                     gemm_size, gemm_size, gemm_size),
+        # One warm host-memory GEMM point in the DM access mode: every
+        # DMA segment crosses PCIe, the SMMU and host DRAM, as in
+        # fig5's host points.
+        "dm_point_s": _warm_point(
+            run_gemm,
+            SystemConfig.pcie_2gb(access_mode=AccessMode.DIRECT_MEMORY),
+            gemm_size, gemm_size, gemm_size),
         # One warm 2-device contention point on the switched fabric: the
         # topology's per-endpoint DMA entry ports, round-robin
         # arbitration on the shared links and the cluster-wide snapshot.
@@ -651,18 +668,22 @@ def collect_metrics(quick: bool) -> dict:
             run_peer_transfer, SystemConfig.pcie_2gb(num_accelerators=2),
             128 * 1024 if quick else 512 * 1024, "p2p"),
     }
-    point_times = dict.fromkeys(point_timers, float("inf"))
+    try:
+        spread_timers["serve_query_lat_us"] = serve_query_timer(stack, quick)
+    except ImportError:
+        pass
+    spread_times = dict.fromkeys(spread_timers, float("inf"))
 
     def visit() -> None:
-        """Time the event blocks and one run of each point bench."""
+        """Time the event blocks and one call of each spread timer."""
         for name, run_block in event_blocks.items():
             for _ in range(EVENT_BLOCKS_PER_VISIT):
                 t0 = time.perf_counter()
                 ran = run_block(block_events)
                 rate = ran / (time.perf_counter() - t0)
                 event_rates[name] = max(event_rates[name], rate)
-        for name, timer in point_timers.items():
-            point_times[name] = min(point_times[name], timer())
+        for name, timer in spread_timers.items():
+            spread_times[name] = min(spread_times[name], timer())
 
     metrics = {}
     for name, bench in benches.items():
@@ -672,7 +693,7 @@ def collect_metrics(quick: bool) -> dict:
         except ImportError:
             continue
     visit()
-    return {**event_rates, **point_times, **metrics}
+    return {**event_rates, **spread_times, **metrics}
 
 
 #: Child program of :func:`run_pass`: load this script by path under

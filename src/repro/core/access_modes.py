@@ -64,7 +64,8 @@ class HostBridge(TargetPort):
         self._txns = self.stats.scalar("transactions", "device transactions bridged")
 
     def send(self, txn: Transaction, on_complete: CompletionFn) -> None:
-        self._txns.inc()
+        self._txns.value += 1
+        self.stats.dirty = True
         target = (
             self.cached_path
             if self.mode is AccessMode.DIRECT_CACHE
@@ -73,4 +74,4 @@ class HostBridge(TargetPort):
         if self.smmu is None or txn.is_translated:
             target.send(txn, on_complete)
             return
-        self.smmu.translate(txn, lambda t: target.send(t, on_complete))
+        self.smmu.translate(txn, target, on_complete)

@@ -377,7 +377,9 @@ class DMAEngine(SimObject):
         # is applied by the link's TLP model.
         offset = work.next_offset
         total = work.size
-        size = min(self.segment_bytes, total - offset)
+        size = total - offset
+        if size > self.segment_bytes:
+            size = self.segment_bytes
         work.next_offset = offset + size
         work.outstanding += 1
 
@@ -406,7 +408,16 @@ class DMAEngine(SimObject):
         def segment_done(done_txn: Transaction) -> None:
             now = self.sim.now
             done_txn.complete_tick = now
-            self._latency.sample(now - done_txn.issue_tick)
+            # Batched stat update (equivalent to _latency.sample(ticks)).
+            ticks = now - done_txn.issue_tick
+            latency = self._latency
+            latency.count += 1
+            latency.total += ticks
+            if ticks < latency.min:
+                latency.min = ticks
+            if ticks > latency.max:
+                latency.max = ticks
+            self.stats.dirty = True
             self._tags_in_use -= 1
             work.outstanding -= 1
             if self.trace is not None:
@@ -415,7 +426,7 @@ class DMAEngine(SimObject):
                 )
             if work.outstanding == 0 and work.next_offset >= total:
                 descriptor.completed_at = now
-                self._descriptors.inc()
+                self._descriptors.value += 1
                 if self.trace is not None:
                     self.trace.descriptor(
                         descriptor.stream, work.submit_tick, now,

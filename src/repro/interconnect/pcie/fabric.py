@@ -90,8 +90,11 @@ class PCIeFabric(SimObject):
     # ------------------------------------------------------------------
     def device_read(self, txn: Transaction, on_complete: CompletionFn) -> None:
         """DMA read from host memory (request up, data down)."""
-        host = self._resolved_host_target()
-        self._dev_reads.inc()
+        host = self.host_target
+        if host is None:
+            host = self._resolved_host_target()
+        self._dev_reads.value += 1
+        self.stats.dirty = True
 
         def request_arrived(_txn: Transaction) -> None:
             host.send(txn, host_done)
@@ -102,14 +105,15 @@ class PCIeFabric(SimObject):
         # Memory-read request TLPs are header-only; one per packet-size
         # chunk of the requested range.
         packet = txn.packet_size or self.config.tlp.max_payload
-        self.up.deliver(
-            txn, 0, request_arrived, force_tlps=txn.num_packets(packet)
-        )
+        self.up.deliver(txn, 0, request_arrived, -(-txn.size // packet))
 
     def device_write(self, txn: Transaction, on_complete: CompletionFn) -> None:
         """Posted DMA write to host memory (payload up, no completion TLP)."""
-        host = self._resolved_host_target()
-        self._dev_writes.inc()
+        host = self.host_target
+        if host is None:
+            host = self._resolved_host_target()
+        self._dev_writes.value += 1
+        self.stats.dirty = True
 
         def payload_arrived(_txn: Transaction) -> None:
             host.send(txn, on_complete)

@@ -258,7 +258,10 @@ class PCIeChannel(SimObject):
             self._trains[txn.packet_size, payload_bytes, force_tlps]
         )
 
-        start = max(self.now, self._wire_free_at)
+        sim = self.sim
+        start = sim.now
+        if start < self._wire_free_at:
+            start = self._wire_free_at
         if self.faults is not None:
             stall, occupancy = self.faults.adjust(
                 start, occupancy, n_tlps, tlp_wire_ticks
@@ -268,18 +271,21 @@ class PCIeChannel(SimObject):
 
         # Arrivals are FIFO: PCIe ordering rules forbid overtaking within
         # a virtual channel, so a short train never passes a long one.
-        arrival = max(start + occupancy + pipeline_fill, self._last_arrival)
+        arrival = start + occupancy + pipeline_fill
+        if arrival < self._last_arrival:
+            arrival = self._last_arrival
         self._last_arrival = arrival
 
         # Batched stat update (equivalent to inc() per counter).
         self._tlps.value += n_tlps
-        self._payload_bytes.value += max(0, payload_bytes)
+        if payload_bytes > 0:
+            self._payload_bytes.value += payload_bytes
         self._wire_byte_stat.value += wire_bytes
         self._busy_ticks.value += occupancy
         self.stats.dirty = True
         if self.trace is not None:
             self.trace.tlp_train(start, occupancy, n_tlps, payload_bytes)
-        self.sim.schedule_at(arrival, lambda: on_arrive(txn))
+        sim.schedule_at(arrival, lambda: on_arrive(txn))
 
     @property
     def utilization_window(self) -> float:

@@ -113,6 +113,7 @@ class DRAMController(TargetPort):
         #: arithmetic is a pure function of the phase and size).
         self._split_memo: dict = {}
         self._split_period = self._interleave * t.channels
+        self._single_channel = t.channels == 1
 
         self._reads = self.stats.scalar("reads", "read transactions")
         self._writes = self.stats.scalar("writes", "write transactions")
@@ -136,7 +137,8 @@ class DRAMController(TargetPort):
     # ------------------------------------------------------------------
     def send(self, txn: Transaction, on_complete: CompletionFn) -> None:
         addr = txn.addr
-        if not self.range.contains(addr):
+        addr_range = self.range
+        if not addr_range.start <= addr < addr_range.end:
             raise ValueError(
                 f"{self.name}: address {addr:#x} outside {self.range}"
             )
@@ -152,10 +154,11 @@ class DRAMController(TargetPort):
         self._bytes.value += size
         self.stats.dirty = True
 
-        offset = addr - self.range.start
-        arrive = self.sim.now + self._t_ctrl
+        offset = addr - addr_range.start
+        sim = self.sim
+        arrive = sim.now + self._t_ctrl
         finish = arrive
-        if len(self._channels) == 1:
+        if self._single_channel:
             finish = self._access_channel(0, offset, size, arrive)
         else:
             access = self._access_channel
@@ -167,7 +170,7 @@ class DRAMController(TargetPort):
 
         if self.backing is not None:
             self._functional_access(txn)
-        self.sim.schedule_at(finish, lambda: on_complete(txn))
+        sim.schedule_at(finish, lambda: on_complete(txn))
 
     # ------------------------------------------------------------------
     # Channel striping

@@ -21,7 +21,6 @@ the overhead percentage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 from repro.smmu.page_table import PageTable
 from repro.smmu.tlb import TLB
@@ -69,6 +68,8 @@ class SMMU(SimObject):
         super().__init__(sim, name)
         self.config = config
         self.page_table = page_table
+        self._line_size = config.line_size
+        self._lines_per_page = config.page_size // config.line_size
         self.utlb = TLB(f"{name}.utlb", config.utlb_entries)
         self.tlb = TLB(f"{name}.tlb", config.tlb_entries, config.tlb_assoc)
         self.walker = PageTableWalker(
@@ -99,35 +100,64 @@ class SMMU(SimObject):
     # ------------------------------------------------------------------
     # Translation
     # ------------------------------------------------------------------
-    def translate(self, txn: Transaction, on_done: CompletionFn) -> None:
-        """Translate ``txn`` in place, then fire ``on_done(txn)``.
+    def translate(self, txn: Transaction, target: TargetPort,
+                  on_complete: CompletionFn) -> None:
+        """Translate ``txn`` in place, then ``target.send(txn, on_complete)``.
 
-        ``txn.addr`` is interpreted as virtual; on completion ``txn.vaddr``
-        holds the original address and ``txn.addr``/``txn.paddr`` the
-        physical one.
+        ``txn.addr`` is interpreted as virtual; once translated
+        ``txn.vaddr`` holds the original address and
+        ``txn.addr``/``txn.paddr`` the physical one.  Taking the target
+        spares the caller a forwarding closure per transaction.
+
+        A transaction whose pages all hit the uTLB (nearly every DMA
+        segment) is translated here, with one uTLB lookup per page for
+        all of its lines and no stall.  At the first page that misses,
+        a :class:`_Translation` takes over from that page.
         """
-        _Translation(self, txn, on_done).step()
+        utlb = self.utlb
+        addr = txn.addr
+        line_size = self._line_size
+        lines_per_page = self._lines_per_page
+        line = addr // line_size
+        last = (addr + txn.size - 1) // line_size
+        hits = 0
+        while line <= last:
+            vpn = line // lines_per_page
+            end = (vpn + 1) * lines_per_page
+            if end > last:
+                end = last + 1
+            nlines = end - line
+            if utlb.lookup(vpn, nlines) is None:
+                # Take the peek back: _Translation looks the page up
+                # again, counting its miss as one line.
+                utlb.lookups -= nlines
+                utlb.misses -= nlines
+                self._account_lines(hits, hit_cycles=1)
+                _Translation(self, txn, target, on_complete, line, last).step()
+                return
+            hits += nlines
+            line = end
+        # Batched stat update (equivalent to _account_lines(hits, 1)):
+        # every line hit the uTLB in one cycle.
+        self._translations.value += hits
+        trans_cycles = self._trans_cycles
+        trans_cycles.count += hits
+        trans_cycles.total += hits
+        if trans_cycles.min > 1:
+            trans_cycles.min = 1
+        if trans_cycles.max < 1:
+            trans_cycles.max = 1
+        self.stats.dirty = True
+        paddr = self.page_table.translate(addr)
+        txn.vaddr = addr
+        txn.paddr = paddr
+        txn.addr = paddr
+        txn.is_translated = True
+        target.send(txn, on_complete)
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _pages_with_lines(self, txn: Transaction) -> List[Tuple[int, int]]:
-        """(vpn, lines-in-page) pairs covering the transaction, in order."""
-        cfg = self.config
-        page = cfg.page_size
-        line = cfg.line_size
-        first_line = txn.addr // line
-        last_line = (txn.end_addr - 1) // line
-        pages: List[Tuple[int, int]] = []
-        current = first_line
-        while current <= last_line:
-            vpn = (current * line) // page
-            page_last_line = ((vpn + 1) * page - 1) // line
-            end = min(last_line, page_last_line)
-            pages.append((vpn, end - current + 1))
-            current = end + 1
-        return pages
-
     def _account_lines(self, nlines: int, hit_cycles: int) -> None:
         if nlines <= 0:
             return
@@ -156,7 +186,12 @@ class SMMU(SimObject):
 
 
 class _Translation:
-    """One in-flight :meth:`SMMU.translate` call.
+    """One :meth:`SMMU.translate` call that missed the uTLB.
+
+    It resumes at line ``line`` (the first line of a page) and goes page
+    by page: a uTLB hit accounts the page's lines, a miss stalls
+    ``tlb_latency`` and consults the main TLB, and a main-TLB miss
+    starts a walk whose completion resumes the same object.
 
     The walker and the event queue hold bound methods of this object
     and it holds no reference back to any of them, so it is freed by
@@ -165,29 +200,33 @@ class _Translation:
     """
 
     __slots__ = (
-        "smmu", "txn", "on_done", "pages", "index", "stall", "start_tick",
-        "nlines",
+        "smmu", "txn", "target", "on_complete", "line", "last", "stall",
+        "start_tick", "nlines",
     )
 
-    def __init__(self, smmu: SMMU, txn: Transaction,
-                 on_done: CompletionFn) -> None:
+    def __init__(self, smmu: SMMU, txn: Transaction, target: TargetPort,
+                 on_complete: CompletionFn, line: int, last: int) -> None:
         self.smmu = smmu
         self.txn = txn
-        self.on_done = on_done
-        self.pages = smmu._pages_with_lines(txn)
-        self.index = 0
+        self.target = target
+        self.on_complete = on_complete
+        self.line = line
+        self.last = last
         self.stall = 0
-        self.start_tick = smmu.now
+        self.start_tick = smmu.sim.now
         self.nlines = 0
 
     def step(self) -> None:
         smmu = self.smmu
         cfg = smmu.config
-        pages = self.pages
         utlb = smmu.utlb
-        while self.index < len(pages):
-            vpn, nlines = pages[self.index]
-            self.index += 1
+        lines_per_page = smmu._lines_per_page
+        last = self.last
+        while self.line <= last:
+            vpn = self.line // lines_per_page
+            end = min(last + 1, (vpn + 1) * lines_per_page)
+            nlines = end - self.line
+            self.line = end
             pfn = utlb.lookup(vpn, count=1)
             if pfn is not None:
                 if nlines > 1:
@@ -240,11 +279,11 @@ class _Translation:
         txn.addr = paddr
         txn.is_translated = True
         stall = self.stall
-        smmu._stall_ticks.inc((smmu.now - self.start_tick) + stall)
+        smmu._stall_ticks.inc((smmu.sim.now - self.start_tick) + stall)
         if stall:
             smmu.sim.schedule(stall, self.deliver)
         else:
-            self.on_done(txn)
+            self.deliver()
 
     def deliver(self) -> None:
-        self.on_done(self.txn)
+        self.target.send(self.txn, self.on_complete)

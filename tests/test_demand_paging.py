@@ -21,7 +21,8 @@ class TestDemandPaging:
         system = make_system()
         with pytest.raises(PageFault):
             system.smmu.translate(
-                Transaction.read(UNMAPPED_VA, 64), lambda t: None
+                Transaction.read(UNMAPPED_VA, 64), system.mem_ctrl,
+                lambda t: None,
             )
             system.run()
         assert system.smmu.stats["page_faults"].value == 0

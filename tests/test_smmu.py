@@ -1,6 +1,8 @@
 """Unit tests for the SMMU and the page-table walker."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.eventq import Simulator
 from repro.sim.ports import FixedLatencyTarget
@@ -24,10 +26,19 @@ def make_smmu(mem_latency=ns(100), utlb=32, tlb=4096, map_bytes=1 << 20, **cfg_k
     return sim, smmu, table, mem
 
 
+class HandBack:
+    """A target that completes every transaction at once: what
+    ``SMMU.translate`` sends to, so a test sees the translation alone."""
+
+    @staticmethod
+    def send(txn, on_complete):
+        on_complete(txn)
+
+
 def do_translate(sim, smmu, addr, size):
     done = []
     txn = Transaction.read(addr, size)
-    smmu.translate(txn, lambda t: done.append((sim.now, t)))
+    smmu.translate(txn, HandBack, lambda t: done.append((sim.now, t)))
     sim.run()
     return done[0]
 
@@ -140,6 +151,172 @@ class TestTranslation:
         sim, smmu, _, _ = make_smmu()
         do_translate(sim, smmu, VA_BASE, 4096)
         assert smmu.stats["stall_ticks"].value > 0
+
+
+def reference_translate(smmu, txn, target, on_complete):
+    """Translate ``txn`` page by page under the SMMU's per-line rules.
+
+    The reference for :meth:`SMMU.translate`: it drives the SMMU's own
+    TLBs, walker and stats, one page at a time.  Each page looks up its
+    first line in the uTLB; on a hit the page's other lines hit too.  A
+    uTLB miss stalls ``tlb_latency`` and consults the main TLB; a
+    main-TLB miss walks, and the walk's completion resumes with the next
+    page.  The head's functional translation becomes the physical
+    address, and the summed TLB stall delays its send to ``target``.
+    """
+    cfg = smmu.config
+    line, page = cfg.line_size, cfg.page_size
+    pages = []
+    current = txn.addr // line
+    last = (txn.addr + txn.size - 1) // line
+    while current <= last:
+        vpn = current * line // page
+        end = min(last, ((vpn + 1) * page - 1) // line)
+        pages.append((vpn, end - current + 1))
+        current = end + 1
+    translations = smmu.stats["translations"]
+    trans_cycles = smmu.stats["trans_cycles"]
+    miss_cycles = 1 + cfg.tlb_latency // cfg.cycle_ticks
+    start = smmu.sim.now
+    state = {"stall": 0}
+
+    def account(nlines):
+        if nlines > 0:
+            translations.inc(nlines)
+            trans_cycles.sample(1, repeat=nlines)
+
+    def filled(vpn, pfn, nlines, cycles):
+        smmu.utlb.insert(vpn, pfn)
+        if nlines > 1:
+            smmu.utlb.lookup(vpn, count=nlines - 1)
+        trans_cycles.sample(cycles)
+        translations.inc(1)
+        account(nlines - 1)
+
+    def step(index):
+        while index < len(pages):
+            vpn, nlines = pages[index]
+            index += 1
+            if smmu.utlb.lookup(vpn) is not None:
+                if nlines > 1:
+                    smmu.utlb.lookup(vpn, count=nlines - 1)
+                account(nlines)
+                continue
+            state["stall"] += cfg.tlb_latency
+            pfn = smmu.tlb.lookup(vpn)
+            if pfn is not None:
+                filled(vpn, pfn, nlines, miss_cycles)
+                continue
+
+            def walked(vpn, _levels, ticks, index=index, nlines=nlines):
+                pfn = smmu.page_table.translate(vpn << 12) >> 12
+                smmu.tlb.insert(vpn, pfn)
+                walk_cycles = ticks // cfg.cycle_ticks
+                smmu.stats["ptw_cycles"].sample(walk_cycles)
+                filled(vpn, pfn, nlines, miss_cycles + walk_cycles)
+                step(index)
+
+            smmu.walker.walk(vpn, walked)
+            return
+        paddr = smmu.page_table.translate(txn.addr)
+        txn.vaddr = txn.addr
+        txn.paddr = txn.addr = paddr
+        txn.is_translated = True
+        stall = state["stall"]
+        smmu.stats["stall_ticks"].inc(smmu.sim.now - start + stall)
+        if stall:
+            smmu.sim.schedule(stall, lambda: target.send(txn, on_complete))
+        else:
+            target.send(txn, on_complete)
+
+    step(0)
+
+
+#: Pages the differential streams touch: more than the 32-entry uTLB
+#: holds, and more than the small main TLBs below.
+_STREAM_PAGES = 96
+
+_SEGMENT = st.tuples(
+    st.sampled_from([0, 0, 1, ns(5), ns(40), ns(300)]),   # gap before issue
+    st.integers(0, _STREAM_PAGES - 4),                      # first page
+    st.integers(0, PAGE_SIZE - 1),                          # offset in page
+    st.one_of(st.integers(1, 256), st.integers(1, PAGE_SIZE),
+              st.integers(PAGE_SIZE + 1, 3 * PAGE_SIZE)),   # bytes
+)
+
+
+class TestTranslateDifferential:
+    """``SMMU.translate`` leaves every counter, stat, tick and address
+    exactly as the per-page reference rules do."""
+
+    @staticmethod
+    def _run(translate, utlb, tlb, phases):
+        sim, smmu, _, _ = make_smmu(
+            utlb=utlb, tlb=tlb[0], tlb_assoc=tlb[1],
+            map_bytes=_STREAM_PAGES * PAGE_SIZE)
+        seen = []
+        for phase in phases:
+            sim.reset()
+            for obj in sim.objects:
+                obj.reset_state()
+            done = []
+            when = 0
+            for index, (gap, page, offset, size) in enumerate(phase):
+                when += gap
+                txn = Transaction.read(VA_BASE + page * PAGE_SIZE + offset,
+                                       size)
+
+                def issue(txn=txn, index=index):
+                    translate(smmu, txn, HandBack, lambda t: done.append(
+                        (index, sim.now, t.vaddr, t.paddr, t.addr,
+                         t.is_translated)))
+
+                sim.schedule_at(when, issue)
+            sim.run()
+            trans = smmu.stats["trans_cycles"]
+            ptw = smmu.stats["ptw_cycles"]
+            seen.append({
+                "done": done,
+                "utlb": (smmu.utlb.lookups, smmu.utlb.hits, smmu.utlb.misses),
+                "tlb": (smmu.tlb.lookups, smmu.tlb.hits, smmu.tlb.misses),
+                "translations": smmu.stats["translations"].value,
+                "trans_cycles": (trans.count, trans.total, trans.min,
+                                 trans.max),
+                "ptw_cycles": (ptw.count, ptw.total, ptw.min, ptw.max),
+                "stall_ticks": smmu.stats["stall_ticks"].value,
+                "walks": smmu.walker.stats["walks"].value,
+                "now": sim.now,
+            })
+        return seen
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        utlb=st.sampled_from([32, 32, 4]),
+        tlb=st.sampled_from([(4096, 8), (64, 8), (16, 4)]),
+        phases=st.lists(st.lists(_SEGMENT, min_size=1, max_size=60),
+                        min_size=1, max_size=2),
+    )
+    def test_matches_per_page_reference(self, utlb, tlb, phases):
+        actual = self._run(
+            SMMU.translate,
+            utlb, tlb, phases)
+        expected = self._run(reference_translate, utlb, tlb, phases)
+        assert actual == expected
+
+    def test_streams_reach_every_path(self):
+        """A long page sweep evicts the uTLB, misses the small main TLB
+        and walks again, so the differential covers all three paths."""
+        segments = [(ns(40), page % 40, 100, PAGE_SIZE)
+                    for page in range(80)]
+        segments += [(ns(40), page % (_STREAM_PAGES - 1), 100, PAGE_SIZE)
+                     for page in range(0, 3 * _STREAM_PAGES, 5)]
+        segments += [(0, 3, 0, 64)] * 4
+        (result,) = self._run(
+            SMMU.translate,
+            32, (64, 8), [segments])
+        assert result["utlb"][1] > 0 and result["utlb"][2] > 0
+        assert result["tlb"][1] > 0 and result["tlb"][2] > 0
+        assert result["walks"] > _STREAM_PAGES
 
 
 class TestTable4Metrics:
